@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Sampling self-test: draw samples from a model, refit them, and check the
-Moran chi-square p-values stay healthy across sample sizes.
+"""Sampling self-test: draw samples from a model and run a one-sample KS test
+of each sample against the generating cdf, across sample sizes.
 
 Example:
 

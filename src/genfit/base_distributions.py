@@ -1,11 +1,26 @@
 """The 15 location-shifted base distributions.
 
 Each entry works on the shifted variable ``y = x - mu`` with support y > 0 and
-exposes log-pdf, cdf, survival function, quantile, and a cheap moment-based
-starting-value rule used by the fitter.  Parameter vectors are
+exposes log-pdf, one tail kernel, quantile, inverse survival, and a cheap
+moment-based starting-value rule used by the fitter.  Parameter vectors are
 ``(shape/scale..., mu)``; every non-location parameter lives on (0, inf)
 except the log-normal's first parameter, which is the log-scale mean and may
 be any real.
+
+The tail kernel ``tail(y, *shape) -> (u, sf, log_sf)`` computes the cdf ``u``
+and the survival value ``sf`` from shared intermediates, and gives exactly
+``u = 0`` and ``sf = 1`` at ``y = 0``.  ``log_sf`` is a zero-argument
+callable: the closed-form ln sf, which several bases compute at more cost
+than ``u`` and ``sf`` together, so it runs only when some ``sf`` has
+underflowed, and it need only be right where ``sf < 1e-300``.
+
+The private ``_base_tail`` owns the one precision rule for the triple
+``(u, 1 - u, -ln(1 - u))`` (Maechler 2012): below the median ``1 - u`` and
+``-log1p(-u)`` come from ``u``, which holds the precision there; from the
+median up they are the kernel's ``sf`` and ``-ln sf``, with the closed-form
+``log_sf`` only where ``sf < 1e-300``.  ``base_cdf``, ``base_sf``,
+``base_log_sf``, ``base_log_hazard`` (for bases without a closed-form
+hazard) and the composite cdf and log-density all read from it.
 """
 
 from __future__ import annotations
@@ -48,22 +63,41 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+
+def _scalar(out):
+    """0-d results as Python floats, arrays unchanged."""
+    return out if out.ndim else float(out)
+
+
+def _log_q_asymptote(x, a):
+    """ln Q(a, x) by its asymptotic series, for where Q has underflowed."""
+    xs = np.maximum(x, a + 1.0)
+    return (
+        -xs
+        + (a - 1.0) * np.log(xs)
+        - log_gamma(a)
+        + np.log1p((a - 1.0) / xs + (a - 1.0) * (a - 2.0) / (xs * xs))
+    )
+
+
 def _log_gamma_upper_tail(x, a):
     """ln Q(a, x); switches to the asymptotic series once Q underflows."""
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore"):
         q = reg_inc_gamma_upper(x, a)
         shallow = q > 1e-300
-        xs = np.maximum(x, a + 1.0)
-        deep = (
-            -xs
-            + (a - 1.0) * np.log(xs)
-            - log_gamma(a)
-            + np.log1p((a - 1.0) / xs + (a - 1.0) * (a - 2.0) / (xs * xs))
-        )
-        out = np.where(shallow, np.log(np.where(shallow, q, 1.0)), deep)
-    return out if out.ndim else float(out)
+        out = np.where(shallow, np.log(np.where(shallow, q, 1.0)), _log_q_asymptote(x, a))
+    return _scalar(out)
 
+
+def _unit_gamma_tail(x, a):
+    """Tail kernel of the unit-scale gamma: P(a, x) and Q(a, x)."""
+    return reg_inc_gamma_lower(x, a), reg_inc_gamma_upper(x, a), lambda: _log_q_asymptote(x, a)
+
+
+def _hazard_tail(neg_h):
+    """Tail kernel from -H, the negated cumulative hazard: sf = e^{-H}."""
+    return -np.expm1(neg_h), np.exp(neg_h), lambda: neg_h
 
 
 @dataclass(frozen=True)
@@ -73,9 +107,7 @@ class BaseDist:
     name: str
     param_names: tuple[str, ...]
     log_pdf: Callable
-    cdf: Callable
-    sf: Callable
-    log_sf: Callable
+    tail: Callable  # tail(y, *shape) -> (u, sf, log_sf); see the module docstring
     quantile: Callable
     isf: Callable  # quantile as a function of l = -ln(survival value)
     start: Callable
@@ -105,16 +137,9 @@ def _bs_log_pdf(y, alpha, beta):
     return np.log(r + 1.0 / r) - np.log(2.0 * alpha * y) - 0.5 * z * z - _LOG_SQRT_2PI
 
 
-def _bs_cdf(y, alpha, beta):
-    return std_normal_cdf(_bs_z(y, alpha, beta))
-
-
-def _bs_sf(y, alpha, beta):
-    return std_normal_cdf(-_bs_z(y, alpha, beta))
-
-
-def _bs_log_sf(y, alpha, beta):
-    return sc.log_ndtr(-_bs_z(y, alpha, beta))
+def _bs_tail(y, alpha, beta):
+    z = _bs_z(y, alpha, beta)
+    return std_normal_cdf(z), std_normal_cdf(-z), lambda: sc.log_ndtr(-z)
 
 
 def _bs_quantile(q, alpha, beta):
@@ -160,17 +185,8 @@ def _burrxii_log_pdf(y, alpha, beta):
     )
 
 
-def _burrxii_cdf(y, alpha, beta):
-    return -np.expm1(-alpha * np.log1p(y**beta))
-
-
-def _burrxii_sf(y, alpha, beta):
-    out = np.exp(-alpha * _log1p_pow(y, beta))
-    return out if out.ndim else float(out)
-
-
-def _burrxii_log_sf(y, alpha, beta):
-    return -alpha * _log1p_pow(y, beta)
+def _burrxii_tail(y, alpha, beta):
+    return _hazard_tail(-alpha * _log1p_pow(y, beta))
 
 
 def _burrxii_quantile(q, alpha, beta):
@@ -197,19 +213,8 @@ def _chen_log_pdf(y, alpha, beta):
         return np.log(alpha * beta) + (alpha - 1.0) * np.log(y) + ya - beta * np.expm1(ya)
 
 
-def _chen_cdf(y, alpha, beta):
-    with np.errstate(over="ignore"):
-        return -np.expm1(-beta * np.expm1(y**alpha))
-
-
-def _chen_sf(y, alpha, beta):
-    with np.errstate(over="ignore"):
-        return np.exp(-beta * np.expm1(y**alpha))
-
-
-def _chen_log_sf(y, alpha, beta):
-    with np.errstate(over="ignore"):
-        return -beta * np.expm1(y**alpha)
+def _chen_tail(y, alpha, beta):
+    return _hazard_tail(-beta * np.expm1(y**alpha))
 
 
 def _chen_quantile(q, alpha, beta):
@@ -222,7 +227,10 @@ def _chen_isf(l, alpha, beta):
 
 def _chen_start(y):
     med = np.median(y)
-    return 1.0, math.log(2.0) / math.expm1(med) if med < 30 else 1e-8
+    # past med = 30 e^med overflows beta's scale; alpha = 1/ln(med) puts
+    # med^alpha at e, so beta below still places the median at med
+    alpha = 1.0 if med < 30 else 1.0 / math.log(med)
+    return alpha, math.log(2.0) / math.expm1(med**alpha)
 
 
 # --- Chi-square ------------------------------------------------------------
@@ -232,16 +240,8 @@ def _chisq_log_pdf(y, alpha):
     return -log_gamma(h) - h * math.log(2.0) + (h - 1.0) * np.log(y) - y / 2.0
 
 
-def _chisq_cdf(y, alpha):
-    return reg_inc_gamma_lower(y / 2.0, alpha / 2.0)
-
-
-def _chisq_sf(y, alpha):
-    return reg_inc_gamma_upper(y / 2.0, alpha / 2.0)
-
-
-def _chisq_log_sf(y, alpha):
-    return _log_gamma_upper_tail(y / 2.0, alpha / 2.0)
+def _chisq_tail(y, alpha):
+    return _unit_gamma_tail(y / 2.0, alpha / 2.0)
 
 
 def _chisq_quantile(q, alpha):
@@ -262,16 +262,8 @@ def _exp_log_pdf(y, alpha):
     return np.log(alpha) - alpha * y
 
 
-def _exp_cdf(y, alpha):
-    return -np.expm1(-alpha * y)
-
-
-def _exp_sf(y, alpha):
-    return np.exp(-alpha * y)
-
-
-def _exp_log_sf(y, alpha):
-    return -alpha * y
+def _exp_tail(y, alpha):
+    return _hazard_tail(-alpha * y)
 
 
 def _exp_quantile(q, alpha):
@@ -298,35 +290,16 @@ def _f_log_pdf(y, alpha, beta):
     )
 
 
-def _f_cdf(y, alpha, beta):
-    t = alpha * y / (alpha * y + beta)
-    return reg_inc_beta(t, alpha / 2.0, beta / 2.0)
-
-
-def _f_sf(y, alpha, beta):
-    cdf = _f_cdf(y, alpha, beta)
-    # in the left half t = beta / (alpha y + beta) rounds towards 1 and the
-    # right-tail form loses its absolute precision; 1 - cdf keeps it there
-    t = beta / (alpha * y + beta)
-    return np.where(cdf < 0.5, 1.0 - cdf, reg_inc_beta(t, beta / 2.0, alpha / 2.0))
-
-
-def _f_log_sf(y, alpha, beta):
-    hb, ha = beta / 2.0, alpha / 2.0
-    y = np.asarray(y, dtype=float)
-    cdf = _f_cdf(y, alpha, beta)
-    t = beta / (alpha * y + beta)
-    with np.errstate(divide="ignore"):
-        q = reg_inc_beta(t, hb, ha)
-        shallow = q > 1e-300
-        right = np.where(
-            shallow,
-            np.log(np.where(shallow, q, 1.0)),
-            # I_t(hb, ha) ~ t^hb / (hb B(hb, ha)) as t -> 0
-            hb * np.log(t) - np.log(hb) - log_beta(hb, ha),
-        )
-        out = np.where(cdf < 0.5, np.log1p(-cdf), right)
-    return out if out.ndim else float(out)
+def _f_tail(y, alpha, beta):
+    ha, hb = alpha / 2.0, beta / 2.0
+    d = alpha * y + beta
+    t = beta / d
+    return (
+        reg_inc_beta(alpha * y / d, ha, hb),
+        reg_inc_beta(t, hb, ha),
+        # I_t(hb, ha) ~ t^hb / (hb B(hb, ha)) as t -> 0
+        lambda: hb * np.log(t) - np.log(hb) - log_beta(hb, ha),
+    )
 
 
 def _f_quantile(q, alpha, beta):
@@ -345,7 +318,7 @@ def _f_isf(l, alpha, beta):
     with np.errstate(over="ignore"):
         deep = (beta / alpha) * np.exp(-log_t)
     out = np.where(shallow, beta * (1.0 - t_s) / (alpha * np.maximum(t_s, 1e-308)), deep)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 def _f_start(y):
     m = float(np.mean(y))
@@ -360,26 +333,11 @@ def _frechet_log_pdf(y, alpha, beta):
     return np.log(alpha / beta) - (alpha + 1.0) * np.log(r) - r**-alpha
 
 
-def _frechet_cdf(y, alpha, beta):
-    return np.exp(-((y / beta) ** -alpha))
-
-
-def _frechet_sf(y, alpha, beta):
-    return -np.expm1(-((y / beta) ** -alpha))
-
-
-def _frechet_log_sf(y, alpha, beta):
-    # work from ln r = -alpha ln(y/beta): r itself underflows long before
-    # the survival stops being meaningful
-    with np.errstate(over="ignore", divide="ignore"):
-        log_r = -alpha * np.log(np.asarray(y, dtype=float) / beta)
-        r = np.exp(np.minimum(log_r, math.log(7.0e2)))
-        out = np.where(
-            log_r > math.log(1e-8),
-            np.log(-np.expm1(-r)),
-            log_r + np.log1p(-r / 2.0),
-        )
-    return out if out.ndim else float(out)
+def _frechet_tail(y, alpha, beta):
+    r = (y / beta) ** -alpha
+    # once sf = 1 - e^-r has underflowed it is r itself, and ln r is taken
+    # as -alpha ln(y/beta) since r underflows along with it
+    return np.exp(-r), -np.expm1(-r), lambda: -alpha * np.log(y / beta)
 
 
 def _frechet_quantile(q, alpha, beta):
@@ -396,7 +354,7 @@ def _frechet_isf(l, alpha, beta):
             l > 36.0, -l, np.log(-np.log1p(-np.exp(-np.minimum(l, 36.0))))
         )
         out = beta * np.exp(-log_r / alpha)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 def _frechet_start(y):
     med = float(np.median(y))
@@ -410,16 +368,8 @@ def _gamma_log_pdf(y, alpha, beta):
     return -alpha * np.log(beta) - log_gamma(alpha) + (alpha - 1.0) * np.log(y) - y / beta
 
 
-def _gamma_cdf(y, alpha, beta):
-    return reg_inc_gamma_lower(y / beta, alpha)
-
-
-def _gamma_sf(y, alpha, beta):
-    return reg_inc_gamma_upper(y / beta, alpha)
-
-
-def _gamma_log_sf(y, alpha, beta):
-    return _log_gamma_upper_tail(np.asarray(y, dtype=float) / beta, alpha)
+def _gamma_tail(y, alpha, beta):
+    return _unit_gamma_tail(y / beta, alpha)
 
 
 def _gamma_quantile(q, alpha, beta):
@@ -444,19 +394,8 @@ def _gompertz_log_pdf(y, alpha, beta):
         return np.log(alpha) + by - (alpha / beta) * np.expm1(by)
 
 
-def _gompertz_cdf(y, alpha, beta):
-    with np.errstate(over="ignore"):
-        return -np.expm1(-(alpha / beta) * np.expm1(beta * y))
-
-
-def _gompertz_sf(y, alpha, beta):
-    with np.errstate(over="ignore"):
-        return np.exp(-(alpha / beta) * np.expm1(beta * y))
-
-
-def _gompertz_log_sf(y, alpha, beta):
-    with np.errstate(over="ignore"):
-        return -(alpha / beta) * np.expm1(beta * y)
+def _gompertz_tail(y, alpha, beta):
+    return _hazard_tail(-(alpha / beta) * np.expm1(beta * y))
 
 
 def _gompertz_quantile(q, alpha, beta):
@@ -481,16 +420,8 @@ def _lfr_log_pdf(y, alpha, beta):
     return np.log(alpha + beta * y) - alpha * y - beta * y * y / 2.0
 
 
-def _lfr_cdf(y, alpha, beta):
-    return -np.expm1(-alpha * y - beta * y * y / 2.0)
-
-
-def _lfr_sf(y, alpha, beta):
-    return np.exp(-alpha * y - beta * y * y / 2.0)
-
-
-def _lfr_log_sf(y, alpha, beta):
-    return -alpha * y - beta * y * y / 2.0
+def _lfr_tail(y, alpha, beta):
+    return _hazard_tail(-alpha * y - beta * y * y / 2.0)
 
 
 def _lfr_quantile(q, alpha, beta):
@@ -519,24 +450,12 @@ def _loglogistic_log_pdf(y, alpha, beta):
     )
 
 
-def _loglogistic_cdf(y, alpha, beta):
-    ra = (y / beta) ** alpha
-    return ra / (1.0 + ra)
-
-
-def _loglogistic_sf(y, alpha, beta):
-    return 1.0 / (1.0 + (y / beta) ** alpha)
-
-
-def _loglogistic_log_sf(y, alpha, beta):
-    r = np.asarray(y, dtype=float) / beta
-    with np.errstate(over="ignore", divide="ignore"):
-        out = np.where(
-            r > 1.0,
-            -(alpha * np.log(np.maximum(r, 1.0)) + np.log1p(np.maximum(r, 1.0) ** -alpha)),
-            -np.log1p(np.minimum(r, 1.0) ** alpha),
-        )
-    return out if out.ndim else float(out)
+def _loglogistic_tail(y, alpha, beta):
+    r = y / beta
+    ra = r**alpha
+    # sf = 1 / (1 + r^alpha) underflows only for r > 1, where ra overflows
+    u = np.where(np.isinf(ra), 1.0, ra / (1.0 + ra))
+    return u, 1.0 / (1.0 + ra), lambda: -(alpha * np.log(r) + np.log1p(r**-alpha))
 
 
 def _loglogistic_quantile(q, alpha, beta):
@@ -551,7 +470,7 @@ def _loglogistic_isf(l, alpha, beta):
     with np.errstate(divide="ignore", over="ignore"):
         log_odds = l + np.log(-np.expm1(-l))
         out = beta * np.exp(log_odds / alpha)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 def _loglogistic_start(y):
     q25, med, q75 = np.quantile(y, [0.25, 0.5, 0.75])
@@ -566,16 +485,9 @@ def _lognormal_log_pdf(y, alpha, beta):
     return -np.log(y * beta) - 0.5 * z * z - _LOG_SQRT_2PI
 
 
-def _lognormal_cdf(y, alpha, beta):
-    return std_normal_cdf((np.log(y) - alpha) / beta)
-
-
-def _lognormal_sf(y, alpha, beta):
-    return std_normal_cdf(-(np.log(y) - alpha) / beta)
-
-
-def _lognormal_log_sf(y, alpha, beta):
-    return sc.log_ndtr(-(np.log(y) - alpha) / beta)
+def _lognormal_tail(y, alpha, beta):
+    z = (np.log(y) - alpha) / beta
+    return std_normal_cdf(z), std_normal_cdf(-z), lambda: sc.log_ndtr(-z)
 
 
 def _lognormal_quantile(q, alpha, beta):
@@ -597,16 +509,8 @@ def _lomax_log_pdf(y, alpha, beta):
     return np.log(alpha * beta) - (alpha + 1.0) * np.log1p(beta * y)
 
 
-def _lomax_cdf(y, alpha, beta):
-    return -np.expm1(-alpha * np.log1p(beta * y))
-
-
-def _lomax_sf(y, alpha, beta):
-    return np.exp(-alpha * np.log1p(beta * y))
-
-
-def _lomax_log_sf(y, alpha, beta):
-    return -alpha * np.log1p(beta * y)
+def _lomax_tail(y, alpha, beta):
+    return _hazard_tail(-alpha * np.log1p(beta * y))
 
 
 def _lomax_quantile(q, alpha, beta):
@@ -619,7 +523,7 @@ def _lomax_isf(l, alpha, beta):
     with np.errstate(over="ignore"):
         log_em1 = np.where(la > 30.0, la, np.log(np.expm1(np.minimum(la, 30.0))))
         out = np.exp(log_em1) / beta
-    return out if np.ndim(out) else float(out)
+    return _scalar(out)
 
 def _lomax_start(y):
     return 2.0, 1.0 / float(np.mean(y))
@@ -632,19 +536,9 @@ def _rayleigh_log_pdf(y, beta):
     return np.log(2.0 * y / (beta * beta)) - r * r
 
 
-def _rayleigh_cdf(y, beta):
+def _rayleigh_tail(y, beta):
     r = y / beta
-    return -np.expm1(-r * r)
-
-
-def _rayleigh_sf(y, beta):
-    r = y / beta
-    return np.exp(-r * r)
-
-
-def _rayleigh_log_sf(y, beta):
-    r = y / beta
-    return -r * r
+    return _hazard_tail(-r * r)
 
 
 def _rayleigh_quantile(q, beta):
@@ -666,16 +560,8 @@ def _weibull_log_pdf(y, alpha, beta):
     return np.log(alpha / beta) + (alpha - 1.0) * np.log(r) - r**alpha
 
 
-def _weibull_cdf(y, alpha, beta):
-    return -np.expm1(-((y / beta) ** alpha))
-
-
-def _weibull_sf(y, alpha, beta):
-    return np.exp(-((y / beta) ** alpha))
-
-
-def _weibull_log_sf(y, alpha, beta):
-    return -((y / beta) ** alpha)
+def _weibull_tail(y, alpha, beta):
+    return _hazard_tail(-((y / beta) ** alpha))
 
 
 def _weibull_quantile(q, alpha, beta):
@@ -706,7 +592,7 @@ def _bs_log_hazard(y, alpha, beta):
     # Mills ratio: Phi(-z) = phi(z)/z * (1 - z^-2 + 3 z^-4 - 15 z^-6 + ...)
     zz = np.where(z > 30.0, z, np.inf) ** -2
     deep = jac + np.log(np.where(z > 30.0, z, 1.0)) - np.log1p(-zz * (1.0 - 3.0 * zz * (1.0 - 5.0 * zz)))
-    direct = _bs_log_pdf(y, alpha, beta) - _bs_log_sf(y, alpha, beta)
+    direct = _bs_log_pdf(y, alpha, beta) - sc.log_ndtr(-z)
     return np.where(z > 30.0, deep, direct)
 
 
@@ -775,21 +661,21 @@ _LOG_HAZARD: dict[str, Callable] = {
 BASE_DISTRIBUTIONS: dict[str, BaseDist] = {
     d.name: d
     for d in [
-        BaseDist("birnbaum-saunders", ("alpha", "beta"), _bs_log_pdf, _bs_cdf, _bs_sf, _bs_log_sf, _bs_quantile, _bs_isf, _bs_start),
-        BaseDist("burrxii", ("alpha", "beta"), _burrxii_log_pdf, _burrxii_cdf, _burrxii_sf, _burrxii_log_sf, _burrxii_quantile, _burrxii_isf, _burrxii_start),
-        BaseDist("chen", ("alpha", "beta"), _chen_log_pdf, _chen_cdf, _chen_sf, _chen_log_sf, _chen_quantile, _chen_isf, _chen_start),
-        BaseDist("chisq", ("alpha",), _chisq_log_pdf, _chisq_cdf, _chisq_sf, _chisq_log_sf, _chisq_quantile, _chisq_isf, _chisq_start),
-        BaseDist("exp", ("alpha",), _exp_log_pdf, _exp_cdf, _exp_sf, _exp_log_sf, _exp_quantile, _exp_isf, _exp_start),
-        BaseDist("f", ("alpha", "beta"), _f_log_pdf, _f_cdf, _f_sf, _f_log_sf, _f_quantile, _f_isf, _f_start),
-        BaseDist("frechet", ("alpha", "beta"), _frechet_log_pdf, _frechet_cdf, _frechet_sf, _frechet_log_sf, _frechet_quantile, _frechet_isf, _frechet_start),
-        BaseDist("gamma", ("alpha", "beta"), _gamma_log_pdf, _gamma_cdf, _gamma_sf, _gamma_log_sf, _gamma_quantile, _gamma_isf, _gamma_start),
-        BaseDist("gompertz", ("alpha", "beta"), _gompertz_log_pdf, _gompertz_cdf, _gompertz_sf, _gompertz_log_sf, _gompertz_quantile, _gompertz_isf, _gompertz_start),
-        BaseDist("lfr", ("alpha", "beta"), _lfr_log_pdf, _lfr_cdf, _lfr_sf, _lfr_log_sf, _lfr_quantile, _lfr_isf, _lfr_start),
-        BaseDist("log-logistic", ("alpha", "beta"), _loglogistic_log_pdf, _loglogistic_cdf, _loglogistic_sf, _loglogistic_log_sf, _loglogistic_quantile, _loglogistic_isf, _loglogistic_start),
-        BaseDist("log-normal", ("alpha", "beta"), _lognormal_log_pdf, _lognormal_cdf, _lognormal_sf, _lognormal_log_sf, _lognormal_quantile, _lognormal_isf, _lognormal_start, real_params=(0,)),
-        BaseDist("lomax", ("alpha", "beta"), _lomax_log_pdf, _lomax_cdf, _lomax_sf, _lomax_log_sf, _lomax_quantile, _lomax_isf, _lomax_start),
-        BaseDist("rayleigh", ("beta",), _rayleigh_log_pdf, _rayleigh_cdf, _rayleigh_sf, _rayleigh_log_sf, _rayleigh_quantile, _rayleigh_isf, _rayleigh_start),
-        BaseDist("weibull", ("alpha", "beta"), _weibull_log_pdf, _weibull_cdf, _weibull_sf, _weibull_log_sf, _weibull_quantile, _weibull_isf, _weibull_start),
+        BaseDist("birnbaum-saunders", ("alpha", "beta"), _bs_log_pdf, _bs_tail, _bs_quantile, _bs_isf, _bs_start),
+        BaseDist("burrxii", ("alpha", "beta"), _burrxii_log_pdf, _burrxii_tail, _burrxii_quantile, _burrxii_isf, _burrxii_start),
+        BaseDist("chen", ("alpha", "beta"), _chen_log_pdf, _chen_tail, _chen_quantile, _chen_isf, _chen_start),
+        BaseDist("chisq", ("alpha",), _chisq_log_pdf, _chisq_tail, _chisq_quantile, _chisq_isf, _chisq_start),
+        BaseDist("exp", ("alpha",), _exp_log_pdf, _exp_tail, _exp_quantile, _exp_isf, _exp_start),
+        BaseDist("f", ("alpha", "beta"), _f_log_pdf, _f_tail, _f_quantile, _f_isf, _f_start),
+        BaseDist("frechet", ("alpha", "beta"), _frechet_log_pdf, _frechet_tail, _frechet_quantile, _frechet_isf, _frechet_start),
+        BaseDist("gamma", ("alpha", "beta"), _gamma_log_pdf, _gamma_tail, _gamma_quantile, _gamma_isf, _gamma_start),
+        BaseDist("gompertz", ("alpha", "beta"), _gompertz_log_pdf, _gompertz_tail, _gompertz_quantile, _gompertz_isf, _gompertz_start),
+        BaseDist("lfr", ("alpha", "beta"), _lfr_log_pdf, _lfr_tail, _lfr_quantile, _lfr_isf, _lfr_start),
+        BaseDist("log-logistic", ("alpha", "beta"), _loglogistic_log_pdf, _loglogistic_tail, _loglogistic_quantile, _loglogistic_isf, _loglogistic_start),
+        BaseDist("log-normal", ("alpha", "beta"), _lognormal_log_pdf, _lognormal_tail, _lognormal_quantile, _lognormal_isf, _lognormal_start, real_params=(0,)),
+        BaseDist("lomax", ("alpha", "beta"), _lomax_log_pdf, _lomax_tail, _lomax_quantile, _lomax_isf, _lomax_start),
+        BaseDist("rayleigh", ("beta",), _rayleigh_log_pdf, _rayleigh_tail, _rayleigh_quantile, _rayleigh_isf, _rayleigh_start),
+        BaseDist("weibull", ("alpha", "beta"), _weibull_log_pdf, _weibull_tail, _weibull_quantile, _weibull_isf, _weibull_start),
     ]
 }
 
@@ -829,11 +715,36 @@ def base_log_pdf(name, x, params):
             vals = dist.log_pdf(np.where(inside, y, 1.0), *shape)
         out = np.where(inside, vals, -np.inf)
     out = np.where(np.isnan(out), -np.inf, out)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def base_pdf(name, x, params):
     return np.exp(base_log_pdf(name, x, params))
+
+
+def _base_tail(name, x, params):
+    """``(G(x), 1 - G(x), -ln(1 - G(x)))``, each at full precision.
+
+    Arrays shaped like ``x`` (0-d for a scalar).  Outside the support the
+    triple is (0, 1, 0): every kernel gives u = 0 and sf = 1 exactly at y = 0,
+    where those points (and NaN) are evaluated.  Below the median ``u`` is the
+    precise value and both complements follow from it; from the median up they
+    are the kernel's survival value and its log, which ``1 - u`` cannot carry,
+    with the closed-form log only where the survival value has underflowed.
+    """
+    dist = get_base(name)
+    shape, mu = _split(dist, params)
+    y = np.asarray(x, dtype=float) - mu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, sf, log_sf = dist.tail(np.where(y > 0, y, 0.0), *shape)
+        deep = sf < 1e-300
+        u, sf = np.clip(u, 0.0, 1.0), np.clip(sf, 0.0, 1.0)
+        left = u < 0.5
+        lsf = np.where(left, -np.log1p(-u), -np.log(sf))
+        omu = np.where(left, 1.0 - u, sf)
+        if deep.any():
+            lsf = np.where(deep, -np.minimum(log_sf(), 0.0), lsf)
+    return u, omu, lsf
 
 
 def base_log_hazard(name, x, params):
@@ -855,45 +766,24 @@ def base_log_hazard(name, x, params):
         else:
             # power-tailed bases never push -ln(sf) into the cancellation
             # regime at representable x, so the difference is safe
-            vals = dist.log_pdf(y_safe, *shape) - dist.log_sf(y_safe, *shape)
+            vals = dist.log_pdf(y_safe, *shape) + _base_tail(name, x, params)[2]
     out = np.where(inside, vals, -np.inf)
     out = np.where(np.isnan(out), -np.inf, out)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def base_cdf(name, x, params):
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
-    y = np.asarray(x, dtype=float) - mu
-    inside = y > 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = dist.cdf(np.where(inside, y, 1.0), *shape)
-    out = np.clip(np.where(inside, vals, 0.0), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return _scalar(_base_tail(name, x, params)[0])
 
 
 def base_sf(name, x, params):
-    """Survival function 1 - cdf, computed in its own closed form."""
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
-    y = np.asarray(x, dtype=float) - mu
-    inside = y > 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = dist.sf(np.where(inside, y, 1.0), *shape)
-    out = np.clip(np.where(inside, vals, 1.0), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    """Survival function 1 - cdf, at full precision in both tails."""
+    return _scalar(_base_tail(name, x, params)[1])
 
 
 def base_log_sf(name, x, params):
     """ln of the survival function; stays finite far past sf underflow."""
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
-    y = np.asarray(x, dtype=float) - mu
-    inside = y > 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        vals = dist.log_sf(np.where(inside, y, 1.0), *shape)
-    out = np.minimum(np.where(inside, vals, 0.0), 0.0)
-    return out if out.ndim else float(out)
+    return _scalar(-_base_tail(name, x, params)[2])
 
 
 def base_quantile(name, q, params):
@@ -905,7 +795,7 @@ def base_quantile(name, q, params):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = dist.quantile(q, *shape)
     out = mu + np.where(q == 0.0, 0.0, y)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def base_isf(name, q, params):
@@ -927,7 +817,7 @@ def base_isf_log(name, l, params):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         y = dist.isf(l, *shape)
     out = mu + np.where(l == 0.0, 0.0, y)
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def base_sample(name, n, params, seed=None, rng=None):

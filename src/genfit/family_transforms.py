@@ -4,10 +4,19 @@ Each family is a cdf-valued transform h: [0,1] -> [0,1] with one to three
 induced shape parameters.  A composed distribution has cdf h(G(x)) where G is
 a shifted base cdf, pdf h'(G(x)) g(x), and quantile G^{-1}(h^{-1}(p)).
 
-Transforms receive both ``u = G(x)`` and ``omu = 1 - u`` (the base survival
-value) so that families built on -log(1-u) keep full precision deep in the
-right tail.  ``log_h_prime`` is the log of h's derivative; the family log-pdf
-is ``log_h_prime(G(x)) + log g(x)``.
+Kernels.  ``h(u, omu, lsf, *induced)`` and ``log_h_prime(u, omu, lsf,
+*induced)`` receive the triple ``(u, 1 - u, -ln(1 - u))``; the family log-pdf
+is ``log_h_prime(G(x)) + log g(x)``.  ``h_inv(p, *induced)`` returns the pair
+``(u, -ln(1 - u))`` at the u with h(u) = p, inverting its special function
+once.
+
+Precision rule.  Each element of the triple is taken from the side that holds
+the precision: below the median of G, ``1 - u`` and ``-ln(1 - u)`` come from
+``u``; above it, from the base survival value (``_base_tail``).  A kernel
+builds a quantity that cancels in one tail from the element that is precise
+there: ``1 - (1 - u)^a`` as ``-expm1(-a lsf)``, not from ``omu``.
+``family_quantile`` follows the same split: the base quantile of ``u`` where
+u <= 1/2, the base inverse survival of ``-ln(1 - u)`` above.
 """
 
 from __future__ import annotations
@@ -20,13 +29,11 @@ import numpy as np
 import scipy.special as sc
 
 from .base_distributions import (
-    base_cdf,
+    _base_tail,
     base_isf_log,
     base_log_hazard,
     base_log_pdf,
-    base_log_sf,
     base_quantile,
-    base_sf,
     get_base,
 )
 from .special_functions import (
@@ -46,8 +53,6 @@ __all__ = [
     "h_forward",
     "log_h_prime",
     "h_inverse",
-    "h_inverse_sf",
-    "h_inverse_log_sf",
     "split_params",
     "family_log_pdf",
     "family_pdf",
@@ -114,10 +119,7 @@ class FamilySpec:
     domains: tuple[tuple[float, float], ...]
     h: Callable          # h(u, omu, lsf, *induced); lsf = -ln(omu)
     log_h_prime: Callable  # log_h_prime(u, omu, lsf, *induced)
-    h_inv: Callable      # h_inv(p, *induced)
-    h_inv_sf: Callable   # survival side of the inverse: 1 - h_inv(p), full precision
-    # optional -ln(1 - h_inv(p)) for transforms whose survival side underflows
-    h_inv_lsf: Callable | None = None
+    h_inv: Callable      # h_inv(p, *induced) -> (u, -ln(1 - u)) with h(u) = p
     # optional ln(h'(u) * (1 - u)), for transforms whose h' grows like
     # 1/(1 - u); pairing it with the base log-hazard avoids the huge
     # cancelling +/- ln(sf) terms in the composite log-density
@@ -149,11 +151,7 @@ def _betaexpg_lhp(u, omu, lsf, a, b, d):
 
 def _betaexpg_hinv(p, a, b, d):
     omu = inv_reg_inc_beta(1.0 - p, a, b) ** (1.0 / d)
-    return 1.0 - omu
-
-
-def _betaexpg_hinv_sf(p, a, b, d):
-    return inv_reg_inc_beta(1.0 - p, a, b) ** (1.0 / d)
+    return 1.0 - omu, -np.log(omu)
 
 
 # --- betag -----------------------------------------------------------------
@@ -167,12 +165,11 @@ def _betag_lhp(u, omu, lsf, a, b):
 
 
 def _betag_hinv(p, a, b):
-    return inv_reg_inc_beta(p, a, b)
-
-
-def _betag_hinv_sf(p, a, b):
-    # I_u(a, b) = p  <=>  I_{1-u}(b, a) = 1 - p
-    return inv_reg_inc_beta(1.0 - p, b, a)
+    # I_u(a, b) = p  <=>  I_{1-u}(b, a) = 1 - p: invert for 1 - u above the
+    # median of u, where u itself cannot carry the precision
+    right = p > reg_inc_beta(0.5, a, b)
+    w = inv_reg_inc_beta(np.where(right, 1.0 - p, p), np.where(right, b, a), np.where(right, a, b))
+    return np.where(right, 1.0 - w, w), np.where(right, -np.log(w), -np.log1p(-w))
 
 
 # --- expexppg --------------------------------------------------------------
@@ -191,13 +188,8 @@ def _expexppg_lhp(u, omu, lsf, a, b):
 
 
 def _expexppg_hinv(p, a, b):
-    return (-np.log1p(p * math.expm1(-b)) / b) ** (1.0 / a)
-
-
-def _expexppg_hinv_sf(p, a, b):
     inner = -np.log1p(p * math.expm1(-b)) / b
-    with np.errstate(divide="ignore"):
-        return -np.expm1(np.log(inner) / a)
+    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
 
 
 # --- expg ------------------------------------------------------------------
@@ -211,37 +203,26 @@ def _expg_lhp(u, omu, lsf, a):
 
 
 def _expg_hinv(p, a):
-    return p ** (1.0 / a)
-
-
-def _expg_hinv_sf(p, a):
-    with np.errstate(divide="ignore"):
-        return -np.expm1(np.log(p) / a)
+    return p ** (1.0 / a), -np.log(-np.expm1(np.log(p) / a))
 
 
 # --- expgg -----------------------------------------------------------------
 
 def _expgg_h(u, omu, lsf, a, b):
-    return (-np.expm1(a * np.log(omu))) ** b
+    return (-np.expm1(-a * lsf)) ** b
 
 
 def _expgg_lhp(u, omu, lsf, a, b):
     return (
         math.log(a * b)
         + _xlogy(a - 1.0, omu)
-        + _xlogy(b - 1.0, -np.expm1(a * np.log(omu)))
+        + _xlogy(b - 1.0, -np.expm1(-a * lsf))
     )
 
 
 def _expgg_hinv(p, a, b):
-    with np.errstate(divide="ignore"):
-        omu = (-np.expm1(np.log(p) / b)) ** (1.0 / a)
-    return 1.0 - omu
-
-
-def _expgg_hinv_sf(p, a, b):
-    with np.errstate(divide="ignore"):
-        return (-np.expm1(np.log(p) / b)) ** (1.0 / a)
+    omu = (-np.expm1(np.log(p) / b)) ** (1.0 / a)
+    return 1.0 - omu, -np.log(omu)
 
 
 # --- expkumg ---------------------------------------------------------------
@@ -260,15 +241,8 @@ def _expkumg_lhp(u, omu, lsf, a, b, d):
 
 
 def _expkumg_hinv(p, a, b, d):
-    with np.errstate(divide="ignore"):
-        inner = -np.expm1(np.log1p(-p ** (1.0 / d)) / b)
-    return inner ** (1.0 / a)
-
-
-def _expkumg_hinv_sf(p, a, b, d):
-    with np.errstate(divide="ignore"):
-        inner = -np.expm1(np.log1p(-p ** (1.0 / d)) / b)
-        return -np.expm1(np.log(inner) / a)
+    inner = -np.expm1(np.log1p(-p ** (1.0 / d)) / b)
+    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
 
 
 # --- gammag ----------------------------------------------------------------
@@ -282,15 +256,8 @@ def _gammag_lhp(u, omu, lsf, a):
 
 
 def _gammag_hinv(p, a):
-    return -np.expm1(-inv_reg_inc_gamma_lower(p, a))
-
-
-def _gammag_hinv_sf(p, a):
-    return np.exp(-inv_reg_inc_gamma_lower(p, a))
-
-
-def _gammag_hinv_lsf(p, a):
-    return inv_reg_inc_gamma_lower(p, a)
+    t = inv_reg_inc_gamma_lower(p, a)
+    return -np.expm1(-t), t
 
 
 # --- gammag1 ---------------------------------------------------------------
@@ -306,11 +273,8 @@ def _gammag1_lhp(u, omu, lsf, a):
 
 
 def _gammag1_hinv(p, a):
-    return np.exp(-inv_reg_inc_gamma_lower(1.0 - p, a))
-
-
-def _gammag1_hinv_sf(p, a):
-    return -np.expm1(-inv_reg_inc_gamma_lower(1.0 - p, a))
+    t = inv_reg_inc_gamma_lower(1.0 - p, a)
+    return np.exp(-t), -np.log(-np.expm1(-t))
 
 
 # --- gammag2 ---------------------------------------------------------------
@@ -329,12 +293,7 @@ def _gammag2_lhp(u, omu, lsf, a):
 
 def _gammag2_hinv(p, a):
     t = inv_reg_inc_gamma_lower(p, a)
-    return t / (1.0 + t)
-
-
-def _gammag2_hinv_sf(p, a):
-    t = inv_reg_inc_gamma_lower(p, a)
-    return 1.0 / (1.0 + t)
+    return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
 
 
 # --- gbetag ----------------------------------------------------------------
@@ -353,28 +312,23 @@ def _gbetag_lhp(u, omu, lsf, a, b, d):
 
 
 def _gbetag_hinv(p, a, b, d):
-    return inv_reg_inc_beta(p, a, b) ** (1.0 / d)
-
-
-def _gbetag_hinv_sf(p, a, b, d):
-    with np.errstate(divide="ignore"):
-        return -np.expm1(np.log(inv_reg_inc_beta(p, a, b)) / d)
+    y = inv_reg_inc_beta(p, a, b)
+    return y ** (1.0 / d), -np.log(-np.expm1(np.log(y) / d))
 
 
 # --- gexppg ----------------------------------------------------------------
 
-def _gexppg_den(u, omu, a, b):
-    z = np.exp(-a * omu)
-    return -math.expm1(-a) - b * (-np.expm1(-a * omu)), z
+def _gexppg_den(omu, a, b):
+    return -math.expm1(-a) - b * (-np.expm1(-a * omu))
 
 
 def _gexppg_h(u, omu, lsf, a, b):
-    den, z = _gexppg_den(u, omu, a, b)
-    return (z - math.exp(-a)) / den
+    # e^{-a omu} - e^{-a} = e^{-a} expm1(a u), without the left-tail cancellation
+    return math.exp(-a) * np.expm1(a * u) / _gexppg_den(omu, a, b)
 
 
 def _gexppg_lhp(u, omu, lsf, a, b):
-    den, _ = _gexppg_den(u, omu, a, b)
+    den = _gexppg_den(omu, a, b)
     return (
         math.log(a)
         + math.log1p(-b)
@@ -388,13 +342,7 @@ def _gexppg_hinv(p, a, b):
     ea = math.exp(-a)
     z = (ea + p * (1.0 - ea - b)) / (1.0 - p * b)
     omu = -np.log(z) / a
-    return 1.0 - omu
-
-
-def _gexppg_hinv_sf(p, a, b):
-    ea = math.exp(-a)
-    z = (ea + p * (1.0 - ea - b)) / (1.0 - p * b)
-    return -np.log(z) / a
+    return 1.0 - omu, -np.log(omu)
 
 
 # --- gmbetaexpg ------------------------------------------------------------
@@ -417,15 +365,8 @@ def _gmbetaexpg_lhp(u, omu, lsf, a, b):
 
 
 def _gmbetaexpg_hinv(p, a, b):
-    with np.errstate(divide="ignore"):
-        t = -np.log1p(-np.exp(np.log(p) / a)) / b
-    return t / (1.0 + t)
-
-
-def _gmbetaexpg_hinv_sf(p, a, b):
-    with np.errstate(divide="ignore"):
-        t = -np.log1p(-np.exp(np.log(p) / a)) / b
-    return 1.0 / (1.0 + t)
+    t = -np.log1p(-np.exp(np.log(p) / a)) / b
+    return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
 
 
 # --- gtransg ---------------------------------------------------------------
@@ -445,21 +386,13 @@ def _gtransg_lhp(u, omu, lsf, a, b):
 
 def _gtransg_hinv(p, a, b):
     s = np.asarray(p, dtype=float) ** (1.0 / a)
+    oms = -np.expm1(np.log(p) / a)  # 1 - s
     if abs(b) < 1e-12:
-        return s
-    # positive root of b u^2 - (1+b) u + s = 0, written cancellation-free
-    disc = np.sqrt((1.0 + b) ** 2 - 4.0 * b * s)
-    return 2.0 * s / (1.0 + b + disc)
-
-
-def _gtransg_hinv_sf(p, a, b):
-    with np.errstate(divide="ignore"):
-        oms = -np.expm1(np.log(p) / a)  # 1 - p^(1/a)
-    if abs(b) < 1e-12:
-        return oms
-    # positive root of b w^2 + (1-b) w - (1-s) = 0 for w = 1 - u
-    disc = np.sqrt((1.0 - b) ** 2 + 4.0 * b * oms)
-    return 2.0 * oms / (1.0 - b + disc)
+        return s, -np.log(oms)
+    # positive roots, written cancellation-free, of b u^2 - (1+b) u + s = 0
+    # and of b w^2 + (1-b) w - (1-s) = 0 for w = 1 - u
+    u = 2.0 * s / (1.0 + b + np.sqrt((1.0 + b) ** 2 - 4.0 * b * s))
+    return u, -np.log(2.0 * oms / (1.0 - b + np.sqrt((1.0 - b) ** 2 + 4.0 * b * oms)))
 
 
 # --- gxlogisticg -----------------------------------------------------------
@@ -491,18 +424,7 @@ def _gxlogisticg_lhp_sf(u, omu, lsf, a):
 
 def _gxlogisticg_hinv(p, a):
     t = np.exp(sc.logit(p) / a)
-    return -np.expm1(-t)
-
-
-def _gxlogisticg_hinv_sf(p, a):
-    with np.errstate(over="ignore"):
-        t = np.exp(sc.logit(p) / a)
-    return np.exp(-t)
-
-
-def _gxlogisticg_hinv_lsf(p, a):
-    with np.errstate(over="ignore"):
-        return np.exp(sc.logit(p) / a)
+    return -np.expm1(-t), t
 
 
 # --- kumg ------------------------------------------------------------------
@@ -517,13 +439,8 @@ def _kumg_lhp(u, omu, lsf, a, b):
 
 
 def _kumg_hinv(p, a, b):
-    return (-np.expm1(np.log1p(-p) / b)) ** (1.0 / a)
-
-
-def _kumg_hinv_sf(p, a, b):
-    with np.errstate(divide="ignore"):
-        inner = -np.expm1(np.log1p(-p) / b)
-        return -np.expm1(np.log(inner) / a)
+    inner = -np.expm1(np.log1p(-p) / b)
+    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
 
 
 # --- loggammag1 ------------------------------------------------------------
@@ -542,15 +459,8 @@ def _loggammag1_lhp(u, omu, lsf, a, b):
 
 
 def _loggammag1_hinv(p, a, b):
-    return -np.expm1(-inv_reg_inc_gamma_lower(p, a) / b)
-
-
-def _loggammag1_hinv_sf(p, a, b):
-    return np.exp(-inv_reg_inc_gamma_lower(p, a) / b)
-
-
-def _loggammag1_hinv_lsf(p, a, b):
-    return inv_reg_inc_gamma_lower(p, a) / b
+    t = inv_reg_inc_gamma_lower(p, a) / b
+    return -np.expm1(-t), t
 
 
 # --- loggammag2 ------------------------------------------------------------
@@ -567,11 +477,8 @@ def _loggammag2_lhp(u, omu, lsf, a, b):
 
 
 def _loggammag2_hinv(p, a, b):
-    return np.exp(-inv_reg_inc_gamma_lower(1.0 - p, a) / b)
-
-
-def _loggammag2_hinv_sf(p, a, b):
-    return -np.expm1(-inv_reg_inc_gamma_lower(1.0 - p, a) / b)
+    t = inv_reg_inc_gamma_lower(1.0 - p, a) / b
+    return np.exp(-t), -np.log(-np.expm1(-t))
 
 
 # --- mbetag ----------------------------------------------------------------
@@ -593,12 +500,7 @@ def _mbetag_lhp(u, omu, lsf, a, b, d):
 
 def _mbetag_hinv(p, a, b, d):
     y = inv_reg_inc_beta(p, a, b)
-    return y / (d + (1.0 - d) * y)
-
-
-def _mbetag_hinv_sf(p, a, b, d):
-    y = inv_reg_inc_beta(p, a, b)
-    return d * (1.0 - y) / (d + (1.0 - d) * y)
+    return y / (d + (1.0 - d) * y), -np.log(d * (1.0 - y) / (d + (1.0 - d) * y))
 
 
 # --- mog -------------------------------------------------------------------
@@ -614,12 +516,7 @@ def _mog_lhp(u, omu, lsf, a):
 def _mog_hinv(p, a):
     omp = 1.0 - np.asarray(p, dtype=float)
     v = omp / (a + (1.0 - a) * omp)
-    return 1.0 - v
-
-
-def _mog_hinv_sf(p, a):
-    omp = 1.0 - np.asarray(p, dtype=float)
-    return omp / (a + (1.0 - a) * omp)
+    return 1.0 - v, -np.log(v)
 
 
 # --- mokumg ----------------------------------------------------------------
@@ -644,16 +541,8 @@ def _mokumg_lhp(u, omu, lsf, a, b, d):
 def _mokumg_hinv(p, a, b, d):
     omp = 1.0 - np.asarray(p, dtype=float)
     w = omp / (d + (1.0 - d) * omp)
-    with np.errstate(divide="ignore"):
-        return (-np.expm1(np.log(w) / b)) ** (1.0 / a)
-
-
-def _mokumg_hinv_sf(p, a, b, d):
-    omp = 1.0 - np.asarray(p, dtype=float)
-    w = omp / (d + (1.0 - d) * omp)
-    with np.errstate(divide="ignore"):
-        inner = -np.expm1(np.log(w) / b)
-        return -np.expm1(np.log(inner) / a)
+    inner = -np.expm1(np.log(w) / b)
+    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
 
 
 # --- ologlogg --------------------------------------------------------------
@@ -687,15 +576,9 @@ def _ologlogg_lhp(u, omu, lsf, a, b, d):
 
 
 def _ologlogg_hinv(p, a, b, d):
-    with np.errstate(divide="ignore"):
-        w = (-np.expm1(np.log1p(-p) / b)) ** (1.0 / a)
-    return sc.expit(sc.logit(w) / d)
-
-
-def _ologlogg_hinv_sf(p, a, b, d):
-    with np.errstate(divide="ignore"):
-        w = (-np.expm1(np.log1p(-p) / b)) ** (1.0 / a)
-    return sc.expit(-sc.logit(w) / d)
+    w = (-np.expm1(np.log1p(-p) / b)) ** (1.0 / a)
+    z = sc.logit(w) / d
+    return sc.expit(z), -np.log(sc.expit(-z))
 
 
 # --- texpsg ----------------------------------------------------------------
@@ -709,14 +592,10 @@ def _texpsg_lhp(u, omu, lsf, a):
 
 
 def _texpsg_hinv(p, a):
-    return -np.log1p(p * math.expm1(-a)) / a
-
-
-def _texpsg_hinv_sf(p, a):
-    # 1 - u = log(p + (1-p) e^a) / a, evaluated in log space
     p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.logaddexp(np.log(p), np.log1p(-p) + a) / a
+    # 1 - u = log(p + (1-p) e^a) / a, evaluated in log space
+    omu = np.logaddexp(np.log(p), np.log1p(-p) + a) / a
+    return -np.log1p(p * math.expm1(-a)) / a, -np.log(omu)
 
 
 # --- weibullextg -----------------------------------------------------------
@@ -740,12 +619,7 @@ def _weibullextg_lhp(u, omu, lsf, a, b):
 
 def _weibullextg_hinv(p, a, b):
     t = (-np.log1p(-np.asarray(p, dtype=float)) / a) ** b
-    return t / (1.0 + t)
-
-
-def _weibullextg_hinv_sf(p, a, b):
-    t = (-np.log1p(-np.asarray(p, dtype=float)) / a) ** b
-    return 1.0 / (1.0 + t)
+    return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
 
 
 # --- weibullg --------------------------------------------------------------
@@ -768,45 +642,36 @@ def _weibullg_lhp(u, omu, lsf, a, b):
 
 def _weibullg_hinv(p, a, b):
     t = b * (-np.log1p(-np.asarray(p, dtype=float))) ** (1.0 / a)
-    return -np.expm1(-t)
-
-
-def _weibullg_hinv_sf(p, a, b):
-    t = b * (-np.log1p(-np.asarray(p, dtype=float))) ** (1.0 / a)
-    return np.exp(-t)
-
-
-def _weibullg_hinv_lsf(p, a, b):
-    return b * (-np.log1p(-np.asarray(p, dtype=float))) ** (1.0 / a)
+    return -np.expm1(-t), t
 
 
 FAMILIES: dict[str, FamilySpec] = {
     f.name: f
     for f in [
-        FamilySpec("betaexpg", ("a", "b", "d"), (_POS, _POS, _POS), _betaexpg_h, _betaexpg_lhp, _betaexpg_hinv, _betaexpg_hinv_sf),
-        FamilySpec("betag", ("a", "b"), (_POS, _POS), _betag_h, _betag_lhp, _betag_hinv, _betag_hinv_sf),
-        FamilySpec("expexppg", ("a", "b"), (_POS, _POS), _expexppg_h, _expexppg_lhp, _expexppg_hinv, _expexppg_hinv_sf),
-        FamilySpec("expg", ("a",), (_POS,), _expg_h, _expg_lhp, _expg_hinv, _expg_hinv_sf),
-        FamilySpec("expgg", ("a", "b"), (_POS, _POS), _expgg_h, _expgg_lhp, _expgg_hinv, _expgg_hinv_sf),
-        FamilySpec("expkumg", ("a", "b", "d"), (_POS, _POS, _POS), _expkumg_h, _expkumg_lhp, _expkumg_hinv, _expkumg_hinv_sf),
-        FamilySpec("gammag", ("a",), (_POS,), _gammag_h, _gammag_lhp, _gammag_hinv, _gammag_hinv_sf, _gammag_hinv_lsf),
-        FamilySpec("gammag1", ("a",), (_POS,), _gammag1_h, _gammag1_lhp, _gammag1_hinv, _gammag1_hinv_sf),
-        FamilySpec("gammag2", ("a",), (_POS,), _gammag2_h, _gammag2_lhp, _gammag2_hinv, _gammag2_hinv_sf),
-        FamilySpec("gbetag", ("a", "b", "d"), (_POS, _POS, _POS), _gbetag_h, _gbetag_lhp, _gbetag_hinv, _gbetag_hinv_sf),
-        FamilySpec("gexppg", ("a", "b"), (_POS, (0.0, 1.0)), _gexppg_h, _gexppg_lhp, _gexppg_hinv, _gexppg_hinv_sf),
-        FamilySpec("gmbetaexpg", ("a", "b"), (_POS, _POS), _gmbetaexpg_h, _gmbetaexpg_lhp, _gmbetaexpg_hinv, _gmbetaexpg_hinv_sf),
-        FamilySpec("gtransg", ("a", "b"), (_POS, (-1.0, 1.0)), _gtransg_h, _gtransg_lhp, _gtransg_hinv, _gtransg_hinv_sf),
-        FamilySpec("gxlogisticg", ("a",), (_POS,), _gxlogisticg_h, _gxlogisticg_lhp, _gxlogisticg_hinv, _gxlogisticg_hinv_sf, _gxlogisticg_hinv_lsf, log_h_prime_sf=_gxlogisticg_lhp_sf),
-        FamilySpec("kumg", ("a", "b"), (_POS, _POS), _kumg_h, _kumg_lhp, _kumg_hinv, _kumg_hinv_sf),
-        FamilySpec("loggammag1", ("a", "b"), (_POS, _POS), _loggammag1_h, _loggammag1_lhp, _loggammag1_hinv, _loggammag1_hinv_sf, _loggammag1_hinv_lsf),
-        FamilySpec("loggammag2", ("a", "b"), (_POS, _POS), _loggammag2_h, _loggammag2_lhp, _loggammag2_hinv, _loggammag2_hinv_sf),
-        FamilySpec("mbetag", ("a", "b", "d"), (_POS, _POS, _POS), _mbetag_h, _mbetag_lhp, _mbetag_hinv, _mbetag_hinv_sf),
-        FamilySpec("mog", ("a",), (_POS,), _mog_h, _mog_lhp, _mog_hinv, _mog_hinv_sf),
-        FamilySpec("mokumg", ("a", "b", "d"), (_POS, _POS, _POS), _mokumg_h, _mokumg_lhp, _mokumg_hinv, _mokumg_hinv_sf),
-        FamilySpec("ologlogg", ("a", "b", "d"), (_POS, _POS, _POS), _ologlogg_h, _ologlogg_lhp, _ologlogg_hinv, _ologlogg_hinv_sf),
-        FamilySpec("texpsg", ("a",), (_POS,), _texpsg_h, _texpsg_lhp, _texpsg_hinv, _texpsg_hinv_sf),
-        FamilySpec("weibullextg", ("a", "b"), (_POS, _POS), _weibullextg_h, _weibullextg_lhp, _weibullextg_hinv, _weibullextg_hinv_sf),
-        FamilySpec("weibullg", ("a", "b"), (_POS, _POS), _weibullg_h, _weibullg_lhp, _weibullg_hinv, _weibullg_hinv_sf, _weibullg_hinv_lsf),
+        FamilySpec("betaexpg", ("a", "b", "d"), (_POS, _POS, _POS), _betaexpg_h, _betaexpg_lhp, _betaexpg_hinv),
+        FamilySpec("betag", ("a", "b"), (_POS, _POS), _betag_h, _betag_lhp, _betag_hinv),
+        FamilySpec("expexppg", ("a", "b"), (_POS, _POS), _expexppg_h, _expexppg_lhp, _expexppg_hinv),
+        FamilySpec("expg", ("a",), (_POS,), _expg_h, _expg_lhp, _expg_hinv),
+        FamilySpec("expgg", ("a", "b"), (_POS, _POS), _expgg_h, _expgg_lhp, _expgg_hinv),
+        FamilySpec("expkumg", ("a", "b", "d"), (_POS, _POS, _POS), _expkumg_h, _expkumg_lhp, _expkumg_hinv),
+        FamilySpec("gammag", ("a",), (_POS,), _gammag_h, _gammag_lhp, _gammag_hinv),
+        FamilySpec("gammag1", ("a",), (_POS,), _gammag1_h, _gammag1_lhp, _gammag1_hinv),
+        FamilySpec("gammag2", ("a",), (_POS,), _gammag2_h, _gammag2_lhp, _gammag2_hinv),
+        FamilySpec("gbetag", ("a", "b", "d"), (_POS, _POS, _POS), _gbetag_h, _gbetag_lhp, _gbetag_hinv),
+        FamilySpec("gexppg", ("a", "b"), (_POS, (0.0, 1.0)), _gexppg_h, _gexppg_lhp, _gexppg_hinv),
+        FamilySpec("gmbetaexpg", ("a", "b"), (_POS, _POS), _gmbetaexpg_h, _gmbetaexpg_lhp, _gmbetaexpg_hinv),
+        FamilySpec("gtransg", ("a", "b"), (_POS, (-1.0, 1.0)), _gtransg_h, _gtransg_lhp, _gtransg_hinv),
+        FamilySpec("gxlogisticg", ("a",), (_POS,), _gxlogisticg_h, _gxlogisticg_lhp, _gxlogisticg_hinv, log_h_prime_sf=_gxlogisticg_lhp_sf),
+        FamilySpec("kumg", ("a", "b"), (_POS, _POS), _kumg_h, _kumg_lhp, _kumg_hinv),
+        FamilySpec("loggammag1", ("a", "b"), (_POS, _POS), _loggammag1_h, _loggammag1_lhp, _loggammag1_hinv),
+        FamilySpec("loggammag2", ("a", "b"), (_POS, _POS), _loggammag2_h, _loggammag2_lhp, _loggammag2_hinv),
+        FamilySpec("mbetag", ("a", "b", "d"), (_POS, _POS, _POS), _mbetag_h, _mbetag_lhp, _mbetag_hinv),
+        FamilySpec("mog", ("a",), (_POS,), _mog_h, _mog_lhp, _mog_hinv),
+        FamilySpec("mokumg", ("a", "b", "d"), (_POS, _POS, _POS), _mokumg_h, _mokumg_lhp, _mokumg_hinv),
+        FamilySpec("ologlogg", ("a", "b", "d"), (_POS, _POS, _POS), _ologlogg_h, _ologlogg_lhp, _ologlogg_hinv),
+        FamilySpec("texpsg", ("a",), (_POS,), _texpsg_h, _texpsg_lhp, _texpsg_hinv),
+        FamilySpec("weibullextg", ("a", "b"), (_POS, _POS), _weibullextg_h, _weibullextg_lhp, _weibullextg_hinv),
+        FamilySpec("weibullg", ("a", "b"), (_POS, _POS), _weibullg_h, _weibullg_lhp, _weibullg_hinv),
     ]
 }
 
@@ -872,49 +737,26 @@ def log_h_prime(name, u, induced, one_minus_u=None, neg_log_sf=None):
     return out if np.ndim(out) else float(out)
 
 
-def h_inverse(name, p, induced):
-    """The u with h(u) = p."""
+def _h_inverse(name, p, induced):
+    """``(u, -ln(1 - u))`` at the u with h(u) = p, from one call of the kernel."""
     fam = get_family(name)
     induced = _check_induced(fam, induced)
     p = np.asarray(p, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("h_inverse requires p in [0, 1]")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = fam.h_inv(p, *induced)
-    out = np.clip(np.where(np.isnan(out), np.where(p > 0.5, 1.0, 0.0), out), 0.0, 1.0)
-    out = np.where(p == 0.0, 0.0, np.where(p == 1.0, 1.0, out))
-    return out if np.ndim(out) else float(out)
+        u, lsf = fam.h_inv(p, *induced)
+    u = np.clip(np.where(np.isnan(u), np.where(p > 0.5, 1.0, 0.0), u), 0.0, 1.0)
+    u = np.where(p == 0.0, 0.0, np.where(p == 1.0, 1.0, u))
+    lsf = np.maximum(np.where(np.isnan(lsf), np.where(p > 0.5, np.inf, 0.0), lsf), 0.0)
+    lsf = np.where(p == 0.0, 0.0, np.where(p == 1.0, np.inf, lsf))
+    return u, lsf
 
 
-def h_inverse_sf(name, p, induced):
-    """The survival value 1 - u at the u with h(u) = p, kept at full precision."""
-    fam = get_family(name)
-    induced = _check_induced(fam, induced)
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("h_inverse_sf requires p in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = fam.h_inv_sf(p, *induced)
-    out = np.clip(np.where(np.isnan(out), np.where(p > 0.5, 0.0, 1.0), out), 0.0, 1.0)
-    out = np.where(p == 0.0, 1.0, np.where(p == 1.0, 0.0, out))
-    return out if np.ndim(out) else float(out)
-
-
-def h_inverse_log_sf(name, p, induced):
-    """-ln of the survival value at the u with h(u) = p; finite past underflow."""
-    fam = get_family(name)
-    induced = _check_induced(fam, induced)
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("h_inverse_log_sf requires p in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if fam.h_inv_lsf is not None:
-            out = fam.h_inv_lsf(p, *induced)
-        else:
-            out = -np.log(fam.h_inv_sf(p, *induced))
-    out = np.maximum(np.where(np.isnan(out), np.where(p > 0.5, np.inf, 0.0), out), 0.0)
-    out = np.where(p == 0.0, 0.0, np.where(p == 1.0, np.inf, out))
-    return out if np.ndim(out) else float(out)
+def h_inverse(name, p, induced):
+    """The u with h(u) = p."""
+    u = _h_inverse(name, p, induced)[0]
+    return u if np.ndim(u) else float(u)
 
 
 def n_total_params(family, base, location=True):
@@ -940,30 +782,9 @@ def split_params(family, base, params, location=True):
     return induced, base_params
 
 
-def _base_complements(base, x, bp, u):
-    """1 - u and -ln(1 - u) for u = G(x), each at full precision.
-
-    Below the median they follow from u, which the base cdf gives to full
-    relative precision there; the base's survival kernels lose that
-    precision in the left tail but keep it in the right, where 1 - u cannot.
-    There -ln(1 - u) is the log of the survival value, and the base's own
-    log-survival kernel is needed only where that value has underflowed.
-    """
-    left = u < 0.5
-    sf = np.asarray(base_sf(base, x, bp), dtype=float)
-    omu = np.where(left, 1.0 - u, sf)
-    with np.errstate(divide="ignore"):
-        lsf = np.where(left, -np.log1p(-u), -np.log(sf))
-    deep = sf < 1e-300
-    if deep.any():
-        lsf = np.where(deep, -np.asarray(base_log_sf(base, x, bp)), lsf)
-    return omu, lsf
-
-
 def family_log_pdf(family, base, x, params, location=True):
     induced, bp = split_params(family, base, params, location)
-    u = np.asarray(base_cdf(base, x, bp), dtype=float)
-    omu, lsf = _base_complements(base, x, bp, u)
+    u, omu, lsf = _base_tail(base, x, bp)
     fam = get_family(family)
     if fam.log_h_prime_sf is not None:
         # composite density as [h'(u)(1-u)] * hazard(x): both factors stay
@@ -1003,8 +824,7 @@ def family_pdf(family, base, x, params, location=True, log=False):
 
 def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=True):
     induced, bp = split_params(family, base, params, location)
-    u = np.asarray(base_cdf(base, x, bp), dtype=float)
-    omu, lsf = _base_complements(base, x, bp, u)
+    u, omu, lsf = _base_tail(base, x, bp)
     out = np.asarray(h_forward(family, u, induced, one_minus_u=omu, neg_log_sf=lsf))
     if not lower_tail:
         out = 1.0 - out
@@ -1025,14 +845,14 @@ def family_quantile(family, base, p, params, location=True, log_p=False, lower_t
         raise ValueError("quantile probabilities must lie in [0, 1]")
     # lower half of u through the base quantile, upper half through the base
     # inverse-survival (in -log survival form) so a u that saturates at 1.0
-    # in double precision never loses the tail
-    u = np.asarray(h_inverse(family, p, induced))
-    l = np.asarray(h_inverse_log_sf(family, p, induced))
+    # in double precision never loses the tail; each only on its own half
+    u, l = _h_inverse(family, p, induced)
+    lo = u <= 0.5
     with np.errstate(invalid="ignore", over="ignore"):
-        lo = base_quantile(base, np.where(u <= 0.5, u, 0.5), bp)
-        hi = base_isf_log(base, np.where(u > 0.5, l, 1.0), bp)
-    out = np.where(u <= 0.5, lo, hi)
-    return out if np.ndim(out) else float(out)
+        x_lo, x_hi = base_quantile(base, u[lo], bp), base_isf_log(base, l[~lo], bp)
+    out = np.empty(u.shape)
+    out[lo], out[~lo] = x_lo, x_hi
+    return out if out.ndim else float(out)
 
 
 def family_sample(family, base, n, params, location=True, seed=None, rng=None):

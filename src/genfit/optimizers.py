@@ -54,7 +54,7 @@ class OptimizerConfig:
 class OptResult:
     x_opt: np.ndarray
     f_opt: float
-    n_evals: int
+    n_evals: int  # every objective call maximize made, over all restarts
     converged: bool
     message: str
 
@@ -75,31 +75,28 @@ def _sann(neg_f, x0, config, rng):
     fx = neg_f(x)
     best_x, best_f = x.copy(), fx
     temp = 1.0
-    n_evals = 1
     for _ in range(config.max_iter):
         cand = x + rng.normal(scale=0.1 + 0.4 * temp, size=x.size)
         fc = neg_f(cand)
-        n_evals += 1
         if fc < fx or rng.uniform() < np.exp(-(fc - fx) / max(temp, 1e-12)):
             x, fx = cand, fc
             if fx < best_f:
                 best_x, best_f = x.copy(), fx
         temp *= 0.995
-    return best_x, best_f, n_evals
+    return best_x, best_f
 
 
 def _run_once(objective, x0, config, rng):
-    evals = [0]
+    """One optimizer run from x0: (x, f, converged, message)."""
 
     def neg_f(x):
-        evals[0] += 1
         v = objective(np.asarray(x, dtype=float))
         return _BIG if not np.isfinite(v) else -float(v)
 
     method = resolve_method(config.method)
     if method == "sann":
-        x, f, n = _sann(neg_f, x0, config, rng)
-        return OptResult(x, -f, evals[0], True, "sann schedule completed")
+        x, f = _sann(neg_f, x0, config, rng)
+        return x, -f, True, "sann schedule completed"
     if method == "nelder-mead":
         res = minimize(
             neg_f,
@@ -121,32 +118,34 @@ def _run_once(objective, x0, config, rng):
             jac=lambda x: _central_diff_grad(neg_f, x),
             options={"maxiter": config.max_iter},
         )
-    return OptResult(
-        np.asarray(res.x, dtype=float),
-        -float(res.fun),
-        evals[0],
-        bool(res.success),
-        str(res.message),
-    )
+    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), str(res.message)
 
 
 def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
     """Maximize ``objective`` from x0 with jittered restarts; returns the best
     point found.  Raises if the starting point itself is infeasible."""
+    n_evals = 0
+
+    def counted(x):
+        nonlocal n_evals
+        n_evals += 1
+        return objective(x)
+
     x0 = np.asarray(x0, dtype=float)
-    if not np.isfinite(objective(x0)):
+    f0 = float(counted(x0))
+    if not np.isfinite(f0):
         raise ValueError("infeasible start")
     rng = np.random.default_rng(config.seed)
-    best = _run_once(objective, x0, config, rng)
+    best = _run_once(counted, x0, config, rng)
     for _ in range(max(config.restarts, 0)):
         jittered = x0 + rng.normal(scale=0.3, size=x0.size)
-        if not np.isfinite(objective(jittered)):
+        if not np.isfinite(counted(jittered)):
             continue
-        trial = _run_once(objective, jittered, config, rng)
-        if trial.f_opt > best.f_opt:
+        trial = _run_once(counted, jittered, config, rng)
+        if trial[1] > best[1]:
             best = trial
     # never report a point worse than where we started
-    f0 = float(objective(x0))
-    if best.f_opt < f0:
-        best = OptResult(x0, f0, best.n_evals, False, "no improvement over start")
-    return best
+    if best[1] < f0:
+        best = (x0, f0, False, "no improvement over start")
+    x, f, converged, message = best
+    return OptResult(x, f, n_evals, converged, message)

@@ -17,7 +17,6 @@ __all__ = [
     "reg_inc_gamma_lower",
     "reg_inc_gamma_upper",
     "inv_reg_inc_gamma_lower",
-    "inv_reg_inc_gamma_upper",
     "inv_reg_inc_gamma_upper_from_log",
     "reg_inc_beta",
     "inv_reg_inc_beta",
@@ -75,15 +74,6 @@ def inv_reg_inc_gamma_lower(p, a):
     _check(a > 0, "inv_reg_inc_gamma_lower requires a > 0")
     _check((p >= 0) & (p <= 1), "inv_reg_inc_gamma_lower requires p in [0, 1]")
     return sc.gammaincinv(a, p)
-
-
-def inv_reg_inc_gamma_upper(q, a):
-    """Inverse of Q(a, .): the x with Q(a, x) = q."""
-    q = np.asarray(q, dtype=float)
-    a = np.asarray(a, dtype=float)
-    _check(a > 0, "inv_reg_inc_gamma_upper requires a > 0")
-    _check((q >= 0) & (q <= 1), "inv_reg_inc_gamma_upper requires q in [0, 1]")
-    return sc.gammainccinv(a, q)
 
 
 def inv_reg_inc_gamma_upper_from_log(l, a):

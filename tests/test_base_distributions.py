@@ -108,6 +108,13 @@ class TestClosedFormPins:
         q = 1.0 - math.exp(-1.0)
         assert base_quantile("rayleigh", q, (beta, 0.0)) == pytest.approx(beta, abs=1e-12)
 
+    @pytest.mark.parametrize("med", [0.5, 29.9, 30.0, 200.0, 1e4])
+    def test_chen_start_places_median(self, med):
+        # past a median of 30 e^med leaves no room for beta; the start must
+        # still put G(med) at 1/2 rather than G = 1 on the data
+        shape = get_base("chen").start(np.array([0.5 * med, med, 2.0 * med]))
+        assert base_cdf("chen", med, tuple(shape) + (0.0,)) == pytest.approx(0.5, rel=1e-12)
+
 
 @pytest.mark.parametrize("name", ALL_BASES)
 class TestSupportAndShift:
@@ -117,6 +124,16 @@ class TestSupportAndShift:
         assert base_cdf(name, 1.5, params) == 0.0
         assert base_sf(name, 1.5, params) == 1.0
         assert base_log_pdf(name, 1.5, params) == -math.inf
+        # the support's edge and NaN: the tail kernel is evaluated at y = 0
+        for x in (2.0, math.nan):
+            assert base_cdf(name, x, params) == 0.0
+            assert base_sf(name, x, params) == 1.0
+            assert base_log_sf(name, x, params) == 0.0
+
+    def test_far_right_tail(self, name):
+        params = default_params(name, mu=2.0)
+        assert base_cdf(name, 1e300, params) == 1.0
+        assert 0.0 <= base_sf(name, 1e300, params) < 1e-100
 
     def test_cdf_just_above_mu(self, name):
         params = default_params(name, mu=2.0)

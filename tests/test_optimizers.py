@@ -90,3 +90,15 @@ class TestMaximize:
     def test_reports_evals(self):
         res = maximize(neg_quadratic, [0.0, 0.0], OptimizerConfig(seed=0))
         assert res.n_evals > 0
+
+    @pytest.mark.parametrize("method", ["nelder-mead", "bfgs", "sann"])
+    def test_n_evals_counts_every_call(self, method):
+        # restarts, the feasibility probes and the gradient's calls included
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return half_space(x)
+
+        res = maximize(counted, [1.0], OptimizerConfig(method=method, max_iter=200, restarts=3, seed=0))
+        assert res.n_evals == calls[0]

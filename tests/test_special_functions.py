@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import scipy.special
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from genfit.special_functions import (
@@ -18,7 +19,6 @@ from genfit.special_functions import (
     chi_square_quantile,
     inv_reg_inc_beta,
     inv_reg_inc_gamma_lower,
-    inv_reg_inc_gamma_upper,
     inv_reg_inc_gamma_upper_from_log,
     kolmogorov_sf,
     log_beta,
@@ -155,24 +155,30 @@ class TestInverses:
         assert reg_inc_gamma_lower(x, a) == pytest.approx(p, abs=1e-8)
 
     @given(p=unit, a=pos, b=pos)
+    # I_x moves by ~1e-7 per ulp of x here, so no double is within 1e-8 of p
+    @example(p=0.9609375, a=0.125, b=0.1015625)
     @settings(max_examples=250)
     def test_beta_round_trip(self, p, a, b):
         x = inv_reg_inc_beta(p, a, b)
         # small b collapses the complement like (1-p)^(1/b); once that is
         # within a few ulp of x = 1 the round trip is unrepresentable
         assume(1e-12 < x < 1.0 - 1e-12)
-        assert reg_inc_beta(x, a, b) == pytest.approx(p, abs=1e-8)
+        miss = abs(reg_inc_beta(x, a, b) - p)
+        if miss > 1e-8:
+            # too steep for abs=1e-8 in doubles: x must then be the best double
+            for neighbour in (np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+                assert abs(reg_inc_beta(neighbour, a, b) - p) >= miss
 
     @given(q=unit, a=pos)
     def test_upper_round_trip(self, q, a):
-        x = inv_reg_inc_gamma_upper(q, a)
+        x = inv_reg_inc_gamma_upper_from_log(-math.log(q), a)
         assert reg_inc_gamma_upper(x, a) == pytest.approx(q, abs=1e-8)
 
     def test_upper_from_log_matches_plain(self):
         for a in (0.5, 1.3, 4.0):
             for l in (0.1, 5.0, 100.0, 500.0):
                 x1 = inv_reg_inc_gamma_upper_from_log(l, a)
-                x2 = inv_reg_inc_gamma_upper(math.exp(-l), a)
+                x2 = scipy.special.gammainccinv(a, math.exp(-l))
                 assert x1 == pytest.approx(x2, rel=1e-10)
 
     def test_upper_from_log_deep_tail(self):

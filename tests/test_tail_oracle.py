@@ -5,14 +5,15 @@ definitions in multiple precision at the very doubles the library receives,
 so any difference is the library's own rounding.  The cases are the left
 tails where 1 - u and -ln(1 - u) must not be rebuilt from u's complement:
 the near-mu segment of composite densities with a singular left end, the
-transform derivatives at u far below eps, and the F base's survival side.
+transforms and their derivatives at u far below eps, and the survival side
+of the F, chi-square, gamma and Frechet bases.
 """
 
 import numpy as np
 import pytest
 
 from genfit.base_distributions import base_log_sf, base_quantile, base_sf
-from genfit.family_transforms import family_cdf, family_pdf, family_quantile, log_h_prime
+from genfit.family_transforms import family_cdf, family_pdf, family_quantile, h_forward, log_h_prime
 
 mp = pytest.importorskip("mpmath")
 
@@ -46,6 +47,18 @@ def _f(y, alpha, beta):
     cdf = mp.betainc(ha, hb, 0, alpha * y / (alpha * y + beta), regularized=True)
     pdf = (alpha / beta) ** ha * y ** (ha - 1) * (1 + alpha * y / beta) ** (-ha - hb) / mp.beta(ha, hb)
     return cdf, pdf
+
+
+def _chisq_cdf(y, alpha):
+    return mp.gammainc(alpha / 2, 0, y / 2, regularized=True)
+
+
+def _gamma_cdf(y, alpha, beta):
+    return mp.gammainc(alpha, 0, y / beta, regularized=True)
+
+
+def _frechet_cdf(y, alpha, beta):
+    return mp.exp(-((y / beta) ** -alpha))
 
 
 ORACLE_BASES = {"birnbaum-saunders": _bs, "log-normal": _lognormal, "burrxii": _burrxii, "f": _f}
@@ -86,6 +99,14 @@ def _gammag1_hp(u, a):
 
 def _loggammag2_hp(u, a, b):
     return b**a * (-mp.log(u)) ** (a - 1) * u ** (b - 1) / mp.gamma(a)
+
+
+def _expgg_h(u, a, b):
+    return (-mp.expm1(a * mp.log1p(-u))) ** b
+
+
+def _gexppg_h(u, a, b):
+    return (mp.exp(-a * (1 - u)) - mp.exp(-a)) / (1 - mp.exp(-a) - b * (1 - mp.exp(-a * (1 - u))))
 
 
 ORACLE_H = {"expkumg": (_expkumg_h, _expkumg_hp), "loggammag1": (_loggammag1_h, _loggammag1_hp)}
@@ -180,3 +201,32 @@ def test_f_survival_left_tail(u, alpha, beta):
     cdf, _ = _f(mp.mpf(y), mp.mpf(alpha), mp.mpf(beta))
     assert base_sf("f", y, params) == pytest.approx(float(1 - cdf), rel=4 * np.finfo(float).eps, abs=0.0)
     assert base_log_sf("f", y, params) == pytest.approx(float(mp.log1p(-cdf)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "family,induced,u,oracle",
+    [
+        # 1 - (1 - u)^a and e^{-a(1 - u)} - e^{-a} both cancel when rebuilt
+        # from 1 - u; the first was exactly 0 here
+        ("expgg", (2.0, 0.57), 1e-17, _expgg_h),
+        ("gexppg", (2.0, 0.5), 1e-8, _gexppg_h),
+        ("gexppg", (2.0, 0.5), 1e-12, _gexppg_h),
+    ],
+)
+def test_h_forward_far_below_eps(family, induced, u, oracle):
+    want = oracle(mp.mpf(u), *[mp.mpf(v) for v in induced])
+    assert h_forward(family, u, induced) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("u", [1e-10, 1e-16])
+@pytest.mark.parametrize(
+    "base,shape,cdf",
+    [("chisq", (1.5,), _chisq_cdf), ("gamma", (2.5, 1.3), _gamma_cdf), ("frechet", (2.0, 1.0), _frechet_cdf)],
+    ids=["chisq", "gamma", "frechet"],
+)
+def test_survival_left_tail(base, shape, cdf, u):
+    params = shape + (0.0,)
+    y = base_quantile(base, u, params)
+    want = cdf(mp.mpf(y), *[mp.mpf(v) for v in shape])
+    assert base_sf(base, y, params) == pytest.approx(float(1 - want), rel=1e-12, abs=0.0)
+    assert base_log_sf(base, y, params) == pytest.approx(float(mp.log1p(-want)), rel=1e-12, abs=0.0)
