@@ -21,6 +21,10 @@ median up they are the kernel's ``sf`` and ``-ln sf``, with the closed-form
 ``log_sf`` only where ``sf < 1e-300``.  ``base_cdf``, ``base_sf``,
 ``base_log_sf``, ``base_log_hazard`` (for bases without a closed-form
 hazard) and the composite cdf and log-density all read from it.
+
+Each public function checks the name, the count and every domain of its
+parameter vector once (``_resolve_base``).  The private cores take the
+resolved ``(dist, shape, mu)`` and trust it; the family layer calls them.
 """
 
 from __future__ import annotations
@@ -113,6 +117,8 @@ class BaseDist:
     start: Callable
     # indices of parameters allowed to range over all reals (log-normal alpha)
     real_params: tuple[int, ...] = field(default=())
+    # closed-form log hazard(y, *shape), for the bases that have one
+    log_hazard: Callable | None = None
 
     @property
     def n_params(self) -> int:
@@ -645,37 +651,24 @@ def _weibull_log_hazard(y, alpha, beta):
     return np.log(alpha / beta) + (alpha - 1.0) * np.log(r)
 
 
-_LOG_HAZARD: dict[str, Callable] = {
-    "birnbaum-saunders": _bs_log_hazard,
-    "chen": _chen_log_hazard,
-    "chisq": _chisq_log_hazard,
-    "exp": _exp_log_hazard,
-    "gamma": _gamma_log_hazard,
-    "gompertz": _gompertz_log_hazard,
-    "lfr": _lfr_log_hazard,
-    "rayleigh": _rayleigh_log_hazard,
-    "weibull": _weibull_log_hazard,
-}
-
-
 BASE_DISTRIBUTIONS: dict[str, BaseDist] = {
     d.name: d
     for d in [
-        BaseDist("birnbaum-saunders", ("alpha", "beta"), _bs_log_pdf, _bs_tail, _bs_quantile, _bs_isf, _bs_start),
+        BaseDist("birnbaum-saunders", ("alpha", "beta"), _bs_log_pdf, _bs_tail, _bs_quantile, _bs_isf, _bs_start, log_hazard=_bs_log_hazard),
         BaseDist("burrxii", ("alpha", "beta"), _burrxii_log_pdf, _burrxii_tail, _burrxii_quantile, _burrxii_isf, _burrxii_start),
-        BaseDist("chen", ("alpha", "beta"), _chen_log_pdf, _chen_tail, _chen_quantile, _chen_isf, _chen_start),
-        BaseDist("chisq", ("alpha",), _chisq_log_pdf, _chisq_tail, _chisq_quantile, _chisq_isf, _chisq_start),
-        BaseDist("exp", ("alpha",), _exp_log_pdf, _exp_tail, _exp_quantile, _exp_isf, _exp_start),
+        BaseDist("chen", ("alpha", "beta"), _chen_log_pdf, _chen_tail, _chen_quantile, _chen_isf, _chen_start, log_hazard=_chen_log_hazard),
+        BaseDist("chisq", ("alpha",), _chisq_log_pdf, _chisq_tail, _chisq_quantile, _chisq_isf, _chisq_start, log_hazard=_chisq_log_hazard),
+        BaseDist("exp", ("alpha",), _exp_log_pdf, _exp_tail, _exp_quantile, _exp_isf, _exp_start, log_hazard=_exp_log_hazard),
         BaseDist("f", ("alpha", "beta"), _f_log_pdf, _f_tail, _f_quantile, _f_isf, _f_start),
         BaseDist("frechet", ("alpha", "beta"), _frechet_log_pdf, _frechet_tail, _frechet_quantile, _frechet_isf, _frechet_start),
-        BaseDist("gamma", ("alpha", "beta"), _gamma_log_pdf, _gamma_tail, _gamma_quantile, _gamma_isf, _gamma_start),
-        BaseDist("gompertz", ("alpha", "beta"), _gompertz_log_pdf, _gompertz_tail, _gompertz_quantile, _gompertz_isf, _gompertz_start),
-        BaseDist("lfr", ("alpha", "beta"), _lfr_log_pdf, _lfr_tail, _lfr_quantile, _lfr_isf, _lfr_start),
+        BaseDist("gamma", ("alpha", "beta"), _gamma_log_pdf, _gamma_tail, _gamma_quantile, _gamma_isf, _gamma_start, log_hazard=_gamma_log_hazard),
+        BaseDist("gompertz", ("alpha", "beta"), _gompertz_log_pdf, _gompertz_tail, _gompertz_quantile, _gompertz_isf, _gompertz_start, log_hazard=_gompertz_log_hazard),
+        BaseDist("lfr", ("alpha", "beta"), _lfr_log_pdf, _lfr_tail, _lfr_quantile, _lfr_isf, _lfr_start, log_hazard=_lfr_log_hazard),
         BaseDist("log-logistic", ("alpha", "beta"), _loglogistic_log_pdf, _loglogistic_tail, _loglogistic_quantile, _loglogistic_isf, _loglogistic_start),
         BaseDist("log-normal", ("alpha", "beta"), _lognormal_log_pdf, _lognormal_tail, _lognormal_quantile, _lognormal_isf, _lognormal_start, real_params=(0,)),
         BaseDist("lomax", ("alpha", "beta"), _lomax_log_pdf, _lomax_tail, _lomax_quantile, _lomax_isf, _lomax_start),
-        BaseDist("rayleigh", ("beta",), _rayleigh_log_pdf, _rayleigh_tail, _rayleigh_quantile, _rayleigh_isf, _rayleigh_start),
-        BaseDist("weibull", ("alpha", "beta"), _weibull_log_pdf, _weibull_tail, _weibull_quantile, _weibull_isf, _weibull_start),
+        BaseDist("rayleigh", ("beta",), _rayleigh_log_pdf, _rayleigh_tail, _rayleigh_quantile, _rayleigh_isf, _rayleigh_start, log_hazard=_rayleigh_log_hazard),
+        BaseDist("weibull", ("alpha", "beta"), _weibull_log_pdf, _weibull_tail, _weibull_quantile, _weibull_isf, _weibull_start, log_hazard=_weibull_log_hazard),
     ]
 }
 
@@ -689,41 +682,39 @@ def get_base(name: str) -> BaseDist:
         ) from None
 
 
-def _split(dist: BaseDist, params):
+def _check_shape(dist: BaseDist, shape):
+    for i, p in enumerate(shape):
+        if i not in dist.real_params and p <= 0:
+            raise ValueError(f"{dist.name} parameter {dist.param_names[i]} must be > 0")
+
+
+def _resolve_base(name, params):
+    """``(dist, shape, mu)`` with the name, the count and every domain checked."""
+    dist = get_base(name)
     params = tuple(float(p) for p in params)
     if len(params) != dist.n_params + 1:
         raise ValueError(
             f"{dist.name} expects {dist.n_params} parameters plus mu, got {len(params)}"
         )
-    shape, mu = params[:-1], params[-1]
-    for i, p in enumerate(shape):
-        if i not in dist.real_params and p <= 0:
-            raise ValueError(f"{dist.name} parameter {dist.param_names[i]} must be > 0")
-    return shape, mu
+    _check_shape(dist, params[:-1])
+    return dist, params[:-1], params[-1]
 
 
-def base_log_pdf(name, x, params):
-    """log g(x, theta*); -inf outside the support x > mu."""
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
-    x = np.asarray(x, dtype=float)
-    y = x - mu
-    out = np.full(np.shape(y), -np.inf)
+def _on_support(b, fn, x):
+    """fn(y, *shape) at y = x - mu for a resolved base b; -inf outside the
+    support y > 0 and wherever fn gives NaN."""
+    _, shape, mu = b
+    y = np.asarray(x, dtype=float) - mu
     inside = y > 0
-    if np.any(inside):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = dist.log_pdf(np.where(inside, y, 1.0), *shape)
-        out = np.where(inside, vals, -np.inf)
-    out = np.where(np.isnan(out), -np.inf, out)
-    return _scalar(out)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = fn(np.where(inside, y, 1.0), *shape)
+    out = np.where(inside, vals, -np.inf)
+    return np.where(np.isnan(out), -np.inf, out)
 
 
-def base_pdf(name, x, params):
-    return np.exp(base_log_pdf(name, x, params))
-
-
-def _base_tail(name, x, params):
-    """``(G(x), 1 - G(x), -ln(1 - G(x)))``, each at full precision.
+def _base_tail(b, x):
+    """``(G(x), 1 - G(x), -ln(1 - G(x)))`` for a resolved base b, each at full
+    precision.
 
     Arrays shaped like ``x`` (0-d for a scalar).  Outside the support the
     triple is (0, 1, 0): every kernel gives u = 0 and sf = 1 exactly at y = 0,
@@ -732,8 +723,7 @@ def _base_tail(name, x, params):
     are the kernel's survival value and its log, which ``1 - u`` cannot carry,
     with the closed-form log only where the survival value has underflowed.
     """
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
+    dist, shape, mu = b
     y = np.asarray(x, dtype=float) - mu
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u, sf, log_sf = dist.tail(np.where(y > 0, y, 0.0), *shape)
@@ -744,7 +734,37 @@ def _base_tail(name, x, params):
         omu = np.where(left, 1.0 - u, sf)
         if deep.any():
             lsf = np.where(deep, -np.minimum(log_sf(), 0.0), lsf)
-    return u, omu, lsf
+    # u as an array even for a scalar x: numpy scalar and array arithmetic
+    # may round differently, and the family kernels see arrays
+    return np.asarray(u), omu, lsf
+
+
+def _log_hazard(b, x, lsf):
+    """log g/(1 - G) at x for a resolved base b; ``lsf`` is the tail triple's
+    -ln(1 - G) at x, read only by bases without a closed-form hazard."""
+    dist = b[0]
+    # power-tailed bases never push -ln(sf) into the cancellation regime at
+    # representable x, so the difference is safe
+    fn = dist.log_hazard or (lambda y, *shape: dist.log_pdf(y, *shape) + lsf)
+    return _on_support(b, fn, x)
+
+
+def _invert(b, kernel, v):
+    """mu + kernel(v, *shape), b's quantile (v = q) or isf (v = -ln sf); v = 0 gives mu."""
+    _, shape, mu = b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = kernel(v, *shape)
+    return mu + np.where(v == 0.0, 0.0, y)
+
+
+def base_log_pdf(name, x, params):
+    """log g(x, theta*); -inf outside the support x > mu."""
+    b = _resolve_base(name, params)
+    return _scalar(_on_support(b, b[0].log_pdf, x))
+
+
+def base_pdf(name, x, params):
+    return np.exp(base_log_pdf(name, x, params))
 
 
 def base_log_hazard(name, x, params):
@@ -753,49 +773,31 @@ def base_log_hazard(name, x, params):
     Unlike ``base_log_pdf(...) - log(base_sf(...))`` this stays accurate deep
     in the right tail, where both of those terms are huge and of opposite sign.
     """
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
-    x = np.asarray(x, dtype=float)
-    y = x - mu
-    inside = y > 0
-    y_safe = np.where(inside, y, 1.0)
-    fn = _LOG_HAZARD.get(name)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if fn is not None:
-            vals = fn(y_safe, *shape)
-        else:
-            # power-tailed bases never push -ln(sf) into the cancellation
-            # regime at representable x, so the difference is safe
-            vals = dist.log_pdf(y_safe, *shape) + _base_tail(name, x, params)[2]
-    out = np.where(inside, vals, -np.inf)
-    out = np.where(np.isnan(out), -np.inf, out)
-    return _scalar(out)
+    b = _resolve_base(name, params)
+    lsf = None if b[0].log_hazard else _base_tail(b, x)[2]
+    return _scalar(_log_hazard(b, x, lsf))
 
 
 def base_cdf(name, x, params):
-    return _scalar(_base_tail(name, x, params)[0])
+    return _scalar(_base_tail(_resolve_base(name, params), x)[0])
 
 
 def base_sf(name, x, params):
     """Survival function 1 - cdf, at full precision in both tails."""
-    return _scalar(_base_tail(name, x, params)[1])
+    return _scalar(_base_tail(_resolve_base(name, params), x)[1])
 
 
 def base_log_sf(name, x, params):
     """ln of the survival function; stays finite far past sf underflow."""
-    return _scalar(-_base_tail(name, x, params)[2])
+    return _scalar(-_base_tail(_resolve_base(name, params), x)[2])
 
 
 def base_quantile(name, q, params):
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
+    b = _resolve_base(name, params)
     q = np.asarray(q, dtype=float)
     if np.any((q < 0) | (q > 1)):
         raise ValueError("quantile probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = dist.quantile(q, *shape)
-    out = mu + np.where(q == 0.0, 0.0, y)
-    return _scalar(out)
+    return _scalar(_invert(b, b[0].quantile, q))
 
 
 def base_isf(name, q, params):
@@ -809,15 +811,11 @@ def base_isf(name, q, params):
 
 def base_isf_log(name, l, params):
     """Quantile at survival value exp(-l); l may exceed the underflow range."""
-    dist = get_base(name)
-    shape, mu = _split(dist, params)
+    b = _resolve_base(name, params)
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise ValueError("base_isf_log requires l >= 0")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y = dist.isf(l, *shape)
-    out = mu + np.where(l == 0.0, 0.0, y)
-    return _scalar(out)
+    return _scalar(_invert(b, b[0].isf, l))
 
 
 def base_sample(name, n, params, seed=None, rng=None):

@@ -26,7 +26,6 @@ from .family_transforms import (
     family_pdf,
     family_quantile,
     family_sample,
-    n_total_params,
 )
 from .gof import full_report
 from .mps_fit import SpacingContext, fit
@@ -125,13 +124,6 @@ def _emit_pairs(pairs, output, header=("input", "value")):
 def _cmd_evaluate(args, kind):
     _check_ids(args.family, args.base)
     params = _parse_params(args.params)
-    want = n_total_params(args.family, args.base, args.location)
-    if params.size != want:
-        raise CliError(
-            f"{args.family} x {args.base} with location={args.location} "
-            f"needs {want} parameters, got {params.size}",
-            EXIT_USAGE,
-        )
     try:
         if kind == "pdf":
             pts = _load_points(args, "x")
@@ -158,11 +150,6 @@ def _cmd_evaluate(args, kind):
 def _cmd_sample(args):
     _check_ids(args.family, args.base)
     params = _parse_params(args.params)
-    want = n_total_params(args.family, args.base, args.location)
-    if params.size != want:
-        raise CliError(
-            f"expected {want} parameters, got {params.size}", EXIT_USAGE
-        )
     try:
         draws = family_sample(
             args.family, args.base, args.n, params, args.location,

@@ -17,6 +17,10 @@ builds a quantity that cancels in one tail from the element that is precise
 there: ``1 - (1 - u)^a`` as ``-expm1(-a lsf)``, not from ``omu``.
 ``family_quantile`` follows the same split: the base quantile of ``u`` where
 u <= 1/2, the base inverse survival of ``-ln(1 - u)`` above.
+
+Checking.  A public function resolves the names and checks the count and
+every domain of theta once (``_resolve``, or ``_resolve_family`` for the
+``h_*`` functions); the private cores it hands the specs to never check again.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import scipy.special as sc
 
 from .base_distributions import (
     _base_tail,
-    base_isf_log,
-    base_log_hazard,
-    base_log_pdf,
-    base_quantile,
+    _check_shape,
+    _invert,
+    _log_hazard,
+    _on_support,
+    _scalar,
     get_base,
 )
 from .special_functions import (
@@ -53,7 +58,6 @@ __all__ = [
     "h_forward",
     "log_h_prime",
     "h_inverse",
-    "split_params",
     "family_log_pdf",
     "family_pdf",
     "family_cdf",
@@ -63,7 +67,6 @@ __all__ = [
 ]
 
 _xlogy = sc.xlogy
-_xlog1py = sc.xlog1py
 
 
 def _log1m_exp(x):
@@ -150,8 +153,12 @@ def _betaexpg_lhp(u, omu, lsf, a, b, d):
 
 
 def _betaexpg_hinv(p, a, b, d):
-    omu = inv_reg_inc_beta(1.0 - p, a, b) ** (1.0 / d)
-    return 1.0 - omu, -np.log(omu)
+    # (1 - u)^d = y with I_y(a, b) = 1 - p: invert for y from 1 - p near
+    # p = 1 and for 1 - y (I_{1-y}(b, a) = p) from p below, where y nears 1
+    right = p > reg_inc_beta(0.5, b, a)
+    w = inv_reg_inc_beta(np.where(right, 1.0 - p, p), np.where(right, a, b), np.where(right, b, a))
+    lsf = np.where(right, -np.log(w), -np.log1p(-w)) / d
+    return -np.expm1(-lsf), lsf
 
 
 # --- betag -----------------------------------------------------------------
@@ -221,8 +228,10 @@ def _expgg_lhp(u, omu, lsf, a, b):
 
 
 def _expgg_hinv(p, a, b):
-    omu = (-np.expm1(np.log(p) / b)) ** (1.0 / a)
-    return 1.0 - omu, -np.log(omu)
+    s = np.exp(np.log(p) / b)  # 1 - (1 - u)^a
+    # ln(1 - s) from s where it is small, from 1 - s = -expm1(ln p / b) above
+    lsf = np.where(s < 0.5, -np.log1p(-s) / a, -np.log((-np.expm1(np.log(p) / b)) ** (1.0 / a)))
+    return -np.expm1(-lsf), lsf
 
 
 # --- expkumg ---------------------------------------------------------------
@@ -339,10 +348,15 @@ def _gexppg_lhp(u, omu, lsf, a, b):
 
 
 def _gexppg_hinv(p, a, b):
-    ea = math.exp(-a)
-    z = (ea + p * (1.0 - ea - b)) / (1.0 - p * b)
-    omu = -np.log(z) / a
-    return 1.0 - omu, -np.log(omu)
+    # z = e^{-a(1 - u)} = e^{-a} + x (1 - e^{-a}) with x = p (1 - b) / (1 - p b):
+    # ln z from z, or near z = 1 from 1 - z = (1 - p)(1 - e^{-a}) / (1 - p b);
+    # u from a u = ln(1 + x (e^a - 1)) below 1/2, where 1 - (1 - u) cancels
+    q = 1.0 - p * b
+    x, omz = p * (1.0 - b) / q, (1.0 - p) * -math.expm1(-a) / q
+    omu = -np.where(omz < 0.5, np.log1p(-omz), np.log(math.exp(-a) + x * -math.expm1(-a))) / a
+    u = np.log1p(x * np.expm1(a)) / a
+    u = np.where(u < 0.5, u, 1.0 - omu)
+    return u, np.where(u < 0.5, -np.log1p(-u), -np.log(omu))
 
 
 # --- gmbetaexpg ------------------------------------------------------------
@@ -515,8 +529,9 @@ def _mog_lhp(u, omu, lsf, a):
 
 def _mog_hinv(p, a):
     omp = 1.0 - np.asarray(p, dtype=float)
-    v = omp / (a + (1.0 - a) * omp)
-    return 1.0 - v, -np.log(v)
+    den = a + (1.0 - a) * omp
+    u = a * p / den
+    return u, np.where(u < 0.5, -np.log1p(-u), -np.log(omp / den))
 
 
 # --- mokumg ----------------------------------------------------------------
@@ -686,15 +701,88 @@ def get_family(name: str) -> FamilySpec:
 
 
 def _check_induced(fam: FamilySpec, induced):
-    induced = tuple(float(v) for v in induced)
-    if len(induced) != fam.n_induced:
-        raise ValueError(f"{fam.name} takes {fam.n_induced} induced parameters")
     for v, (lo, hi), nm in zip(induced, fam.domains, fam.param_names):
         if not (lo < v < hi):
             raise ValueError(
                 f"{fam.name} parameter {nm}={v} outside ({lo}, {hi})"
             )
-    return induced
+
+
+def _resolve_family(name, induced):
+    """``(fam, induced)`` with the name, the count and every domain checked."""
+    fam = get_family(name)
+    induced = tuple(float(v) for v in induced)
+    if len(induced) != fam.n_induced:
+        raise ValueError(f"{fam.name} takes {fam.n_induced} induced parameters")
+    _check_induced(fam, induced)
+    return fam, induced
+
+
+def _resolve(family, base, params, location):
+    """``(fam, induced, (dist, shape, mu))`` from a full parameter vector: induced
+    a[, b[, d]] first, base shapes next, mu last (0 when ``location`` is off)."""
+    fam, dist = get_family(family), get_base(base)
+    params = tuple(float(p) for p in params)
+    want = fam.n_induced + dist.n_params + (1 if location else 0)
+    if len(params) != want:
+        raise ValueError(
+            f"{family} x {base} with location={location} expects {want} "
+            f"parameters, got {len(params)}"
+        )
+    k = fam.n_induced
+    induced, shape = params[:k], params[k : k + dist.n_params]
+    _check_shape(dist, shape)
+    _check_induced(fam, induced)
+    return fam, induced, (dist, shape, params[-1] if location else 0.0)
+
+
+def _h(fam, induced, u, omu, lsf):
+    """h on the triple; NaN (an endpoint's 0/0 or inf/inf) goes to the nearer end."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = fam.h(u, omu, lsf, *induced)
+    return np.clip(np.where(np.isnan(out), np.where(u > 0.5, 1.0, 0.0), out), 0.0, 1.0)
+
+
+def _lhp(fam, induced, u, omu, lsf):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = fam.log_h_prime(u, omu, lsf, *induced)
+    return np.where(np.isnan(out), -np.inf, out)
+
+
+def _inverse(fam, induced, p):
+    """``(u, -ln(1 - u))`` at the u with h(u) = p, from one call of the kernel."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, lsf = fam.h_inv(p, *induced)
+    u = np.clip(np.where(np.isnan(u), np.where(p > 0.5, 1.0, 0.0), u), 0.0, 1.0)
+    u = np.where(p == 0.0, 0.0, np.where(p == 1.0, 1.0, u))
+    lsf = np.maximum(np.where(np.isnan(lsf), np.where(p > 0.5, np.inf, 0.0), lsf), 0.0)
+    lsf = np.where(p == 0.0, 0.0, np.where(p == 1.0, np.inf, lsf))
+    return u, lsf
+
+
+def _log_density(fam, induced, b, x, tail):
+    """Composite log-density at x from the base tail triple ``tail`` at x."""
+    u, omu, lsf = tail
+    if fam.log_h_prime_sf is not None:
+        # composite density as [h'(u)(1-u)] * hazard(x): both factors stay
+        # moderate where ln h'(u) and the base log-density separately blow
+        # up to +/- lsf and their sum is cancellation noise
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = fam.log_h_prime_sf(u, omu, lsf, *induced) + _log_hazard(b, x, lsf)
+        # below the median lsf is -log1p(-u), which is 0 only where the base
+        # cdf u itself has underflowed to 0 (outside the support, or within
+        # ~1e-308 of its edge in probability); the density is taken as 0
+        zero = lsf <= 0.0
+    else:
+        lhp, lg = _lhp(fam, induced, u, omu, lsf), _on_support(b, b[0].log_pdf, x)
+        with np.errstate(invalid="ignore"):
+            out = lhp + lg
+        # h' is finite on the open interval, so lhp = +inf with a finite base
+        # log-density happens only where u (below the median) or the base sf
+        # (above it) has underflowed to an exact 0, i.e. within ~1e-308 of an
+        # end of the support in probability; the density is taken as 0 there
+        zero = np.isposinf(lhp) & np.isfinite(lg)
+    return np.where(np.isnan(out) | zero, -np.inf, out)
 
 
 def _complements(u, one_minus_u, neg_log_sf):
@@ -713,104 +801,41 @@ def h_forward(name, u, induced, one_minus_u=None, neg_log_sf=None):
     ``one_minus_u`` and ``neg_log_sf`` optionally supply 1-u and -ln(1-u) at
     full precision when the caller knows them better than 1-u can express.
     """
-    fam = get_family(name)
-    induced = _check_induced(fam, induced)
+    fam, induced = _resolve_family(name, induced)
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise ValueError("h_forward requires u in [0, 1]")
-    omu, lsf = _complements(u, one_minus_u, neg_log_sf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = fam.h(u, omu, lsf, *induced)
-    out = np.clip(np.where(np.isnan(out), np.where(u > 0.5, 1.0, 0.0), out), 0.0, 1.0)
-    return out if np.ndim(out) else float(out)
+    return _scalar(_h(fam, induced, u, *_complements(u, one_minus_u, neg_log_sf)))
 
 
 def log_h_prime(name, u, induced, one_minus_u=None, neg_log_sf=None):
     """log dh/du; may be +-inf at the endpoints, never NaN."""
-    fam = get_family(name)
-    induced = _check_induced(fam, induced)
+    fam, induced = _resolve_family(name, induced)
     u = np.asarray(u, dtype=float)
-    omu, lsf = _complements(u, one_minus_u, neg_log_sf)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = fam.log_h_prime(u, omu, lsf, *induced)
-    out = np.where(np.isnan(out), -np.inf, out)
-    return out if np.ndim(out) else float(out)
+    return _scalar(_lhp(fam, induced, u, *_complements(u, one_minus_u, neg_log_sf)))
 
 
 def _h_inverse(name, p, induced):
-    """``(u, -ln(1 - u))`` at the u with h(u) = p, from one call of the kernel."""
-    fam = get_family(name)
-    induced = _check_induced(fam, induced)
+    """``(u, -ln(1 - u))`` at the u with h(u) = p."""
+    fam, induced = _resolve_family(name, induced)
     p = np.asarray(p, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("h_inverse requires p in [0, 1]")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, lsf = fam.h_inv(p, *induced)
-    u = np.clip(np.where(np.isnan(u), np.where(p > 0.5, 1.0, 0.0), u), 0.0, 1.0)
-    u = np.where(p == 0.0, 0.0, np.where(p == 1.0, 1.0, u))
-    lsf = np.maximum(np.where(np.isnan(lsf), np.where(p > 0.5, np.inf, 0.0), lsf), 0.0)
-    lsf = np.where(p == 0.0, 0.0, np.where(p == 1.0, np.inf, lsf))
-    return u, lsf
+    return _inverse(fam, induced, p)
 
 
 def h_inverse(name, p, induced):
     """The u with h(u) = p."""
-    u = _h_inverse(name, p, induced)[0]
-    return u if np.ndim(u) else float(u)
+    return _scalar(_h_inverse(name, p, induced)[0])
 
 
 def n_total_params(family, base, location=True):
     return get_family(family).n_induced + get_base(base).n_params + (1 if location else 0)
 
 
-def split_params(family, base, params, location=True):
-    """Split a full parameter vector into (induced, base-with-mu) per the
-    ordering contract: induced a[, b[, d]] first, base shapes next, mu last."""
-    fam = get_family(family)
-    bd = get_base(base)
-    params = tuple(float(p) for p in params)
-    want = fam.n_induced + bd.n_params + (1 if location else 0)
-    if len(params) != want:
-        raise ValueError(
-            f"{family} x {base} with location={location} expects {want} "
-            f"parameters, got {len(params)}"
-        )
-    induced = params[: fam.n_induced]
-    base_params = params[fam.n_induced :]
-    if not location:
-        base_params = base_params + (0.0,)
-    return induced, base_params
-
-
 def family_log_pdf(family, base, x, params, location=True):
-    induced, bp = split_params(family, base, params, location)
-    u, omu, lsf = _base_tail(base, x, bp)
-    fam = get_family(family)
-    if fam.log_h_prime_sf is not None:
-        # composite density as [h'(u)(1-u)] * hazard(x): both factors stay
-        # moderate where ln h'(u) and the base log-density separately blow
-        # up to +/- lsf and their sum is cancellation noise
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.asarray(fam.log_h_prime_sf(u, omu, lsf, *induced)) + np.asarray(
-                base_log_hazard(base, x, bp)
-            )
-        out = np.where(np.isnan(out), -np.inf, out)
-        # below the median lsf is -log1p(-u), which is 0 only where the base
-        # cdf u itself has underflowed to 0 (outside the support, or within
-        # ~1e-308 of its edge in probability); the density is taken as 0
-        out = np.where(lsf <= 0.0, -np.inf, out)
-        return out if np.ndim(out) else float(out)
-    lhp = np.asarray(log_h_prime(family, u, induced, one_minus_u=omu, neg_log_sf=lsf))
-    lg = np.asarray(base_log_pdf(base, x, bp))
-    with np.errstate(invalid="ignore"):
-        out = lhp + lg
-    out = np.where(np.isnan(out), -np.inf, out)
-    # h' is finite on the open interval, so lhp = +inf with a finite base
-    # log-density happens only where u (below the median) or the base sf
-    # (above it) has underflowed to an exact 0, i.e. within ~1e-308 of an
-    # end of the support in probability; the density is taken as 0 there
-    out = np.where(np.isposinf(lhp) & np.isfinite(lg), -np.inf, out)
-    return out if np.ndim(out) else float(out)
+    fam, induced, b = _resolve(family, base, params, location)
+    return _scalar(_log_density(fam, induced, b, x, _base_tail(b, x)))
 
 
 def family_pdf(family, base, x, params, location=True, log=False):
@@ -823,19 +848,18 @@ def family_pdf(family, base, x, params, location=True, log=False):
 
 
 def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=True):
-    induced, bp = split_params(family, base, params, location)
-    u, omu, lsf = _base_tail(base, x, bp)
-    out = np.asarray(h_forward(family, u, induced, one_minus_u=omu, neg_log_sf=lsf))
+    fam, induced, b = _resolve(family, base, params, location)
+    out = _h(fam, induced, *_base_tail(b, x))
     if not lower_tail:
         out = 1.0 - out
     if log_p:
         with np.errstate(divide="ignore"):
             out = np.log(out)
-    return out if np.ndim(out) else float(out)
+    return _scalar(out)
 
 
 def family_quantile(family, base, p, params, location=True, log_p=False, lower_tail=True):
-    induced, bp = split_params(family, base, params, location)
+    fam, induced, b = _resolve(family, base, params, location)
     p = np.asarray(p, dtype=float)
     if log_p:
         p = np.exp(-p)
@@ -846,13 +870,13 @@ def family_quantile(family, base, p, params, location=True, log_p=False, lower_t
     # lower half of u through the base quantile, upper half through the base
     # inverse-survival (in -log survival form) so a u that saturates at 1.0
     # in double precision never loses the tail; each only on its own half
-    u, l = _h_inverse(family, p, induced)
+    u, l = _inverse(fam, induced, p)
     lo = u <= 0.5
     with np.errstate(invalid="ignore", over="ignore"):
-        x_lo, x_hi = base_quantile(base, u[lo], bp), base_isf_log(base, l[~lo], bp)
+        x_lo, x_hi = _invert(b, b[0].quantile, u[lo]), _invert(b, b[0].isf, l[~lo])
     out = np.empty(u.shape)
     out[lo], out[~lo] = x_lo, x_hi
-    return out if out.ndim else float(out)
+    return _scalar(out)
 
 
 def family_sample(family, base, n, params, location=True, seed=None, rng=None):

@@ -11,6 +11,10 @@ removed by smooth reparameterization so every optimizer in the menu runs
 unconstrained; in particular the location satisfies mu < x_(1) by
 construction.
 
+Each evaluation checks theta once and makes one base tail pass, which gives
+both the cdf and the tied points' log-densities; ``SpacingContext`` builds the
+free <-> natural maps once.
+
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
 that matches a chi-square_n mean/variance, with a k/2 estimated-parameter
@@ -25,14 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .base_distributions import get_base
-from .family_transforms import (
-    family_cdf,
-    family_log_pdf,
-    get_family,
-    n_total_params,
-)
-from .optimizers import OptimizerConfig, OptResult, maximize
+from .base_distributions import _base_tail, get_base
+from .family_transforms import _h, _log_density, _resolve, get_family, n_total_params
+from .optimizers import _InfeasibleStart, OptimizerConfig, OptResult, maximize
 from .special_functions import chi_square_cdf, chi_square_quantile
 
 __all__ = [
@@ -64,10 +63,9 @@ class SpacingContext:
             raise ValueError("spacing estimation needs at least 2 observations")
         if not np.all(np.isfinite(data)):
             raise ValueError("observations must be finite")
-        get_family(self.family)
-        get_base(self.base)
         self.data = data
         self.tie_mask = np.concatenate([[False], np.diff(data) == 0.0])
+        self._maps = _transforms(self)
 
     @property
     def n(self) -> int:
@@ -108,25 +106,21 @@ def _exp(psi):
     return math.exp(min(max(psi, -_CLIP), _CLIP))
 
 
+# per induced-parameter domain: natural -> free and free -> natural maps, and
+# the start value (for (0, inf), the reduction-identity point)
+_DOMAINS = {
+    (0.0, math.inf): (math.log, _exp, 1.0),
+    (0.0, 1.0): (sc.logit, lambda psi: float(sc.expit(psi)), 0.5),
+    (-1.0, 1.0): (math.atanh, lambda psi: math.tanh(min(max(psi, -20), 20)), 0.0),
+}
+
+
 def _transforms(ctx: SpacingContext):
     """Per-coordinate (natural -> free, free -> natural) maps."""
-    fam = get_family(ctx.family)
     bd = get_base(ctx.base)
-    pairs = []
-    for lo, hi in fam.domains:
-        if (lo, hi) == (0.0, math.inf):
-            pairs.append((math.log, _exp))
-        elif (lo, hi) == (0.0, 1.0):
-            pairs.append((sc.logit, lambda psi: float(sc.expit(psi))))
-        elif (lo, hi) == (-1.0, 1.0):
-            pairs.append((math.atanh, lambda psi: math.tanh(min(max(psi, -20), 20))))
-        else:  # pragma: no cover
-            raise AssertionError(f"unhandled domain {(lo, hi)}")
+    pairs = [_DOMAINS[d][:2] for d in get_family(ctx.family).domains]
     for i in range(bd.n_params):
-        if i in bd.real_params:
-            pairs.append((lambda v: v, lambda psi: psi))
-        else:
-            pairs.append((math.log, _exp))
+        pairs.append(((lambda v: v), (lambda psi: psi)) if i in bd.real_params else (math.log, _exp))
     if ctx.location:
         x1 = float(ctx.data[0])
         pairs.append((lambda mu: math.log(x1 - mu), lambda psi: x1 - _exp(psi)))
@@ -134,33 +128,26 @@ def _transforms(ctx: SpacingContext):
 
 
 def to_free(ctx: SpacingContext, theta):
-    return np.array([t[0](float(v)) for t, v in zip(_transforms(ctx), theta)])
+    return np.array([t[0](float(v)) for t, v in zip(ctx._maps, theta)])
 
 
 def from_free(ctx: SpacingContext, psi):
-    return np.array([t[1](float(v)) for t, v in zip(_transforms(ctx), psi)])
+    """Natural parameters; every map is clipped, so this never raises."""
+    return np.array([t[1](float(v)) for t, v in zip(ctx._maps, psi)])
 
 
 # --- the objective ---------------------------------------------------------
 
 def spacing_sum_terms(theta, ctx: SpacingContext):
     """Per-spacing log terms (length m), tie-corrected; -inf where infeasible."""
-    f_vals = np.asarray(
-        family_cdf(ctx.family, ctx.base, ctx.data, theta, ctx.location), dtype=float
-    )
-    ext = np.concatenate([[0.0], f_vals, [1.0]])
-    spacings = np.diff(ext)
+    fam, induced, b = _resolve(ctx.family, ctx.base, theta, ctx.location)
+    tail = _base_tail(b, ctx.data)
+    ext = np.concatenate([[0.0], _h(fam, induced, *tail), [1.0]])
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(np.maximum(spacings, 0.0))
+        terms = np.log(np.maximum(np.diff(ext), 0.0))
     if ctx.tie_mask.any():
         tied = np.flatnonzero(ctx.tie_mask)
-        log_pdf = np.asarray(
-            family_log_pdf(
-                ctx.family, ctx.base, ctx.data[tied], theta, ctx.location
-            ),
-            dtype=float,
-        )
-        terms[tied] = log_pdf
+        terms[tied] = _log_density(fam, induced, b, ctx.data[tied], [t[tied] for t in tail])
     return terms
 
 
@@ -177,10 +164,7 @@ def spacing_value(theta, ctx: SpacingContext) -> float:
 
 def spacing_objective(theta_free, ctx: SpacingContext) -> float:
     """S(theta) over the unconstrained parameterization; -inf when invalid."""
-    try:
-        theta = from_free(ctx, theta_free)
-    except (ValueError, OverflowError):
-        return -math.inf
+    theta = from_free(ctx, theta_free)
     if not np.all(np.isfinite(theta)):
         return -math.inf
     return spacing_value(theta, ctx)
@@ -188,17 +172,18 @@ def spacing_objective(theta_free, ctx: SpacingContext) -> float:
 
 # --- starting values -------------------------------------------------------
 
+# u/(1 - u) families without an identity point (at 1.0, F(x_(n)) = 1) start at
+# h(1/2) = 1/2 and, with two parameters, h'(1/2) = 1; gammag2: P(a, 1) = 1/2
+_ODDS_STARTS = {
+    "gammag2": (1.31425,),
+    "gmbetaexpg": (0.610816, 0.387856),
+    "weibullextg": (math.log(2.0), 2.0 * math.log(2.0)),
+}
+
+
 def _start_theta(ctx: SpacingContext):
-    fam = get_family(ctx.family)
-    bd = get_base(ctx.base)
-    induced = []
-    for lo, hi in fam.domains:
-        if (lo, hi) == (0.0, 1.0):
-            induced.append(0.5)
-        elif (lo, hi) == (-1.0, 1.0):
-            induced.append(0.0)
-        else:
-            induced.append(1.0)  # the reduction-identity point
+    domains = get_family(ctx.family).domains
+    induced = list(_ODDS_STARTS.get(ctx.family, (_DOMAINS[d][2] for d in domains)))
     if ctx.location:
         mu0 = float(ctx.data[0]) - float(np.std(ctx.data)) / ctx.n
     else:
@@ -207,7 +192,7 @@ def _start_theta(ctx: SpacingContext):
     if np.any(y <= 0):
         # location disabled but data not strictly positive relative to 0
         raise ValueError("data must exceed the support origin")
-    base_start = list(bd.start(y))
+    base_start = list(get_base(ctx.base).start(y))
     theta = induced + base_start + ([mu0] if ctx.location else [])
     return np.asarray(theta, dtype=float)
 
@@ -216,14 +201,14 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
     """Maximize the spacing objective and package the estimate."""
     if config is None:
         config = OptimizerConfig()
-    theta0 = _start_theta(ctx)
-    x0 = to_free(ctx, theta0)
-    if not np.isfinite(spacing_objective(x0, ctx)):
+    x0 = to_free(ctx, _start_theta(ctx))
+    try:
+        res = maximize(lambda psi: spacing_objective(psi, ctx), x0, config)
+    except _InfeasibleStart:
         raise ValueError(
             f"infeasible starting point for {ctx.family} x {ctx.base}; "
             "the spacing objective is -inf at the moment-based start"
-        )
-    res = maximize(lambda psi: spacing_objective(psi, ctx), x0, config)
+        ) from None
     theta_hat = from_free(ctx, res.x_opt)
     s_opt = res.f_opt
     return FitResult(

@@ -59,6 +59,10 @@ class OptResult:
     message: str
 
 
+class _InfeasibleStart(ValueError):
+    """The objective is not finite at the starting point."""
+
+
 def _central_diff_grad(f, x):
     g = np.zeros_like(x)
     for i in range(x.size):
@@ -134,7 +138,7 @@ def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
     x0 = np.asarray(x0, dtype=float)
     f0 = float(counted(x0))
     if not np.isfinite(f0):
-        raise ValueError("infeasible start")
+        raise _InfeasibleStart("infeasible start")
     rng = np.random.default_rng(config.seed)
     best = _run_once(counted, x0, config, rng)
     for _ in range(max(config.restarts, 0)):

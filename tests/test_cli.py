@@ -76,6 +76,12 @@ class TestEvaluate:
             "--params", "1,1", "--x", "1",
         )
         assert code == EXIT_USAGE
+        # the library's count check is the only one; every verb exits 2
+        for verb, points in (("cdf", ("--x", "1")), ("quantile", ("--p", "0.5")), ("sample", ("--n", "3"))):
+            code, _, err = run_cli(
+                capsys, verb, "--family", "expg", "--base", "exp", "--params", "1,1", *points,
+            )
+            assert code == EXIT_USAGE
 
 
 class TestSample:

@@ -27,7 +27,6 @@ from genfit.family_transforms import (
     h_inverse,
     log_h_prime,
     n_total_params,
-    split_params,
 )
 
 ALL_FAMILIES = sorted(FAMILIES)
@@ -93,9 +92,6 @@ class TestRegistry:
     def test_param_count_helpers(self):
         assert n_total_params("kumg", "weibull", location=True) == 5
         assert n_total_params("kumg", "weibull", location=False) == 4
-        induced, bp = split_params("kumg", "weibull", (1.0, 2.0, 3.0, 4.0), False)
-        assert induced == (1.0, 2.0)
-        assert bp == (3.0, 4.0, 0.0)  # mu = 0 appended when location is off
 
 
 class TestIdentityReductions:

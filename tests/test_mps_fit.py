@@ -10,10 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from genfit import mps_fit
 from genfit.datasets import load_dataset
+from genfit.family_transforms import family_cdf, family_log_pdf, h_forward, log_h_prime
 from genfit.mps_fit import (
     EULER_MASCHERONI,
     SpacingContext,
+    _start_theta,
     fit,
     from_free,
     moran_chi_square_test,
@@ -107,6 +110,43 @@ class TestSpacingValue:
         ctx = SpacingContext(np.array([1.0, 2.0]), "expg", "weibull")
         assert spacing_value((1.0, 1.0, 1.0, 1.5), ctx) == -math.inf
 
+    @pytest.mark.parametrize(
+        "family,base,theta",
+        [
+            # the seed-0 Nelder-Mead fit of the earthquake reference model
+            (
+                "kumg",
+                "birnbaum-saunders",
+                (0.007115681003680146, 1.2542493818157583, 0.29083540526400514,
+                 618.3569920294735, -4.565756123898723),
+            ),
+            # log-normal has no closed-form hazard, so gxlogisticg's tie
+            # density reads -ln(1 - u) from the base tail
+            ("gxlogisticg", "log-normal", (1.5, 3.1, 1.2, 0.1)),
+        ],
+    )
+    def test_terms_match_public_functions(self, family, base, theta):
+        # earthquake has 29 ties; the objective's one tail pass must give
+        # exactly what the public cdf and log-density give
+        ctx = SpacingContext(load_dataset("earthquake"), family, base)
+        terms = spacing_sum_terms(theta, ctx)
+        tied = np.flatnonzero(ctx.tie_mask)
+        untied = np.setdiff1d(np.arange(ctx.m), tied)
+        cdf = np.concatenate([[0.0], family_cdf(family, base, ctx.data, theta), [1.0]])
+        assert tied.size == 29
+        assert np.all(np.isfinite(terms))
+        with np.errstate(divide="ignore"):  # the zero spacings at the ties
+            np.testing.assert_array_equal(terms[untied], np.log(np.diff(cdf))[untied])
+        np.testing.assert_array_equal(terms[tied], family_log_pdf(family, base, ctx.data[tied], theta))
+
+    def test_nan_survival_is_infeasible(self):
+        # a point seed-0 Nelder-Mead reaches: F's tail kernel gives sf = NaN
+        # at a shape of ~5e303, and only the gamma transform's domain check
+        # on -ln(1 - u) turns that into an infeasible point
+        ctx = SpacingContext(load_dataset("bearing"), "gammag", "f")
+        theta = (3.748759707120287, 1.0142320547350045e304, 2.2482733042146714, 150.30326603818773)
+        assert spacing_value(theta, ctx) == -math.inf
+
 
 class TestReparameterization:
     @pytest.mark.parametrize(
@@ -147,6 +187,41 @@ class TestFit:
         assert res.theta_hat[-1] < data.min()
         assert res.moran == pytest.approx(-ctx.m * res.s_opt, rel=1e-12)
         assert res.k == 5
+
+    def test_one_objective_call_per_counted_evaluation(self, monkeypatch):
+        calls = []
+        objective = mps_fit.spacing_objective
+
+        def counted(psi, ctx):
+            calls.append(1)
+            return objective(psi, ctx)
+
+        monkeypatch.setattr(mps_fit, "spacing_objective", counted)
+        ctx = SpacingContext(load_dataset("bearing"), "weibullg", "weibull")
+        res = fit(ctx, OptimizerConfig(seed=0, restarts=1))
+        assert len(calls) == res.convergence.n_evals
+
+    def test_infeasible_start_names_the_composition(self):
+        ctx = SpacingContext(load_dataset("pollution"), "expg", "chisq")
+        with pytest.raises(ValueError, match="infeasible starting point for expg x chisq"):
+            fit(ctx, OptimizerConfig(seed=0))
+
+    @pytest.mark.parametrize("family", ["gammag2", "gmbetaexpg", "weibullextg"])
+    def test_odds_families_start_at_half(self, family):
+        # no identity point: the start has h(1/2) = 1/2 and, with two
+        # parameters, h'(1/2) = 1
+        ctx = SpacingContext(load_dataset("bearing"), family, "weibull")
+        theta = _start_theta(ctx)
+        induced = theta[: theta.size - 3]
+        assert h_forward(family, 0.5, induced) == pytest.approx(0.5, abs=1e-7)
+        if induced.size == 2:
+            assert log_h_prime(family, 0.5, induced) == pytest.approx(0.0, abs=1e-6)
+
+    def test_weibullextg_gamma_bearing_fits(self):
+        ctx = SpacingContext(load_dataset("bearing"), "weibullextg", "gamma")
+        res = fit(ctx, OptimizerConfig(seed=0, restarts=0))
+        assert np.isfinite(res.s_opt)
+        assert np.all(np.isfinite(res.theta_hat))
 
     def test_exp_rate_consistency(self):
         rng = np.random.default_rng(77)

@@ -5,15 +5,24 @@ definitions in multiple precision at the very doubles the library receives,
 so any difference is the library's own rounding.  The cases are the left
 tails where 1 - u and -ln(1 - u) must not be rebuilt from u's complement:
 the near-mu segment of composite densities with a singular left end, the
-transforms and their derivatives at u far below eps, and the survival side
-of the F, chi-square, gamma and Frechet bases.
+transforms, their derivatives and their inverses at u far below eps, and the
+survival side of the F, chi-square, gamma and Frechet bases.
 """
 
 import numpy as np
 import pytest
+import scipy.special as sc
 
 from genfit.base_distributions import base_log_sf, base_quantile, base_sf
-from genfit.family_transforms import family_cdf, family_pdf, family_quantile, h_forward, log_h_prime
+from genfit.family_transforms import (
+    _h_inverse,
+    family_cdf,
+    family_pdf,
+    family_quantile,
+    h_forward,
+    h_inverse,
+    log_h_prime,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -230,3 +239,53 @@ def test_survival_left_tail(base, shape, cdf, u):
     want = cdf(mp.mpf(y), *[mp.mpf(v) for v in shape])
     assert base_sf(base, y, params) == pytest.approx(float(1 - want), rel=1e-12, abs=0.0)
     assert base_log_sf(base, y, params) == pytest.approx(float(mp.log1p(-want)), rel=1e-12, abs=0.0)
+
+
+# --- oracle inverse transforms: (u, -ln(1 - u)) at h(u) = p ------------------
+
+def _mog_inv(p, a):
+    den = 1 - (1 - a) * p
+    return a * p / den, -mp.log((1 - p) / den)
+
+
+def _expgg_inv(p, a, b):
+    lsf = -mp.log(1 - p ** (1 / b)) / a
+    return -mp.expm1(-lsf), lsf
+
+
+def _betaexpg_inv(p, a, b, d):
+    # (1 - u)^d = y with I_y(a, b) = 1 - p; solved for whichever of y and
+    # 1 - y (I_{1-y}(b, a) = p) is small, from scipy's double as the start
+    if p < 0.5:
+        z = mp.findroot(lambda z: mp.betainc(b, a, 0, z, regularized=True) - p, sc.betaincinv(float(b), float(a), float(p)))
+        lsf = -mp.log1p(-z) / d
+    else:
+        y = mp.findroot(lambda y: mp.betainc(a, b, 0, y, regularized=True) - (1 - p), sc.betaincinv(float(a), float(b), float(1 - p)))
+        lsf = -mp.log(y) / d
+    return -mp.expm1(-lsf), lsf
+
+
+def _gexppg_inv(p, a, b):
+    omu = -mp.log(mp.exp(-a) + p * (1 - mp.exp(-a)) * (1 - b) / (1 - p * b)) / a
+    return 1 - omu, -mp.log(omu)
+
+
+@pytest.mark.parametrize("p", [1e-10, 1e-20, 1.0 - 1e-10])
+@pytest.mark.parametrize(
+    "family,induced,oracle",
+    [
+        ("mog", (2.0,), _mog_inv),
+        ("expgg", (2.0, 0.57), _expgg_inv),
+        ("betaexpg", (2.0, 1.5, 1.2), _betaexpg_inv),
+        ("gexppg", (2.0, 0.5), _gexppg_inv),
+    ],
+    ids=["mog", "expgg", "betaexpg", "gexppg"],
+)
+def test_h_inverse_both_tails(family, induced, oracle, p):
+    # u must not be rebuilt as 1 - (1 - u) in the left tail, and -ln(1 - u)
+    # must keep its precision as p nears 1
+    want_u, want_lsf = oracle(mp.mpf(p), *[mp.mpf(v) for v in induced])
+    if p < 0.5:
+        assert h_inverse(family, p, induced) == pytest.approx(float(want_u), rel=1e-12, abs=0.0)
+    else:
+        assert _h_inverse(family, p, induced)[1] == pytest.approx(float(want_lsf), rel=1e-12, abs=0.0)
