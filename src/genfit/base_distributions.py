@@ -678,7 +678,7 @@ def get_base(name: str) -> BaseDist:
         return BASE_DISTRIBUTIONS[name]
     except KeyError:
         raise KeyError(
-            f"unknown base distribution {name!r}; valid: {sorted(BASE_DISTRIBUTIONS)}"
+            f"unknown base {name!r}; valid: {', '.join(sorted(BASE_DISTRIBUTIONS))}"
         ) from None
 
 

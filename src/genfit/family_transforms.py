@@ -696,7 +696,7 @@ def get_family(name: str) -> FamilySpec:
         return FAMILIES[name]
     except KeyError:
         raise KeyError(
-            f"unknown family {name!r}; valid: {sorted(FAMILIES)}"
+            f"unknown family {name!r}; valid: {', '.join(sorted(FAMILIES))}"
         ) from None
 
 
@@ -862,7 +862,7 @@ def family_quantile(family, base, p, params, location=True, log_p=False, lower_t
     fam, induced, b = _resolve(family, base, params, location)
     p = np.asarray(p, dtype=float)
     if log_p:
-        p = np.exp(-p)
+        p = np.exp(p)
     if not lower_tail:
         p = 1.0 - p
     if np.any((p < 0) | (p > 1)):

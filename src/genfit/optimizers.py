@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = ["OptimizerConfig", "OptResult", "maximize", "resolve_method"]
 
@@ -101,6 +100,9 @@ def _run_once(objective, x0, config, rng):
     if method == "sann":
         x, f = _sann(neg_f, x0, config, rng)
         return x, -f, True, "sann schedule completed"
+    # imported here so that evaluation alone never pays for scipy.optimize
+    from scipy.optimize import minimize
+
     if method == "nelder-mead":
         res = minimize(
             neg_f,

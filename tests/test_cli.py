@@ -6,11 +6,19 @@ don't depend on the console script being installed.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import genfit
 from genfit.cli import EXIT_DATA, EXIT_USAGE, main
+from genfit.datasets import load_dataset
+from genfit.gof import full_report
 
 
 def run_cli(capsys, *argv):
@@ -203,3 +211,143 @@ class TestListAndSelftest:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["n"] == 10
+
+
+KUMG = ["--family", "kumg", "--base", "weibull"]
+FIT_KEYS = [
+    "mps", "aic", "caic", "bic", "hqic", "cm", "ad", "log", "moran", "ks_statistic",
+    "ks_p_value", "chi_statistic", "chi_critical", "chi_p_value", "convergence", "edf_clamped",
+]
+
+# verb -> (argv, CSV columns, CSV rows, text lines, rows counted in the JSON)
+VERB_FORMATS = {
+    "pdf": (
+        ["pdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--x", "0.5:2:0.5"],
+        ["input", "value"], 4, 4, lambda d: len(d["points"]),
+    ),
+    "cdf": (
+        ["cdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--x", "0.5:2:0.5"],
+        ["input", "value"], 4, 4, lambda d: len(d["points"]),
+    ),
+    "quantile": (
+        ["quantile", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--p", "0.1,0.5,0.9"],
+        ["input", "value"], 3, 3, lambda d: len(d["points"]),
+    ),
+    "sample": (
+        ["sample", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--n", "4", "--seed", "1"],
+        ["sample"], 4, 4, lambda d: len(d["samples"]),
+    ),
+    # text: the R session's 17-line report; JSON: the report's keys
+    "fit": (
+        ["fit", "--family", "mog", "--base", "exp", "--no-location", "--data", "pollution",
+         "--seed", "0"],
+        ["key", "value"], len(FIT_KEYS), 17,
+        lambda d: 1 + len(d["measures"]) + len(d["ks"]) + len(d["chi_square"]) + 2,
+    ),
+    # text: a header line, then one line per sample size
+    "selftest": (
+        ["selftest", *KUMG, "--n-grid", "10,20", "--reps", "5", "--seed", "3"],
+        ["n", "min", "q1", "median", "q3", "max", "frac_above_0.05", "redraws"], 2, 3,
+        lambda d: len(d["rows"]),
+    ),
+    # text: two headers and one line per family and base, datasets on one line
+    "list": (
+        ["list"], ["kind", "name"], 24 + 15 + 3, 24 + 15 + 3,
+        lambda d: len(d["families"]) + len(d["bases"]) + len(d["datasets"]),
+    ),
+}
+
+
+class TestVerbFormats:
+    @pytest.mark.parametrize("output", ["text", "json", "csv"])
+    @pytest.mark.parametrize("verb", list(VERB_FORMATS))
+    def test_every_verb_honours_output(self, capsys, verb, output):
+        argv, columns, n_rows, n_text, json_rows = VERB_FORMATS[verb]
+        code, out, err = run_cli(capsys, *argv, "--output", output)
+        assert code == 0, err
+        lines = out.splitlines()
+        if output == "json":
+            doc = json.loads(out)
+            assert doc["schema_version"] == 1
+            assert json_rows(doc) == n_rows
+        elif output == "csv":
+            assert lines[0].split(",") == columns
+            assert len(lines) == 1 + n_rows
+            assert all(len(line.split(",")) == len(columns) for line in lines)
+            if verb == "fit":
+                assert [line.split(",")[0] for line in lines[1:]] == FIT_KEYS
+        else:
+            assert len(lines) == n_text
+
+    def test_list_csv_rows(self, capsys):
+        _, out, _ = run_cli(capsys, "list", "--output", "csv")
+        lines = out.splitlines()
+        assert lines[1] == "family,betaexpg"
+        assert lines[-1] == "dataset,pollution"
+
+    def test_cdf_csv_equals_json(self, capsys):
+        argv = VERB_FORMATS["cdf"][0]
+        _, csv_out, _ = run_cli(capsys, *argv, "--output", "csv")
+        _, json_out, _ = run_cli(capsys, *argv, "--output", "json")
+        csv_rows = [tuple(map(float, line.split(","))) for line in csv_out.splitlines()[1:]]
+        json_rows = [(pt["input"], pt["value"]) for pt in json.loads(json_out)["points"]]
+        assert csv_rows == json_rows
+
+    @pytest.mark.parametrize("verb", [v for v in VERB_FORMATS if v != "list"])
+    def test_unknown_family_every_verb(self, capsys, verb):
+        argv = list(VERB_FORMATS[verb][0])
+        argv[argv.index("--family") + 1] = "nope"
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "unknown family 'nope'" in err
+
+
+@pytest.mark.parametrize("tail", [[], ["--no-lower-tail"]])
+def test_log_p_round_trips_between_cdf_and_quantile(capsys, tail):
+    args = [*KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--log-p", *tail, "--output", "json"]
+    _, out, _ = run_cli(capsys, "cdf", *args, "--x", "1.1")
+    log_p = json.loads(out)["points"][0]["value"]
+    assert log_p < 0
+    code, out, err = run_cli(capsys, "quantile", *args, f"--p={log_p!r}")
+    assert code == 0, err
+    assert json.loads(out)["points"][0]["value"] == pytest.approx(1.1, rel=1e-10)
+
+
+def test_fit_report_carries_edf_clamped(capsys):
+    code, out, _ = run_cli(
+        capsys, "fit", "--family", "weibullg", "--base", "weibull", "--data", "bearing",
+        "--seed", "0", "--output", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    report = full_report(load_dataset("bearing"), "weibullg", "weibull", doc["mps"])
+    assert doc["edf_clamped"] is report.edf_clamped
+
+
+def test_evaluation_never_loads_the_optimizer():
+    script = textwrap.dedent(
+        """
+        import runpy, sys
+        sys.argv = ["genfit", "quantile", "--family", "kumg", "--base", "weibull",
+                    "--params", "1.5,0.8,1.3,2.0,0", "--p", "0.5", "--output", "json"]
+        try:
+            runpy.run_module("genfit.cli", run_name="__main__")
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        cli_loaded = "scipy.optimize" in sys.modules
+        import genfit
+        genfit.family_cdf("kumg", "weibull", 1.1, (1.5, 0.8, 1.3, 2.0, 0.0))
+        eval_loaded = "scipy.optimize" in sys.modules
+        ctx = genfit.SpacingContext(genfit.load_dataset("bearing"), "weibullg", "weibull")
+        res = genfit.fit(ctx, genfit.OptimizerConfig(seed=0))
+        print(cli_loaded, eval_loaded, "scipy.optimize" in sys.modules, res.convergence.converged)
+        """
+    )
+    src = str(Path(genfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False False True True"

@@ -235,9 +235,9 @@ class TestComposedDistribution:
         assert family_cdf("kumg", "weibull", x, params, log_p=True) == math.log(p)
         q = family_quantile("kumg", "weibull", p, params)
         assert q == pytest.approx(x, rel=1e-10)
-        # log_p quantile is evaluated at exp(-p)
+        # log_p quantile is evaluated at exp(p)
         assert family_quantile(
-            "kumg", "weibull", -math.log(p), params, log_p=True
+            "kumg", "weibull", math.log(p), params, log_p=True
         ) == pytest.approx(x, rel=1e-10)
         assert family_quantile(
             "kumg", "weibull", 1.0 - p, params, lower_tail=False
