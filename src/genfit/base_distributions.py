@@ -22,6 +22,16 @@ median up they are the kernel's ``sf`` and ``-ln sf``, with the closed-form
 ``base_log_sf``, ``base_log_hazard`` (for bases without a closed-form
 hazard) and the composite cdf and log-density all read from it.
 
+It also owns the rule for non-finite values.  The kernels call
+``scipy.special`` directly and nothing checks their arguments per call, so a
+special function outside its domain returns NaN instead of raising.  At
+``y = +inf`` every base gives the triple ``(1, 0, +inf)``, whatever its
+kernel forms there (inf/inf, inf - inf).  A NaN a kernel makes at a finite
+``y`` in the support stays NaN: the family layer passes it on, and the
+spacing objective reads it as an infeasible point.  The kernels run only
+inside the private cores (``_on_support``, ``_base_tail``, ``_invert``),
+which silence numpy's floating-point warnings for them.
+
 Each public function checks the name, the count and every domain of its
 parameter vector once (``_resolve_base``).  The private cores take the
 resolved ``(dist, shape, mu)`` and trust it; the family layer calls them.
@@ -36,19 +46,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sc
 
-from .special_functions import (
-    inv_reg_inc_beta,
-    inv_reg_inc_gamma_lower,
-    inv_reg_inc_gamma_upper_from_log,
-    log_beta,
-    log_gamma,
-    reg_inc_beta,
-    reg_inc_gamma_lower,
-    reg_inc_gamma_upper,
-    std_normal_cdf,
-    std_normal_quantile,
-    std_normal_quantile_from_log,
-)
+from .special_functions import inv_reg_inc_gamma_upper_from_log
 
 __all__ = [
     "BASE_DISTRIBUTIONS",
@@ -79,7 +77,7 @@ def _log_q_asymptote(x, a):
     return (
         -xs
         + (a - 1.0) * np.log(xs)
-        - log_gamma(a)
+        - sc.gammaln(a)
         + np.log1p((a - 1.0) / xs + (a - 1.0) * (a - 2.0) / (xs * xs))
     )
 
@@ -87,16 +85,15 @@ def _log_q_asymptote(x, a):
 def _log_gamma_upper_tail(x, a):
     """ln Q(a, x); switches to the asymptotic series once Q underflows."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore"):
-        q = reg_inc_gamma_upper(x, a)
-        shallow = q > 1e-300
-        out = np.where(shallow, np.log(np.where(shallow, q, 1.0)), _log_q_asymptote(x, a))
+    q = sc.gammaincc(a, x)
+    shallow = q > 1e-300
+    out = np.where(shallow, np.log(np.where(shallow, q, 1.0)), _log_q_asymptote(x, a))
     return _scalar(out)
 
 
 def _unit_gamma_tail(x, a):
     """Tail kernel of the unit-scale gamma: P(a, x) and Q(a, x)."""
-    return reg_inc_gamma_lower(x, a), reg_inc_gamma_upper(x, a), lambda: _log_q_asymptote(x, a)
+    return sc.gammainc(a, x), sc.gammaincc(a, x), lambda: _log_q_asymptote(x, a)
 
 
 def _hazard_tail(neg_h):
@@ -145,18 +142,18 @@ def _bs_log_pdf(y, alpha, beta):
 
 def _bs_tail(y, alpha, beta):
     z = _bs_z(y, alpha, beta)
-    return std_normal_cdf(z), std_normal_cdf(-z), lambda: sc.log_ndtr(-z)
+    return sc.ndtr(z), sc.ndtr(-z), lambda: sc.log_ndtr(-z)
 
 
 def _bs_quantile(q, alpha, beta):
-    z = std_normal_quantile(q)
+    z = sc.ndtri(q)
     w = alpha * z / 2.0
     return beta * (w + np.sqrt(w * w + 1.0)) ** 2
 
 
 
 def _bs_isf(l, alpha, beta):
-    z = -std_normal_quantile_from_log(-l)
+    z = -sc.ndtri_exp(-l)
     w = alpha * z / 2.0
     return beta * (w + np.sqrt(w * w + 1.0)) ** 2
 
@@ -172,14 +169,13 @@ def _bs_start(y):
 def _log1p_pow(y, beta):
     # log(1 + y**beta) without overflowing where y**beta exceeds double range
     y = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        big = beta * np.log(np.maximum(y, 1.0)) > 700.0
-        yb = np.where(big, 1.0, y**beta)
-        out = np.where(
-            big,
-            beta * np.log(y) + np.log1p(np.where(big, y, 2.0) ** -beta),
-            np.log1p(yb),
-        )
+    big = beta * np.log(np.maximum(y, 1.0)) > 700.0
+    yb = np.where(big, 1.0, y**beta)
+    out = np.where(
+        big,
+        beta * np.log(y) + np.log1p(np.where(big, y, 2.0) ** -beta),
+        np.log1p(yb),
+    )
     return out
 
 
@@ -202,8 +198,7 @@ def _burrxii_quantile(q, alpha, beta):
 
 def _burrxii_isf(l, alpha, beta):
     la = l / alpha
-    with np.errstate(over="ignore", divide="ignore"):
-        log_em1 = np.where(la > 30.0, la, np.log(np.expm1(np.minimum(la, 30.0))))
+    log_em1 = np.where(la > 30.0, la, np.log(np.expm1(np.minimum(la, 30.0))))
     return np.exp(log_em1 / beta)
 
 def _burrxii_start(y):
@@ -215,8 +210,7 @@ def _burrxii_start(y):
 
 def _chen_log_pdf(y, alpha, beta):
     ya = y**alpha
-    with np.errstate(over="ignore"):
-        return np.log(alpha * beta) + (alpha - 1.0) * np.log(y) + ya - beta * np.expm1(ya)
+    return np.log(alpha * beta) + (alpha - 1.0) * np.log(y) + ya - beta * np.expm1(ya)
 
 
 def _chen_tail(y, alpha, beta):
@@ -243,7 +237,7 @@ def _chen_start(y):
 
 def _chisq_log_pdf(y, alpha):
     h = alpha / 2.0
-    return -log_gamma(h) - h * math.log(2.0) + (h - 1.0) * np.log(y) - y / 2.0
+    return -sc.gammaln(h) - h * math.log(2.0) + (h - 1.0) * np.log(y) - y / 2.0
 
 
 def _chisq_tail(y, alpha):
@@ -251,7 +245,7 @@ def _chisq_tail(y, alpha):
 
 
 def _chisq_quantile(q, alpha):
-    return 2.0 * inv_reg_inc_gamma_lower(q, alpha / 2.0)
+    return 2.0 * sc.gammaincinv(alpha / 2.0, q)
 
 
 
@@ -289,7 +283,7 @@ def _exp_start(y):
 def _f_log_pdf(y, alpha, beta):
     ha, hb = alpha / 2.0, beta / 2.0
     return (
-        -log_beta(ha, hb)
+        -sc.betaln(ha, hb)
         + ha * math.log(alpha / beta)
         + (ha - 1.0) * np.log(y)
         - (ha + hb) * np.log1p(alpha * y / beta)
@@ -301,15 +295,15 @@ def _f_tail(y, alpha, beta):
     d = alpha * y + beta
     t = beta / d
     return (
-        reg_inc_beta(alpha * y / d, ha, hb),
-        reg_inc_beta(t, hb, ha),
+        sc.betainc(ha, hb, alpha * y / d),
+        sc.betainc(hb, ha, t),
         # I_t(hb, ha) ~ t^hb / (hb B(hb, ha)) as t -> 0
-        lambda: hb * np.log(t) - np.log(hb) - log_beta(hb, ha),
+        lambda: hb * np.log(t) - np.log(hb) - sc.betaln(hb, ha),
     )
 
 
 def _f_quantile(q, alpha, beta):
-    t = inv_reg_inc_beta(q, alpha / 2.0, beta / 2.0)
+    t = sc.betaincinv(alpha / 2.0, beta / 2.0, q)
     return beta * t / (alpha * (1.0 - t))
 
 
@@ -318,11 +312,10 @@ def _f_isf(l, alpha, beta):
     hb, ha = beta / 2.0, alpha / 2.0
     l = np.asarray(l, dtype=float)
     shallow = l < 600.0
-    t_s = inv_reg_inc_beta(np.exp(-np.where(shallow, l, 0.0)), hb, ha)
+    t_s = sc.betaincinv(hb, ha, np.exp(-np.where(shallow, l, 0.0)))
     # tail asymptotic: I_t(hb, ha) ~ t^hb / (hb B(hb, ha)) as t -> 0
-    log_t = (-l + np.log(hb) + log_beta(hb, ha)) / hb
-    with np.errstate(over="ignore"):
-        deep = (beta / alpha) * np.exp(-log_t)
+    log_t = (-l + np.log(hb) + sc.betaln(hb, ha)) / hb
+    deep = (beta / alpha) * np.exp(-log_t)
     out = np.where(shallow, beta * (1.0 - t_s) / (alpha * np.maximum(t_s, 1e-308)), deep)
     return _scalar(out)
 
@@ -347,19 +340,17 @@ def _frechet_tail(y, alpha, beta):
 
 
 def _frechet_quantile(q, alpha, beta):
-    with np.errstate(divide="ignore"):
-        return beta * (-np.log(q)) ** (-1.0 / alpha)
+    return beta * (-np.log(q)) ** (-1.0 / alpha)
 
 
 
 def _frechet_isf(l, alpha, beta):
     # survival exp(-l) = 1 - exp(-r) with r = (y/beta)^(-alpha)
     l = np.asarray(l, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_r = np.where(
-            l > 36.0, -l, np.log(-np.log1p(-np.exp(-np.minimum(l, 36.0))))
-        )
-        out = beta * np.exp(-log_r / alpha)
+    log_r = np.where(
+        l > 36.0, -l, np.log(-np.log1p(-np.exp(-np.minimum(l, 36.0))))
+    )
+    out = beta * np.exp(-log_r / alpha)
     return _scalar(out)
 
 def _frechet_start(y):
@@ -371,7 +362,7 @@ def _frechet_start(y):
 # --- Gamma -----------------------------------------------------------------
 
 def _gamma_log_pdf(y, alpha, beta):
-    return -alpha * np.log(beta) - log_gamma(alpha) + (alpha - 1.0) * np.log(y) - y / beta
+    return -alpha * np.log(beta) - sc.gammaln(alpha) + (alpha - 1.0) * np.log(y) - y / beta
 
 
 def _gamma_tail(y, alpha, beta):
@@ -379,7 +370,7 @@ def _gamma_tail(y, alpha, beta):
 
 
 def _gamma_quantile(q, alpha, beta):
-    return beta * inv_reg_inc_gamma_lower(q, alpha)
+    return beta * sc.gammaincinv(alpha, q)
 
 
 
@@ -396,8 +387,7 @@ def _gamma_start(y):
 
 def _gompertz_log_pdf(y, alpha, beta):
     by = beta * y
-    with np.errstate(over="ignore"):
-        return np.log(alpha) + by - (alpha / beta) * np.expm1(by)
+    return np.log(alpha) + by - (alpha / beta) * np.expm1(by)
 
 
 def _gompertz_tail(y, alpha, beta):
@@ -465,17 +455,15 @@ def _loglogistic_tail(y, alpha, beta):
 
 
 def _loglogistic_quantile(q, alpha, beta):
-    with np.errstate(divide="ignore"):
-        return beta * (q / (1.0 - q)) ** (1.0 / alpha)
+    return beta * (q / (1.0 - q)) ** (1.0 / alpha)
 
 
 
 def _loglogistic_isf(l, alpha, beta):
     # (1 - q)/q with q = exp(-l): log odds = l + log(1 - exp(-l))
     l = np.asarray(l, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        log_odds = l + np.log(-np.expm1(-l))
-        out = beta * np.exp(log_odds / alpha)
+    log_odds = l + np.log(-np.expm1(-l))
+    out = beta * np.exp(log_odds / alpha)
     return _scalar(out)
 
 def _loglogistic_start(y):
@@ -493,16 +481,16 @@ def _lognormal_log_pdf(y, alpha, beta):
 
 def _lognormal_tail(y, alpha, beta):
     z = (np.log(y) - alpha) / beta
-    return std_normal_cdf(z), std_normal_cdf(-z), lambda: sc.log_ndtr(-z)
+    return sc.ndtr(z), sc.ndtr(-z), lambda: sc.log_ndtr(-z)
 
 
 def _lognormal_quantile(q, alpha, beta):
-    return np.exp(alpha + beta * std_normal_quantile(q))
+    return np.exp(alpha + beta * sc.ndtri(q))
 
 
 
 def _lognormal_isf(l, alpha, beta):
-    return np.exp(alpha - beta * std_normal_quantile_from_log(-l))
+    return np.exp(alpha - beta * sc.ndtri_exp(-l))
 
 def _lognormal_start(y):
     ly = np.log(y)
@@ -526,9 +514,8 @@ def _lomax_quantile(q, alpha, beta):
 
 def _lomax_isf(l, alpha, beta):
     la = l / alpha
-    with np.errstate(over="ignore"):
-        log_em1 = np.where(la > 30.0, la, np.log(np.expm1(np.minimum(la, 30.0))))
-        out = np.exp(log_em1) / beta
+    log_em1 = np.where(la > 30.0, la, np.log(np.expm1(np.minimum(la, 30.0))))
+    out = np.exp(log_em1) / beta
     return _scalar(out)
 
 def _lomax_start(y):
@@ -612,13 +599,12 @@ def _gamma_shape_log_hazard(z, a):
     # dominated by its first continued-fraction terms
     deep_z = np.where(z > 1e6, z, np.inf)
     deep = -np.log1p((a - 1.0) / deep_z + (a - 1.0) * (a - 2.0) / (deep_z * deep_z))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = (
-            -log_gamma(a)
-            + (a - 1.0) * np.log(z)
-            - z
-            - _log_gamma_upper_tail(np.where(z > 1e6, 1.0, z), a)
-        )
+    direct = (
+        -sc.gammaln(a)
+        + (a - 1.0) * np.log(z)
+        - z
+        - _log_gamma_upper_tail(np.where(z > 1e6, 1.0, z), a)
+    )
     return np.where(z > 1e6, deep, direct)
 
 
@@ -722,6 +708,8 @@ def _base_tail(b, x):
     precise value and both complements follow from it; from the median up they
     are the kernel's survival value and its log, which ``1 - u`` cannot carry,
     with the closed-form log only where the survival value has underflowed.
+    At y = +inf the triple is (1, 0, +inf); a NaN the kernel makes at a
+    finite y stays NaN.
     """
     dist, shape, mu = b
     y = np.asarray(x, dtype=float) - mu
@@ -734,6 +722,10 @@ def _base_tail(b, x):
         omu = np.where(left, 1.0 - u, sf)
         if deep.any():
             lsf = np.where(deep, -np.minimum(log_sf(), 0.0), lsf)
+    top = y == np.inf
+    if top.any():
+        # the top of the support, where a kernel may form inf/inf
+        u, omu, lsf = np.where(top, 1.0, u), np.where(top, 0.0, omu), np.where(top, np.inf, lsf)
     # u as an array even for a scalar x: numpy scalar and array arithmetic
     # may round differently, and the family kernels see arrays
     return np.asarray(u), omu, lsf

@@ -8,9 +8,10 @@ here that prints a result.  Reports come in three flavors: a text layout
 that eyeballs like the classic R output, a versioned JSON object, and
 plot-ready CSV.
 
-Exit codes: 0 ok; 2 bad family/base/parameters; 3 unreadable data;
-4 fit failure.  The library's ``KeyError`` (unknown name) and ``ValueError``
-(bad count, domain, probability or size) both map to 2 in ``main``.
+Exit codes: 0 ok; 2 bad family/base/parameters; 3 unreadable or unusable
+data; 4 fit failure.  The library's ``KeyError`` (unknown name) and
+``ValueError`` (bad count, domain, probability or size) both map to 2 in
+``main``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from .base_distributions import BASE_DISTRIBUTIONS
-from .datasets import BUNDLED, DataParseError, load_dataset
+from .datasets import BUNDLED, load_dataset
 from .family_transforms import (
     FAMILIES,
     family_cdf,
@@ -139,24 +140,22 @@ def _cmd_sample(args):
     _emit(args.output, {"samples": draws}, ["sample"], [(v,) for v in draws])
 
 
-def _load_data(args):
+def _load_context(args):
+    """The fit's ``SpacingContext``; what it rejects about the data is a data
+    error (exit 3)."""
     try:
-        data = load_dataset(args.data)
-    except (DataParseError, FileNotFoundError) as exc:
+        return SpacingContext(load_dataset(args.data), args.family, args.base, args.location)
+    except (FileNotFoundError, ValueError) as exc:
         raise CliError(str(exc), EXIT_DATA) from None
-    if data.size < 2:
-        raise CliError("need at least 2 observations", EXIT_DATA)
-    return data
 
 
-def fit_report_dict(data, family, base, location, method, sig_level, seed=None):
+def fit_report_dict(ctx, method, sig_level, seed=None):
     """Run the full estimation pipeline and return the JSON-shaped report
     (``_emit`` adds the schema version)."""
-    ctx = SpacingContext(data, family, base, location)
     config = OptimizerConfig(method=method, seed=seed)
     result = fit(ctx, config)
     report = full_report(
-        ctx.data, family, base, result.theta_hat, location, sig_level
+        ctx.data, ctx.family, ctx.base, result.theta_hat, ctx.location, sig_level
     )
     status = (
         "Algorithm Converged"
@@ -193,12 +192,9 @@ def _cmd_fit(args):
     resolve_method(args.method)
     if not 0.0 < args.sig_level < 1.0:
         raise CliError("--sig-level must lie in (0, 1)", EXIT_USAGE)
-    data = _load_data(args)
+    ctx = _load_context(args)
     try:
-        rep = fit_report_dict(
-            data, args.family, args.base, args.location, args.method,
-            args.sig_level, seed=_resolve_seed(args),
-        )
+        rep = fit_report_dict(ctx, args.method, args.sig_level, seed=_resolve_seed(args))
     except ValueError as exc:
         raise CliError(f"fit failed: {exc}", EXIT_FIT) from None
     ks, chi, status = rep["ks"], rep["chi_square"], rep["convergence"]["status"]

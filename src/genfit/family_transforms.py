@@ -8,7 +8,11 @@ Kernels.  ``h(u, omu, lsf, *induced)`` and ``log_h_prime(u, omu, lsf,
 *induced)`` receive the triple ``(u, 1 - u, -ln(1 - u))``; the family log-pdf
 is ``log_h_prime(G(x)) + log g(x)``.  ``h_inv(p, *induced)`` returns the pair
 ``(u, -ln(1 - u))`` at the u with h(u) = p, inverting its special function
-once.
+once.  Kernels run only inside the private cores (``_h``, ``_lhp``,
+``_inverse``, ``_log_density``), which silence numpy's floating-point
+warnings for them and own what a NaN becomes: ``_h`` sends an endpoint's 0/0
+or inf/inf to the nearer end and keeps a NaN the base made, and the
+log-density reads NaN as a zero density.
 
 Precision rule.  Each element of the triple is taken from the side that holds
 the precision: below the median of G, ``1 - u`` and ``-ln(1 - u)`` come from
@@ -41,15 +45,6 @@ from .base_distributions import (
     _scalar,
     get_base,
 )
-from .special_functions import (
-    inv_reg_inc_beta,
-    inv_reg_inc_gamma_lower,
-    log_beta,
-    log_gamma,
-    reg_inc_beta,
-    reg_inc_gamma_lower,
-    reg_inc_gamma_upper,
-)
 
 __all__ = [
     "FAMILIES",
@@ -72,9 +67,8 @@ _xlogy = sc.xlogy
 def _log1m_exp(x):
     """ln(1 - e^-x) for x >= 0, accurate at both ends."""
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        small = np.log(-np.expm1(-np.minimum(x, 0.6931471805599453)))
-        large = np.log1p(-np.exp(-np.maximum(x, 0.6931471805599453)))
+    small = np.log(-np.expm1(-np.minimum(x, 0.6931471805599453)))
+    large = np.log1p(-np.exp(-np.maximum(x, 0.6931471805599453)))
     return np.where(x < 0.6931471805599453, small, large)
 
 
@@ -85,8 +79,7 @@ def _neg_log_u(u, omu):
     relative error of eps/u into ln u.
     """
     u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(u < 0.5, np.log(u), np.log1p(-np.asarray(omu, dtype=float)))
+    return -np.where(u < 0.5, np.log(u), np.log1p(-np.asarray(omu, dtype=float)))
 
 
 def _log_neg_log_u(t, omu, lsf):
@@ -95,8 +88,7 @@ def _log_neg_log_u(t, omu, lsf):
     Near u = 1 the exact -ln u equals omu to first order, so its log is -lsf
     even when omu itself has underflowed to zero.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(np.asarray(omu) < 1e-8, -np.asarray(lsf, dtype=float), np.log(t))
+    return np.where(np.asarray(omu) < 1e-8, -np.asarray(lsf, dtype=float), np.log(t))
 
 
 def _log_one_minus_upow(u, omu, lsf, a):
@@ -106,9 +98,8 @@ def _log_one_minus_upow(u, omu, lsf, a):
     this is a t to first order, so its log is ln a + ln t computed from lsf.
     """
     t = _neg_log_u(u, omu)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        deep = math.log(a) + _log_neg_log_u(t, omu, lsf)
-        mid = _log1m_exp(a * t)
+    deep = math.log(a) + _log_neg_log_u(t, omu, lsf)
+    mid = _log1m_exp(a * t)
     return np.where(deep < -30.0, deep, mid)
 
 
@@ -139,14 +130,19 @@ _POS = (0.0, math.inf)
 # --- betaexpg --------------------------------------------------------------
 
 def _betaexpg_h(u, omu, lsf, a, b, d):
-    return 1.0 - reg_inc_beta(np.exp(d * np.log(omu)), a, b)
+    # h = 1 - I_y(a, b) = I_{1-y}(b, a) at y = (1 - u)^d, with y and 1 - y
+    # both from lsf; below the beta mean I_y(a, b) neither cancels nor has
+    # scipy rebuild y from 1 - y, and above it I_{1-y}(b, a) does neither
+    s = -d * lsf
+    y = np.exp(s)
+    return np.where(y < a / (a + b), 1.0 - sc.betainc(a, b, y), sc.betainc(b, a, -np.expm1(s)))
 
 
 def _betaexpg_lhp(u, omu, lsf, a, b, d):
     s = -d * lsf
     return (
         math.log(d)
-        - log_beta(a, b)
+        - sc.betaln(a, b)
         + _xlogy(b - 1.0, -np.expm1(s))
         - (a * d - 1.0) * lsf
     )
@@ -155,8 +151,8 @@ def _betaexpg_lhp(u, omu, lsf, a, b, d):
 def _betaexpg_hinv(p, a, b, d):
     # (1 - u)^d = y with I_y(a, b) = 1 - p: invert for y from 1 - p near
     # p = 1 and for 1 - y (I_{1-y}(b, a) = p) from p below, where y nears 1
-    right = p > reg_inc_beta(0.5, b, a)
-    w = inv_reg_inc_beta(np.where(right, 1.0 - p, p), np.where(right, a, b), np.where(right, b, a))
+    right = p > sc.betainc(b, a, 0.5)
+    w = sc.betaincinv(np.where(right, a, b), np.where(right, b, a), np.where(right, 1.0 - p, p))
     lsf = np.where(right, -np.log(w), -np.log1p(-w)) / d
     return -np.expm1(-lsf), lsf
 
@@ -164,18 +160,18 @@ def _betaexpg_hinv(p, a, b, d):
 # --- betag -----------------------------------------------------------------
 
 def _betag_h(u, omu, lsf, a, b):
-    return reg_inc_beta(u, a, b)
+    return sc.betainc(a, b, u)
 
 
 def _betag_lhp(u, omu, lsf, a, b):
-    return _xlogy(a - 1.0, u) - (b - 1.0) * lsf - log_beta(a, b)
+    return _xlogy(a - 1.0, u) - (b - 1.0) * lsf - sc.betaln(a, b)
 
 
 def _betag_hinv(p, a, b):
     # I_u(a, b) = p  <=>  I_{1-u}(b, a) = 1 - p: invert for 1 - u above the
     # median of u, where u itself cannot carry the precision
-    right = p > reg_inc_beta(0.5, a, b)
-    w = inv_reg_inc_beta(np.where(right, 1.0 - p, p), np.where(right, b, a), np.where(right, a, b))
+    right = p > sc.betainc(a, b, 0.5)
+    w = sc.betaincinv(np.where(right, b, a), np.where(right, a, b), np.where(right, 1.0 - p, p))
     return np.where(right, 1.0 - w, w), np.where(right, -np.log(w), -np.log1p(-w))
 
 
@@ -257,71 +253,68 @@ def _expkumg_hinv(p, a, b, d):
 # --- gammag ----------------------------------------------------------------
 
 def _gammag_h(u, omu, lsf, a):
-    return reg_inc_gamma_lower(lsf, a)
+    return sc.gammainc(a, lsf)
 
 
 def _gammag_lhp(u, omu, lsf, a):
-    return _xlogy(a - 1.0, lsf) - log_gamma(a)
+    return _xlogy(a - 1.0, lsf) - sc.gammaln(a)
 
 
 def _gammag_hinv(p, a):
-    t = inv_reg_inc_gamma_lower(p, a)
+    t = sc.gammaincinv(a, p)
     return -np.expm1(-t), t
 
 
 # --- gammag1 ---------------------------------------------------------------
 
 def _gammag1_h(u, omu, lsf, a):
-    with np.errstate(divide="ignore"):
-        t = -np.log(u)
-    return reg_inc_gamma_upper(t, a)
+    t = -np.log(u)
+    return sc.gammaincc(a, t)
 
 
 def _gammag1_lhp(u, omu, lsf, a):
-    return (a - 1.0) * _log_neg_log_u(_neg_log_u(u, omu), omu, lsf) - log_gamma(a)
+    return (a - 1.0) * _log_neg_log_u(_neg_log_u(u, omu), omu, lsf) - sc.gammaln(a)
 
 
 def _gammag1_hinv(p, a):
-    t = inv_reg_inc_gamma_lower(1.0 - p, a)
+    t = sc.gammaincinv(a, 1.0 - p)
     return np.exp(-t), -np.log(-np.expm1(-t))
 
 
 # --- gammag2 ---------------------------------------------------------------
 
 def _gammag2_h(u, omu, lsf, a):
-    with np.errstate(divide="ignore"):
-        t = u / omu
-    return reg_inc_gamma_lower(t, a)
+    t = u / omu
+    return sc.gammainc(a, t)
 
 
 def _gammag2_lhp(u, omu, lsf, a):
-    with np.errstate(divide="ignore"):
-        t = u / omu
-    return _xlogy(a - 1.0, t) - t + 2.0 * lsf - log_gamma(a)
+    t = u / omu
+    return _xlogy(a - 1.0, t) - t + 2.0 * lsf - sc.gammaln(a)
 
 
 def _gammag2_hinv(p, a):
-    t = inv_reg_inc_gamma_lower(p, a)
+    t = sc.gammaincinv(a, p)
     return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
 
 
 # --- gbetag ----------------------------------------------------------------
 
 def _gbetag_h(u, omu, lsf, a, b, d):
-    return reg_inc_beta(u**d, a, b)
+    return sc.betainc(a, b, u**d)
 
 
 def _gbetag_lhp(u, omu, lsf, a, b, d):
     return (
         math.log(d)
-        - log_beta(a, b)
+        - sc.betaln(a, b)
         + _xlogy(a * d - 1.0, u)
         + (b - 1.0) * _log_one_minus_upow(u, omu, lsf, d)
     )
 
 
 def _gbetag_hinv(p, a, b, d):
-    y = inv_reg_inc_beta(p, a, b)
+    y = sc.betaincinv(a, b, p)
     return y ** (1.0 / d), -np.log(-np.expm1(np.log(y) / d))
 
 
@@ -362,20 +355,18 @@ def _gexppg_hinv(p, a, b):
 # --- gmbetaexpg ------------------------------------------------------------
 
 def _gmbetaexpg_h(u, omu, lsf, a, b):
-    with np.errstate(divide="ignore", over="ignore"):
-        t = u / omu
-        return (-np.expm1(-b * t)) ** a
+    t = u / omu
+    return (-np.expm1(-b * t)) ** a
 
 
 def _gmbetaexpg_lhp(u, omu, lsf, a, b):
-    with np.errstate(divide="ignore", over="ignore"):
-        t = u / omu
-        return (
-            math.log(a * b)
-            + 2.0 * lsf
-            - b * t
-            + _xlogy(a - 1.0, -np.expm1(-b * t))
-        )
+    t = u / omu
+    return (
+        math.log(a * b)
+        + 2.0 * lsf
+        - b * t
+        + _xlogy(a - 1.0, -np.expm1(-b * t))
+    )
 
 
 def _gmbetaexpg_hinv(p, a, b):
@@ -412,15 +403,13 @@ def _gtransg_hinv(p, a, b):
 # --- gxlogisticg -----------------------------------------------------------
 
 def _gxlogisticg_h(u, omu, lsf, a):
-    with np.errstate(divide="ignore"):
-        lt = np.log(lsf)
+    lt = np.log(lsf)
     return sc.expit(a * lt)
 
 
 def _gxlogisticg_lhp(u, omu, lsf, a):
     t = lsf
-    with np.errstate(divide="ignore"):
-        lt = np.log(t)
+    lt = np.log(t)
     return (
         math.log(a)
         + _xlogy(a - 1.0, t)
@@ -431,8 +420,7 @@ def _gxlogisticg_lhp(u, omu, lsf, a):
 
 def _gxlogisticg_lhp_sf(u, omu, lsf, a):
     # ln(h'(u) * (1 - u)): the lhp above minus its +lsf term
-    with np.errstate(divide="ignore"):
-        lt = np.log(lsf)
+    lt = np.log(lsf)
     return math.log(a) + _xlogy(a - 1.0, lsf) - 2.0 * np.logaddexp(0.0, a * lt)
 
 
@@ -460,38 +448,37 @@ def _kumg_hinv(p, a, b):
 # --- loggammag1 ------------------------------------------------------------
 
 def _loggammag1_h(u, omu, lsf, a, b):
-    return reg_inc_gamma_lower(b * lsf, a)
+    return sc.gammainc(a, b * lsf)
 
 
 def _loggammag1_lhp(u, omu, lsf, a, b):
     return (
         a * math.log(b)
-        - log_gamma(a)
+        - sc.gammaln(a)
         + _xlogy(a - 1.0, lsf)
         - (b - 1.0) * lsf
     )
 
 
 def _loggammag1_hinv(p, a, b):
-    t = inv_reg_inc_gamma_lower(p, a) / b
+    t = sc.gammaincinv(a, p) / b
     return -np.expm1(-t), t
 
 
 # --- loggammag2 ------------------------------------------------------------
 
 def _loggammag2_h(u, omu, lsf, a, b):
-    with np.errstate(divide="ignore"):
-        t = -np.log(u)
-    return reg_inc_gamma_upper(b * t, a)
+    t = -np.log(u)
+    return sc.gammaincc(a, b * t)
 
 
 def _loggammag2_lhp(u, omu, lsf, a, b):
     log_t = _log_neg_log_u(_neg_log_u(u, omu), omu, lsf)  # ln(-ln u)
-    return a * math.log(b) - log_gamma(a) + (a - 1.0) * log_t + _xlogy(b - 1.0, u)
+    return a * math.log(b) - sc.gammaln(a) + (a - 1.0) * log_t + _xlogy(b - 1.0, u)
 
 
 def _loggammag2_hinv(p, a, b):
-    t = inv_reg_inc_gamma_lower(1.0 - p, a) / b
+    t = sc.gammaincinv(a, 1.0 - p) / b
     return np.exp(-t), -np.log(-np.expm1(-t))
 
 
@@ -499,7 +486,7 @@ def _loggammag2_hinv(p, a, b):
 
 def _mbetag_h(u, omu, lsf, a, b, d):
     s = d * u / (1.0 - (1.0 - d) * u)
-    return reg_inc_beta(np.clip(s, 0.0, 1.0), a, b)
+    return sc.betainc(a, b, np.clip(s, 0.0, 1.0))
 
 
 def _mbetag_lhp(u, omu, lsf, a, b, d):
@@ -507,13 +494,13 @@ def _mbetag_lhp(u, omu, lsf, a, b, d):
         a * math.log(d)
         + _xlogy(a - 1.0, u)
         - (b - 1.0) * lsf
-        - log_beta(a, b)
+        - sc.betaln(a, b)
         - (a + b) * np.log(1.0 - (1.0 - d) * u)
     )
 
 
 def _mbetag_hinv(p, a, b, d):
-    y = inv_reg_inc_beta(p, a, b)
+    y = sc.betaincinv(a, b, p)
     return y / (d + (1.0 - d) * y), -np.log(d * (1.0 - y) / (d + (1.0 - d) * y))
 
 
@@ -543,8 +530,7 @@ def _mokumg_h(u, omu, lsf, a, b, d):
 
 def _mokumg_lhp(u, omu, lsf, a, b, d):
     l1 = _log_one_minus_upow(u, omu, lsf, a)  # ln(1 - u^a)
-    with np.errstate(over="ignore"):
-        v = np.exp(b * l1)  # (1 - u^a)^b
+    v = np.exp(b * l1)  # (1 - u^a)^b
     return (
         math.log(a * b * d)
         + _xlogy(a - 1.0, u)
@@ -564,23 +550,20 @@ def _mokumg_hinv(p, a, b, d):
 
 def _ologlogg_w(u, omu, lsf, d):
     # w = u^d / (u^d + (1-u)^d), the odds transform
-    with np.errstate(divide="ignore", over="ignore"):
-        return sc.expit(d * (np.log(u) + lsf))
+    return sc.expit(d * (np.log(u) + lsf))
 
 
 def _ologlogg_h(u, omu, lsf, a, b, d):
     w = _ologlogg_w(u, omu, lsf, d)
-    with np.errstate(divide="ignore"):
-        wa = np.exp(a * np.log(w))
+    wa = np.exp(a * np.log(w))
     return -np.expm1(b * np.log1p(-wa))
 
 
 def _ologlogg_lhp(u, omu, lsf, a, b, d):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = d * (np.log(u) + lsf)  # logit of the odds transform w
-        lnw = -np.logaddexp(0.0, -z)
-        # ln(1 - w^a): for large z, 1 - w^a ~ a e^-z
-        l1 = np.where(z > 700.0, math.log(a) - z, _log1m_exp(-a * lnw))
+    z = d * (np.log(u) + lsf)  # logit of the odds transform w
+    lnw = -np.logaddexp(0.0, -z)
+    # ln(1 - w^a): for large z, 1 - w^a ~ a e^-z
+    l1 = np.where(z > 700.0, math.log(a) - z, _log1m_exp(-a * lnw))
     return (
         math.log(a * b * d)
         + _xlogy(a * d - 1.0, u)
@@ -616,20 +599,18 @@ def _texpsg_hinv(p, a):
 # --- weibullextg -----------------------------------------------------------
 
 def _weibullextg_h(u, omu, lsf, a, b):
-    with np.errstate(divide="ignore", over="ignore"):
-        t = u / omu
-        return -np.expm1(-a * t ** (1.0 / b))
+    t = u / omu
+    return -np.expm1(-a * t ** (1.0 / b))
 
 
 def _weibullextg_lhp(u, omu, lsf, a, b):
-    with np.errstate(divide="ignore", over="ignore"):
-        t = u / omu
-        return (
-            math.log(a / b)
-            + 2.0 * lsf
-            + _xlogy(1.0 / b - 1.0, t)
-            - a * t ** (1.0 / b)
-        )
+    t = u / omu
+    return (
+        math.log(a / b)
+        + 2.0 * lsf
+        + _xlogy(1.0 / b - 1.0, t)
+        - a * t ** (1.0 / b)
+    )
 
 
 def _weibullextg_hinv(p, a, b):
@@ -737,10 +718,13 @@ def _resolve(family, base, params, location):
 
 
 def _h(fam, induced, u, omu, lsf):
-    """h on the triple; NaN (an endpoint's 0/0 or inf/inf) goes to the nearer end."""
+    """h on the triple.  A NaN h makes from a NaN-free triple is an endpoint's
+    0/0 or inf/inf and goes to the nearer end; a NaN in the triple (the base
+    made it) stays NaN."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = fam.h(u, omu, lsf, *induced)
-    return np.clip(np.where(np.isnan(out), np.where(u > 0.5, 1.0, 0.0), out), 0.0, 1.0)
+        end = np.isnan(out) & ~np.isnan(u + omu + lsf)
+    return np.clip(np.where(end, np.where(u > 0.5, 1.0, 0.0), out), 0.0, 1.0)
 
 
 def _lhp(fam, induced, u, omu, lsf):

@@ -7,10 +7,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.special as sc
 
 from .family_transforms import family_cdf, family_log_pdf
 from .mps_fit import SpacingContext, moran_chi_square_test, spacing_value
-from .special_functions import kolmogorov_sf
 
 __all__ = [
     "GofReport",
@@ -83,7 +83,7 @@ def ks_test(cdf_at_data):
     """(D, asymptotic p-value)."""
     u = np.asarray(cdf_at_data, dtype=float)
     d = ks_statistic(u)
-    p = float(kolmogorov_sf(math.sqrt(u.size) * d))
+    p = float(sc.kolmogorov(math.sqrt(u.size) * d))
     return d, p
 
 

@@ -32,7 +32,6 @@ import scipy.special as sc
 from .base_distributions import _base_tail, get_base
 from .family_transforms import _h, _log_density, _resolve, get_family, n_total_params
 from .optimizers import _InfeasibleStart, OptimizerConfig, OptResult, maximize
-from .special_functions import chi_square_cdf, chi_square_quantile
 
 __all__ = [
     "SpacingContext",
@@ -63,6 +62,8 @@ class SpacingContext:
             raise ValueError("spacing estimation needs at least 2 observations")
         if not np.all(np.isfinite(data)):
             raise ValueError("observations must be finite")
+        if not self.location and data[0] <= 0:
+            raise ValueError("data must exceed the support origin 0 when location is off")
         self.data = data
         self.tie_mask = np.concatenate([[False], np.diff(data) == 0.0])
         self._maps = _transforms(self)
@@ -181,34 +182,55 @@ _ODDS_STARTS = {
 }
 
 
-def _start_theta(ctx: SpacingContext):
+# the moment start puts mu0 at x_(1) - sd/n; where S is -inf there, mu0 moves
+# to x_(1) - c sd for each c in turn, which spreads the data out over the base
+_FALLBACK_SDS = (1.0, 4.0, 16.0)
+
+
+def _start_theta(ctx: SpacingContext, mu0=None):
+    """The moment start: induced values at the reduction point, and the base's
+    start rule on the data shifted by mu0 (default x_(1) - sd/n)."""
     domains = get_family(ctx.family).domains
     induced = list(_ODDS_STARTS.get(ctx.family, (_DOMAINS[d][2] for d in domains)))
-    if ctx.location:
-        mu0 = float(ctx.data[0]) - float(np.std(ctx.data)) / ctx.n
-    else:
-        mu0 = 0.0
+    if mu0 is None:
+        mu0 = float(ctx.data[0]) - float(np.std(ctx.data)) / ctx.n if ctx.location else 0.0
     y = ctx.data - mu0
     if np.any(y <= 0):
-        # location disabled but data not strictly positive relative to 0
+        # location on, but the data have no spread to put mu0 below x_(1)
         raise ValueError("data must exceed the support origin")
     base_start = list(get_base(ctx.base).start(y))
     theta = induced + base_start + ([mu0] if ctx.location else [])
     return np.asarray(theta, dtype=float)
 
 
+def _starts(ctx: SpacingContext):
+    """The moment start, then (location on) the fallback starts, in order."""
+    yield _start_theta(ctx)
+    if ctx.location:
+        sd = float(np.std(ctx.data))
+        for c in _FALLBACK_SDS:
+            yield _start_theta(ctx, float(ctx.data[0]) - c * sd)
+
+
 def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult:
-    """Maximize the spacing objective and package the estimate."""
+    """Maximize the spacing objective from the first start where it is finite
+    and package the estimate."""
     if config is None:
         config = OptimizerConfig()
-    x0 = to_free(ctx, _start_theta(ctx))
-    try:
-        res = maximize(lambda psi: spacing_objective(psi, ctx), x0, config)
-    except _InfeasibleStart:
+    # maximize gives up after one evaluation at an infeasible start; n_evals
+    # adds those probes
+    for tried, theta0 in enumerate(_starts(ctx), 1):
+        try:
+            res = maximize(lambda psi: spacing_objective(psi, ctx), to_free(ctx, theta0), config)
+            break
+        except _InfeasibleStart:
+            pass
+    else:
         raise ValueError(
             f"infeasible starting point for {ctx.family} x {ctx.base}; "
-            "the spacing objective is -inf at the moment-based start"
-        ) from None
+            f"the spacing objective is -inf at every start tried ({tried})"
+        )
+    res.n_evals += tried - 1
     theta_hat = from_free(ctx, res.x_opt)
     s_opt = res.f_opt
     return FitResult(
@@ -221,6 +243,16 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
 
 
 # --- Moran's statistic and its chi-square approximation --------------------
+
+def chi_square_cdf(x, df):
+    """Chi-square cdf with df degrees of freedom, x >= 0."""
+    return sc.gammainc(df / 2.0, x / 2.0)
+
+
+def chi_square_quantile(p, df):
+    """Chi-square quantile: the x with chi_square_cdf(x, df) = p."""
+    return 2.0 * sc.gammaincinv(df / 2.0, p)
+
 
 def moran_moments(n: int):
     """Approximate mean and variance of Moran's statistic for sample size n."""

@@ -69,6 +69,10 @@ def selftest(family, base, n_grid=None, reps=100, seed=None, max_redraws=50):
     """Run the replication study; returns one SelfTestRow per sample size."""
     if n_grid is None:
         n_grid = default_n_grid()
+    if reps < 1:
+        raise ValueError(f"selftest needs reps >= 1, got {reps}")
+    if any(n < 2 for n in n_grid):
+        raise ValueError(f"selftest sample sizes must be >= 2, got {list(n_grid)}")
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_grid:

@@ -32,10 +32,9 @@ from genfit.family_transforms import (
     log_h_prime,
 )
 from genfit.gof import full_report
-from genfit.mps_fit import SpacingContext, fit, spacing_sum_terms, spacing_value
+from genfit.mps_fit import SpacingContext, chi_square_quantile, fit, spacing_sum_terms, spacing_value
 from genfit.optimizers import OptimizerConfig
 from genfit.selftest import selftest
-from genfit.special_functions import chi_square_quantile
 
 BEARING_THETA = (0.9988519, 0.9708349, 0.8618143, 83.4125577, 147.1825435)
 POLLUTION_THETA_NOLOC = (1.7785378951, 0.0001715355)
@@ -155,18 +154,44 @@ def test_criterion_5_identity_reductions():
     print("\nPASS criterion 5: 17 identity reductions + betaexpg/betag swap")
 
 
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _integrate(family, base, shape, pieces, panels=None):
+    """Integral of the location-free density over ``pieces``, each
+    ``(s0, s1, c, k)`` over s in [s0, s1] with y = s where k = 0 and
+    y = c e^{k s} otherwise: composite 20-node Gauss-Legendre with ``panels``
+    panels per piece, all nodes in one ``family_pdf`` call, or adaptive
+    ``quad`` when ``panels`` is None."""
+    if panels is None:
+        def f(s, c, k):
+            y = c * math.exp(k * s) if k else s
+            return family_pdf(family, base, y, shape, location=False) * (y if k else 1.0)
+
+        return sum(quad(f, s0, s1, args=(c, k), limit=200)[0] for s0, s1, c, k in pieces)
+    s0, s1, c, k = (np.array(v)[:, None] for v in zip(*pieces))
+    t = ((np.arange(panels)[:, None] + (GL_NODES + 1.0) / 2.0) / panels).ravel()
+    s = s0 + (s1 - s0) * t
+    y = np.where(k == 0, s, c * np.exp(k * s))
+    w = (s1 - s0) / (2.0 * panels) * np.tile(GL_WEIGHTS, panels) * np.where(k == 0, 1.0, y)
+    return float(np.sum(w * family_pdf(family, base, y, shape, location=False)))
+
+
 def test_criterion_6_normalization():
     t0 = time.time()
     rng = np.random.default_rng(600)
-    worst = 0.0
+    worst = worst_gap = 0.0
     for family in sorted(FAMILIES):
-        for base in sorted(BASE_DISTRIBUTIONS):
+        for i_base, base in enumerate(sorted(BASE_DISTRIBUTIONS)):
             done = 0
             attempts = 0
             while done < 10:
                 params = draw_params(family, base, rng)
                 mu = params[-1]
-                hi = family_quantile(family, base, 1.0 - 1e-10, params)
+                shape = params[:-1]
+                *knots, hi = family_quantile(
+                    family, base, [0.25, 0.5, 0.75, 0.95, 0.999, 1.0 - 1e-10], params
+                )
                 attempts += 1
                 if not np.isfinite(hi) and attempts < 40:
                     continue  # quantile beyond double range; redraw
@@ -179,16 +204,15 @@ def test_criterion_6_normalization():
                     # consistency with the density criterion 10 checks
                     hi = 1e300
                     tail = family_cdf(family, base, hi, params, lower_tail=False)
-                knots = [
-                    q
-                    for q in (
-                        family_quantile(family, base, p, params)
-                        for p in (0.25, 0.5, 0.75, 0.95, 0.999)
-                    )
-                    if q < hi
-                ]
-                knots = [mu] + knots + [hi]
+                knots = [mu] + [q for q in knots if q < hi] + [hi]
+                # every segment is integrated in y = x - mu (location=False,
+                # no mu): every base computes fl(x) - mu first, so this is
+                # the same function, and near mu neither the nodes nor the
+                # sliver's end eps_mu are rounded onto mu's ulp grid, which
+                # would put a gap between the two and turn the integrand
+                # into a staircase
                 total = tail
+                pieces = []
                 for lo_k, hi_k in zip(knots[:-1], knots[1:]):
                     if lo_k == mu:
                         # within a few ulp of the left endpoint there is no
@@ -196,15 +220,8 @@ def test_criterion_6_normalization():
                         # a singular density can hold real mass there; take
                         # that sliver from the cdf (criterion 10 checks
                         # pdf/cdf consistency) and reach the rest through
-                        # s = -ln((x - mu)/c), which turns an integrable power
-                        # singularity into a smooth exponential.  The segment
-                        # is evaluated in y = x - mu (location=False, no mu):
-                        # every base computes fl(x) - mu first, so this is the
-                        # same function, but c e^-s and the sliver's end eps_mu
-                        # are not rounded onto mu's ulp grid, which would put a
-                        # gap between the two and turn the integrand into a
-                        # staircase
-                        shape = params[:-1]
+                        # s = -ln(y/c), which turns an integrable power
+                        # singularity into a smooth exponential
                         eps_mu = 16.0 * np.finfo(float).eps * max(abs(mu), 1.0)
                         c = hi_k - mu
                         if c <= eps_mu:
@@ -214,41 +231,43 @@ def test_criterion_6_normalization():
                         s_hi = math.log(c / eps_mu)
                         s_edges = np.linspace(0.0, s_hi, 2 + int(s_hi // 40.0))
                         for s0, s1 in zip(s_edges[:-1], s_edges[1:]):
-                            total += quad(
-                                lambda s: family_pdf(family, base, c * math.exp(-s), shape, location=False)
-                                * c * math.exp(-s),
-                                s0, s1, limit=200,
-                            )[0]
+                            pieces.append((s0, s1, c, -1.0))
                         # the segment ends where the shifted code path's next
                         # segment begins
                         assert family_cdf(family, base, hi_k, params) == family_cdf(
                             family, base, c, shape, location=False
                         ), (family, base, params)
                     elif (hi_k - mu) < 10.0 * (lo_k - mu):
-                        total += quad(
-                            lambda t: family_pdf(family, base, t, params),
-                            lo_k, hi_k, limit=200,
-                        )[0]
+                        pieces.append((lo_k - mu, hi_k - mu, 1.0, 0.0))
                     else:
                         # heavy-tail segment spanning decades: substitute
-                        # t = mu + a e^s so power tails become smooth
-                        # exponentials, and chunk very wide s-ranges so the
-                        # adaptive rule resolves slowly decaying integrands
+                        # y = a e^s so power tails become smooth exponentials,
+                        # and chunk very wide s-ranges so each chunk's
+                        # integrand stays smooth
                         a_s = lo_k - mu
                         s_hi = math.log((hi_k - mu) / a_s)
                         s_edges = np.linspace(0.0, s_hi, 2 + int(s_hi // 40.0))
                         for s0, s1 in zip(s_edges[:-1], s_edges[1:]):
-                            total += quad(
-                                lambda s: family_pdf(family, base, mu + a_s * math.exp(s), params)
-                                * a_s * math.exp(s),
-                                s0, s1, limit=200,
-                            )[0]
-                worst = max(worst, abs(total - 1.0))
-                assert total == pytest.approx(1.0, abs=1e-5), (family, base, params)
+                            pieces.append((s0, s1, a_s, 1.0))
+                # the order gap bounds the rule's error on every draw
+                t16 = total + _integrate(family, base, shape, pieces, 16)
+                t32 = total + _integrate(family, base, shape, pieces, 32)
+                worst_gap = max(worst_gap, abs(t16 - t32))
+                assert abs(t16 - t32) <= 1e-7, (family, base, params, t16, t32)
+                if i_base == 0 and done == 0:
+                    # adaptive quadrature on the first draw of each family
+                    t_quad = total + _integrate(family, base, shape, pieces)
+                    assert t_quad == pytest.approx(1.0, abs=1e-5), (family, base, params)
+                    assert abs(t_quad - t32) <= 1e-7, (family, base, params, t_quad, t32)
+                worst = max(worst, abs(t32 - 1.0))
+                assert t32 == pytest.approx(1.0, abs=1e-5), (family, base, params)
                 done += 1
     elapsed = time.time() - t0
     assert elapsed < 600.0
-    print(f"\nPASS criterion 6: 24x15x10 normalization (worst |err| {worst:.2e}, {elapsed:.0f}s)")
+    print(
+        f"\nPASS criterion 6: 24x15x10 normalization (worst |err| {worst:.2e}, "
+        f"worst |T16 - T32| {worst_gap:.2e}, {elapsed:.0f}s)"
+    )
 
 
 def test_criterion_7_quantile_round_trip():

@@ -130,6 +130,13 @@ class TestSupportAndShift:
             assert base_sf(name, x, params) == 1.0
             assert base_log_sf(name, x, params) == 0.0
 
+    def test_at_plus_infinity(self, name):
+        # the non-finite rule: (1, 0, +inf) whatever the kernel forms there
+        params = default_params(name, mu=2.0)
+        assert base_cdf(name, math.inf, params) == 1.0
+        assert base_sf(name, math.inf, params) == 0.0
+        assert base_log_sf(name, math.inf, params) == -math.inf
+
     def test_far_right_tail(self, name):
         params = default_params(name, mu=2.0)
         assert base_cdf(name, 1e300, params) == 1.0

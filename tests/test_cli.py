@@ -178,6 +178,15 @@ class TestFit:
         )
         assert code == EXIT_DATA
 
+    def test_nonpositive_data_without_location(self, capsys, tmp_path):
+        p = tmp_path / "d.txt"
+        p.write_text("1 -2 3 4\n")
+        code, _, err = run_cli(
+            capsys, "fit", "--family", "expg", "--base", "exp", "--no-location", "--data", str(p),
+        )
+        assert code == EXIT_DATA
+        assert "support origin" in err
+
     def test_bad_method(self, capsys):
         code, _, err = run_cli(
             capsys, "fit", "--family", "expg", "--base", "exp",
@@ -211,6 +220,13 @@ class TestListAndSelftest:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["n"] == 10
+
+    @pytest.mark.parametrize("sizes", [["--reps", "0"], ["--reps=-1"], ["--n-grid", "0"], ["--n-grid", "1,10"]])
+    def test_selftest_rejects_bad_sizes(self, capsys, sizes):
+        code, out, err = run_cli(capsys, "selftest", "--family", "kumg", "--base", "weibull", *sizes)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("genfit: selftest")
 
 
 KUMG = ["--family", "kumg", "--base", "weibull"]

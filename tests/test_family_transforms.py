@@ -226,6 +226,14 @@ class TestComposedDistribution:
         x_hi = family_quantile(family, base, 1.0 - 1e-7, params)
         if np.isfinite(x_hi):
             assert 1.0 - 1e-6 <= family_cdf(family, base, x_hi, params) <= 1.0
+        assert family_cdf(family, base, math.inf, params) == 1.0
+
+    def test_cdf_at_an_overflowing_quantile(self):
+        # the F base's kernel forms inf/inf at x = +inf
+        params = (0.658, 1.223, 1.169, 0.0)
+        x = family_quantile("gxlogisticg", "f", 0.99, params)
+        assert x == math.inf
+        assert family_cdf("gxlogisticg", "f", x, params) == 1.0
 
     def test_flag_semantics(self):
         params = (1.7, 1.7, 1.3, 1.3, 0.0)

@@ -206,6 +206,34 @@ class TestFit:
         with pytest.raises(ValueError, match="infeasible starting point for expg x chisq"):
             fit(ctx, OptimizerConfig(seed=0))
 
+    @pytest.mark.parametrize("family,base", [("mog", "chisq"), ("gammag2", "gompertz")])
+    def test_fallback_start_rescues_the_fit(self, monkeypatch, family, base):
+        # S is -inf at the moment start; a start with mu0 further below x_(1)
+        # is finite, and its probes count as evaluations
+        calls = []
+        objective = mps_fit.spacing_objective
+
+        def counted(psi, ctx):
+            calls.append(1)
+            return objective(psi, ctx)
+
+        monkeypatch.setattr(mps_fit, "spacing_objective", counted)
+        ctx = SpacingContext(load_dataset("bearing"), family, base)
+        assert spacing_value(_start_theta(ctx), ctx) == -math.inf
+        res = fit(ctx, OptimizerConfig(seed=0, restarts=0))
+        assert np.isfinite(res.s_opt)
+        assert np.all(np.isfinite(res.theta_hat))
+        assert len(calls) == res.convergence.n_evals
+
+    @pytest.mark.parametrize(
+        "name,family,base",
+        [("bearing", "weibullg", "weibull"), ("pollution", "mog", "exp"),
+         ("earthquake", "kumg", "birnbaum-saunders")],
+    )
+    def test_reference_fits_keep_the_moment_start(self, name, family, base):
+        ctx = SpacingContext(load_dataset(name), family, base)
+        assert np.isfinite(spacing_value(_start_theta(ctx), ctx))
+
     @pytest.mark.parametrize("family", ["gammag2", "gmbetaexpg", "weibullextg"])
     def test_odds_families_start_at_half(self, family):
         # no identity point: the start has h(1/2) = 1/2 and, with two

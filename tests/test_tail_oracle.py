@@ -114,6 +114,11 @@ def _expgg_h(u, a, b):
     return (-mp.expm1(a * mp.log1p(-u))) ** b
 
 
+def _betaexpg_h(u, a, b, d):
+    # 1 - I_y(a, b) at y = (1 - u)^d, as I_{1-y}(b, a)
+    return mp.betainc(b, a, 0, -mp.expm1(d * mp.log1p(-u)), regularized=True)
+
+
 def _gexppg_h(u, a, b):
     return (mp.exp(-a * (1 - u)) - mp.exp(-a)) / (1 - mp.exp(-a) - b * (1 - mp.exp(-a * (1 - u))))
 
@@ -225,6 +230,16 @@ def test_f_survival_left_tail(u, alpha, beta):
 def test_h_forward_far_below_eps(family, induced, u, oracle):
     want = oracle(mp.mpf(u), *[mp.mpf(v) for v in induced])
     assert h_forward(family, u, induced) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("u", [1e-10, 1e-5, 0.5, 1.0 - 1e-6])
+@pytest.mark.parametrize("induced", [(1.0, 2.0, 0.8), (0.5, 3.0, 2.0), (0.3, 0.3, 3.0)])
+def test_betaexpg_h_both_tails(induced, u):
+    # h = 1 - I_y(a, b) at y = (1 - u)^d rounds to 0 in the left tail (the
+    # true h at u = 1e-10 with (1, 2, 0.8) is 6.4e-21), and I_{1-y}(b, a)
+    # alone loses y inside scipy where y nears 0
+    want = _betaexpg_h(mp.mpf(u), *[mp.mpf(v) for v in induced])
+    assert h_forward("betaexpg", u, induced) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("u", [1e-10, 1e-16])
