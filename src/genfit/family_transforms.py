@@ -1,26 +1,47 @@
-"""The 24 generator families.
+"""The 24 generator families, each a chain of primitive maps.
 
 Each family is a cdf-valued transform h: [0,1] -> [0,1] with one to three
 induced shape parameters.  A composed distribution has cdf h(G(x)) where G is
 a shifted base cdf, pdf h'(G(x)) g(x), and quantile G^{-1}(h^{-1}(p)).
 
-Kernels.  ``h(u, omu, lsf, *induced)`` and ``log_h_prime(u, omu, lsf,
-*induced)`` receive the triple ``(u, 1 - u, -ln(1 - u))``; the family log-pdf
-is ``log_h_prime(G(x)) + log g(x)``.  ``h_inv(p, *induced)`` returns the pair
-``(u, -ln(1 - u))`` at the u with h(u) = p, inverting its special function
-once.  Kernels run only inside the private cores (``_h``, ``_lhp``,
-``_inverse``, ``_log_density``), which silence numpy's floating-point
-warnings for them and own what a NaN becomes: ``_h`` sends an endpoint's 0/0
-or inf/inf to the nearer end and keeps a NaN the base made, and the
-log-density reads NaN as a zero density.
+Chains.  Every h is a composition of a few primitive maps, the T-X view of G
+families (Alzaatreh, Lee & Famoye 2013; Jones 2015).  A map of the unit
+interval carries the triple ``(v, 1 - v, -ln(1 - v))`` to the next triple:
+P (power), RP (reflected power), MO (Marshall-Olkin), OP (odds power),
+B (beta cdf), TE (truncated exponential), QT (quadratic transmutation) and
+R (reflection).  L1 = -ln(1 - v) and OD = v/(1 - v) carry a triple to t on
+(0, inf), Sc scales t, and GP (gamma cdf), W (Weibull cdf) and LL
+(log-logistic cdf) carry t back; -ln v is L1 o R, and the gamma upper tail
+R o GP.  A family is its name, its parameter names, their domains and its
+chain, written outermost first: kumg is ``[RP(b), P(a)]`` for
+h = RP(b) o P(a).  The chain runs innermost first from the base triple of
+``_base_tail``.
 
-Precision rule.  Each element of the triple is taken from the side that holds
-the precision: below the median of G, ``1 - u`` and ``-ln(1 - u)`` come from
-``u``; above it, from the base survival value (``_base_tail``).  A kernel
-builds a quantity that cancels in one tail from the element that is precise
-there: ``1 - (1 - u)^a`` as ``-expm1(-a lsf)``, not from ``omu``.
-``family_quantile`` follows the same split: the base quantile of ``u`` where
-u <= 1/2, the base inverse survival of ``-ln(1 - u)`` above.
+The chain contract.  Each primitive gives its forward map, ln|phi'| at its
+input state, and its inverse on the same state.  ln h' is the sum of the
+ln|phi'| terms, each at its own state; h^{-1} runs the chain backwards from
+the triple of p, or from ``(1 - q, q, -ln q)`` for an upper-tail q.  Every
+element of a state comes from the side that holds its precision: below 1/2
+from v, from 1 - v or -ln(1 - v) above it (``_l``, ``_lnv``), and a special
+function runs once per element, on the side picked for that element.  Past
+the underflow of 1 - v only -ln(1 - v) still carries the upper tail; a map
+that does not carry it exactly declares its behaviour at 1,
+``1 - phi(v) ~ e^lam (1 - v)^q`` (``top``), and the chain applies that
+there.  Likewise ln h' follows ln v past the underflow of v by each map's
+behaviour at 0, ``phi(v) ~ e^mu v^r`` (``bot``; None for R, which sends
+ln v to -ln(1 - v)).  A state's -ln(1 - v) that only repeats its v and
+1 - v is formed when a map reads it, and ``_h`` asks the outermost map for
+v alone.  Where a chain starts with L1, whose ln|phi'| is
+-ln(1 - u), the composite log-density is the other terms plus the base
+log-hazard, so the two large +-ln(1 - u) terms never meet.
+
+The non-finite rule.  Maps run only inside the private cores (``_h``,
+``_lhp``, ``_inverse``, ``_log_density``), which silence numpy's
+floating-point warnings for them and own what a NaN becomes: ``_h`` sends an
+endpoint's 0/0 or inf/inf to the nearer end and keeps a NaN the base made,
+and the log-density reads NaN as a zero density.  ``family_quantile`` takes
+the base quantile of u where u <= 1/2 and the base inverse survival of
+-ln(1 - u) above.
 
 Checking.  A public function resolves the names and checks the count and
 every domain of theta once (``_resolve``, or ``_resolve_family`` for the
@@ -41,10 +62,12 @@ from .base_distributions import (
     _check_shape,
     _invert,
     _log_hazard,
+    _log_q_asymptote,
     _on_support,
     _scalar,
     get_base,
 )
+from .special_functions import inv_reg_inc_gamma_upper_from_log
 
 __all__ = [
     "FAMILIES",
@@ -61,63 +84,240 @@ __all__ = [
     "n_total_params",
 ]
 
-_xlogy = sc.xlogy
+_TINY = 1e-300  # below this a probability has lost its precision to underflow
 
 
-def _log1m_exp(x):
-    """ln(1 - e^-x) for x >= 0, accurate at both ends."""
-    x = np.asarray(x, dtype=float)
-    small = np.log(-np.expm1(-np.minimum(x, 0.6931471805599453)))
-    large = np.log1p(-np.exp(-np.maximum(x, 0.6931471805599453)))
-    return np.where(x < 0.6931471805599453, small, large)
+# --- primitive maps ------------------------------------------------------------
+
+def _l(v, w):
+    """-ln w for w = 1 - v, taken from v below 1/2."""
+    return -np.where(v < 0.5, np.log1p(-v), np.log(w))
 
 
-def _neg_log_u(u, omu):
-    """-ln u, from u itself below 1/2 and from omu = 1 - u above.
-
-    Below 1/2 the caller's u is the precise input, and 1 - u would carry a
-    relative error of eps/u into ln u.
-    """
-    u = np.asarray(u, dtype=float)
-    return -np.where(u < 0.5, np.log(u), np.log1p(-np.asarray(omu, dtype=float)))
+def _lnv(v, w):
+    """ln v, taken from w = 1 - v from 1/2 up."""
+    return np.where(v < 0.5, np.log(v), np.log1p(-w))
 
 
-def _log_neg_log_u(t, omu, lsf):
-    """ln t for t = _neg_log_u(u, omu), finite past the underflow of omu.
-
-    Near u = 1 the exact -ln u equals omu to first order, so its log is -lsf
-    even when omu itself has underflowed to zero.
-    """
-    return np.where(np.asarray(omu) < 1e-8, -np.asarray(lsf, dtype=float), np.log(t))
+def _full(s):
+    """State s with its -ln(1 - v) filled in where the map that made it left
+    that to the reader (None)."""
+    return s if len(s) == 1 or s[2] is not None else (s[0], s[1], _l(s[0], s[1]))
 
 
-def _log_one_minus_upow(u, omu, lsf, a):
-    """ln(1 - u^a), finite past the underflow of u and of omu = 1 - u.
+def _xl(c, lv):
+    """c * lv, and 0 at c = 0 even where lv is infinite."""
+    return c * lv if c != 0.0 else 0.0
 
-    Writes 1 - u^a = 1 - e^{-a t} with t = -ln u; deep in the right tail
-    this is a t to first order, so its log is ln a + ln t computed from lsf.
-    """
-    t = _neg_log_u(u, omu)
-    deep = math.log(a) + _log_neg_log_u(t, omu, lsf)
-    mid = _log1m_exp(a * t)
-    return np.where(deep < -30.0, deep, mid)
+
+def _from_l(l):
+    """The triple at -ln(1 - v) = l."""
+    e = -l
+    return -np.expm1(e), np.exp(e), l
+
+
+def _logistic(z):
+    """The triple at logit(v) = z."""
+    return sc.expit(z), sc.expit(-z), np.logaddexp(0.0, z)
+
+
+class _Map:
+    """A primitive map: ``fwd(*state, *p)``, ``lpd(ln v, *state, *p)`` (ln|phi'|
+    at the state, given ln of its first element), ``inv(*state, *p)``, and
+    ``bot(*p) -> (r, mu)``, ``top(*p) -> (q, lam)`` as in the module docstring
+    (top None: the map carries -ln(1 - v) exactly).  A forward map that would
+    only form -ln(1 - v) from its own v and 1 - v leaves it None for the
+    reader; ``reads_l`` marks the forward maps that read it.  ``v(*state, *p)``
+    and ``w(*state, *p)`` give the forward map's v or 1 - v alone, for the
+    outermost map of ``_h``, where forming the whole state costs more."""
+
+    def __init__(self, fwd, lpd, inv, bot=lambda *p: (1.0, 0.0), top=None, reads_l=False, v=None, w=None):
+        self.fwd, self.lpd, self.inv, self.bot, self.top, self.reads_l = fwd, lpd, inv, bot, top, reads_l
+        self.v, self.w = v or (lambda *a: fwd(*a)[0]), w or (lambda *a: fwd(*a)[1])
+
+    def __call__(self, *p):
+        return self, p
+
+
+def _pow_fwd(v, w, l, a):
+    return v**a, -np.expm1(a * _lnv(v, w)), None
+
+
+def _pow_inv(v, w, l, a):
+    u, omu = v ** (1.0 / a), -np.expm1(_lnv(v, w) / a)
+    return u, omu, _l(u, omu)
+
+
+def _mo_fwd(v, w, l, c):
+    cw = c * w
+    den = v + cw
+    return v / den, cw / den, None
+
+
+def _beta(right, p, q, v, w, fn):
+    # fn (betainc or betaincinv) once per element: I(p, q) at v, or I(q, p)
+    # at 1 - v on the elements where that side holds the precision
+    i = fn(np.where(right, q, p), np.where(right, p, q), np.where(right, w, v))
+    return np.where(right, 1.0 - i, i), np.where(right, i, 1.0 - i), None
+
+
+def _te_fwd(v, w, l, c):
+    em = math.expm1(-c)
+    return np.expm1(-c * v) / em, np.exp(-c * v) * np.expm1(-c * w) / em, None
+
+
+def _te_inv(v, w, l, c):
+    # u = -ln(1 + v (e^-c - 1))/c, or where that argument nears 0 its form
+    # -ln(1 - v + v e^-c)/c from ln(1 - v) and ln v
+    x, lnv = v * math.expm1(-c), _lnv(v, w)
+    u = np.where(x > -0.5, -np.log1p(x), -np.logaddexp(-l, lnv - c)) / c
+    omu = np.logaddexp(lnv, c - l) / c
+    return u, omu, _l(u, omu)
+
+
+def _qt_fwd(v, w, l, b):
+    return v * (1.0 + b * w), w * (1.0 - b * v), None
+
+
+def _qt_inv(v, w, l, b):
+    # the roots of b u^2 - (1 + b) u + v = 0 and of its mirror in 1 - u,
+    # written without cancellation
+    u = 2.0 * v / (1.0 + b + np.sqrt((1.0 + b) ** 2 - 4.0 * b * v))
+    omu = 2.0 * w / (1.0 - b + np.sqrt((1.0 - b) ** 2 + 4.0 * b * w))
+    return u, omu, _l(u, omu)
+
+
+def _gamma_fwd(t, a):
+    # Q(a, t) where scipy's own P(a, t) would be 1 - Q(a, t)
+    t = np.asarray(t)
+    up = t > max(1.0, a)
+    i = np.empty(t.shape)
+    i[~up], i[up] = sc.gammainc(a, t[~up]), sc.gammaincc(a, t[up])
+    j = 1.0 - i
+    v, w = np.where(up, j, i), np.where(up, i, j)
+    if not np.count_nonzero(w < _TINY):
+        return v, w, None
+    return v, w, np.where(up & (i < _TINY), -_log_q_asymptote(t, a), _l(v, w))
+
+
+def _gamma_inv(v, w, l, a):
+    v, l = np.asarray(v), np.asarray(l)
+    lo = v < 0.5
+    t = np.empty(v.shape)
+    t[lo], t[~lo] = sc.gammaincinv(a, v[lo]), inv_reg_inc_gamma_upper_from_log(l[~lo], a)
+    return (t,)
+
+
+def _rev(v, w, l):
+    return w, v, None
+
+
+P = _Map(_pow_fwd, lambda lv, v, w, l, a: math.log(a) + _xl(a - 1.0, lv), _pow_inv,
+         bot=lambda a: (a, 0.0), top=lambda a: (1.0, math.log(a)), v=lambda v, w, l, a: v**a)
+RP = _Map(lambda v, w, l, b: _from_l(b * l), lambda lv, v, w, l, b: math.log(b) - (b - 1.0) * l,
+          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, math.log(b)), reads_l=True)
+MO = _Map(_mo_fwd, lambda lv, v, w, l, c: math.log(c) - 2.0 * np.log(v + c * w),
+          lambda v, w, l, c: _mo_fwd(v, w, l, 1.0 / c),
+          bot=lambda c: (1.0, -math.log(c)), top=lambda c: (1.0, math.log(c)))
+OP = _Map(lambda v, w, l, d: _logistic(d * (np.log(v) + l)),
+          lambda lv, v, w, l, d: (math.log(d) - np.logaddexp(0.0, -d * (lv + l))
+                                  - np.logaddexp(0.0, d * (lv + l)) - lv + l),
+          lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True,
+          v=lambda v, w, l, d: sc.expit(d * (np.log(v) + l)))
+B = _Map(lambda v, w, l, p, q: _beta(w < q / (p + q), p, q, v, w, sc.betainc),
+         lambda lv, v, w, l, p, q: _xl(p - 1.0, lv) - (q - 1.0) * l - sc.betaln(p, q),
+         lambda v, w, l, p, q: _beta(v > sc.betainc(p, q, 0.5), p, q, v, w, sc.betaincinv),
+         bot=lambda p, q: (p, -math.log(p) - sc.betaln(p, q)),
+         top=lambda p, q: (q, -math.log(q) - sc.betaln(p, q)))
+TE = _Map(_te_fwd, lambda lv, v, w, l, c: math.log(c) - c * v - math.log(-math.expm1(-c)), _te_inv,
+          bot=lambda c: (1.0, math.log(c) - math.log(-math.expm1(-c))),
+          top=lambda c: (1.0, math.log(c) - c - math.log(-math.expm1(-c))),
+          v=lambda v, w, l, c: np.expm1(-c * v) / math.expm1(-c))
+QT = _Map(_qt_fwd, lambda lv, v, w, l, b: np.log1p(b * (w - v)), _qt_inv,
+          bot=lambda b: (1.0, math.log1p(b)), top=lambda b: (1.0, math.log1p(-b)),
+          v=lambda v, w, l, b: v * (1.0 + b * w))
+R = _Map(_rev, lambda lv, v, w, l: 0.0, _rev, bot=None)
+L1 = _Map(lambda v, w, l: (l,), lambda lv, v, w, l: l, _from_l, reads_l=True)
+OD = _Map(lambda v, w, l: (v / w,), lambda lv, v, w, l: 2.0 * l,
+          lambda t: (t / (1.0 + t), 1.0 / (1.0 + t), np.log1p(t)))
+Sc = _Map(lambda t, c: (c * t,), lambda lt, t, c: math.log(c), lambda t, c: (t / c,),
+          bot=lambda c: (1.0, math.log(c)))
+GP = _Map(_gamma_fwd, lambda lt, t, a: _xl(a - 1.0, lt) - t - sc.gammaln(a), _gamma_inv,
+          bot=lambda a: (a, -sc.gammaln(a + 1.0)), v=lambda t, a: sc.gammainc(a, t),
+          w=lambda t, a: sc.gammaincc(a, t))
+W = _Map(lambda t, k, c: _from_l((t / c) ** k),
+         lambda lt, t, k, c: math.log(k) - k * math.log(c) + _xl(k - 1.0, lt) - (t / c) ** k,
+         lambda v, w, l, k, c: (c * l ** (1.0 / k),), bot=lambda k, c: (k, -k * math.log(c)))
+LL = _Map(lambda t, a: _logistic(a * np.log(t)),
+          lambda lt, t, a: math.log(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
+          lambda v, w, l, a: (np.exp((np.log(v) + l) / a),), bot=lambda a: (a, 0.0),
+          v=lambda t, a: sc.expit(a * np.log(t)))
+
+
+# --- chains ------------------------------------------------------------------------
+
+def _apply(m, p, s, inverse=False):
+    """m's map (or its inverse) on state s, with m's top-end rule where the
+    1 - v of s has underflowed."""
+    if inverse or m.reads_l:
+        s = _full(s)
+    out = (m.inv if inverse else m.fwd)(*s, *p)
+    if m.top is not None:
+        deep = s[1] < _TINY
+        if np.count_nonzero(deep):
+            q, lam = m.top(*p)
+            l = (_full(s)[2] + lam) / q if inverse else q * _full(s)[2] - lam
+            out = out[0], np.where(deep, np.exp(-l), out[1]), np.where(deep, l, _full(out)[2])
+    return out
+
+
+def _forward(steps, s):
+    """The state the chain (outermost first) makes of the base triple s."""
+    for m, p in reversed(steps):
+        s = _apply(m, p, s)
+    return s
+
+
+def _forward_v(steps, s):
+    """The v of ``_forward(steps, s)``, without the rest of the last state; the
+    v of an outermost reflection is the 1 - v of the map inside it."""
+    k = 1 if steps[0][0] is R else 0
+    m, p = steps[k]
+    s = _forward(steps[k + 1:], s)
+    return (m.w if k else m.v)(*(_full(s) if m.reads_l else s), *p)
+
+
+def _log_slope(steps, s, skip=0):
+    """ln h' at the base triple s: the sum of ln|phi'| over the chain, less the
+    first ``skip`` maps applied."""
+    if steps[0][0] is R:
+        steps = steps[1:]  # an outermost reflection adds ln 1
+    lv, out, todo = np.log(s[0]), 0.0, steps[::-1]
+    for i, (m, p) in enumerate(todo):
+        s = _full(s)
+        if i >= skip:
+            out = out + m.lpd(lv, *s, *p)
+        if i + 1 == len(todo):
+            return out
+        nxt = _apply(m, p, s)
+        lv_next, under = np.log(nxt[0]), nxt[0] < _TINY
+        if np.count_nonzero(under):
+            # ln of the new first element past its underflow, from m's
+            # behaviour at 0 (R sends it to -ln(1 - v))
+            r_mu = m.bot and m.bot(*p)
+            lv_next = np.where(under, -s[2] if r_mu is None else r_mu[0] * lv + r_mu[1], lv_next)
+        s, lv = nxt, lv_next
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One generator transform and its induced-parameter metadata."""
+    """One generator transform: its induced parameters and its chain."""
 
     name: str
     param_names: tuple[str, ...]
     # open interval per induced parameter
     domains: tuple[tuple[float, float], ...]
-    h: Callable          # h(u, omu, lsf, *induced); lsf = -ln(omu)
-    log_h_prime: Callable  # log_h_prime(u, omu, lsf, *induced)
-    h_inv: Callable      # h_inv(p, *induced) -> (u, -ln(1 - u)) with h(u) = p
-    # optional ln(h'(u) * (1 - u)), for transforms whose h' grows like
-    # 1/(1 - u); pairing it with the base log-hazard avoids the huge
-    # cancelling +/- ln(sf) terms in the composite log-density
-    log_h_prime_sf: Callable | None = None
+    chain: Callable  # chain(*induced) -> [map(*params), ...], outermost first
 
     @property
     def n_induced(self) -> int:
@@ -127,547 +327,37 @@ class FamilySpec:
 _POS = (0.0, math.inf)
 
 
-# --- betaexpg --------------------------------------------------------------
-
-def _betaexpg_h(u, omu, lsf, a, b, d):
-    # h = 1 - I_y(a, b) = I_{1-y}(b, a) at y = (1 - u)^d, with y and 1 - y
-    # both from lsf; below the beta mean I_y(a, b) neither cancels nor has
-    # scipy rebuild y from 1 - y, and above it I_{1-y}(b, a) does neither
-    s = -d * lsf
-    y = np.exp(s)
-    return np.where(y < a / (a + b), 1.0 - sc.betainc(a, b, y), sc.betainc(b, a, -np.expm1(s)))
-
-
-def _betaexpg_lhp(u, omu, lsf, a, b, d):
-    s = -d * lsf
-    return (
-        math.log(d)
-        - sc.betaln(a, b)
-        + _xlogy(b - 1.0, -np.expm1(s))
-        - (a * d - 1.0) * lsf
-    )
-
-
-def _betaexpg_hinv(p, a, b, d):
-    # (1 - u)^d = y with I_y(a, b) = 1 - p: invert for y from 1 - p near
-    # p = 1 and for 1 - y (I_{1-y}(b, a) = p) from p below, where y nears 1
-    right = p > sc.betainc(b, a, 0.5)
-    w = sc.betaincinv(np.where(right, a, b), np.where(right, b, a), np.where(right, 1.0 - p, p))
-    lsf = np.where(right, -np.log(w), -np.log1p(-w)) / d
-    return -np.expm1(-lsf), lsf
-
-
-# --- betag -----------------------------------------------------------------
-
-def _betag_h(u, omu, lsf, a, b):
-    return sc.betainc(a, b, u)
-
-
-def _betag_lhp(u, omu, lsf, a, b):
-    return _xlogy(a - 1.0, u) - (b - 1.0) * lsf - sc.betaln(a, b)
-
-
-def _betag_hinv(p, a, b):
-    # I_u(a, b) = p  <=>  I_{1-u}(b, a) = 1 - p: invert for 1 - u above the
-    # median of u, where u itself cannot carry the precision
-    right = p > sc.betainc(a, b, 0.5)
-    w = sc.betaincinv(np.where(right, b, a), np.where(right, a, b), np.where(right, 1.0 - p, p))
-    return np.where(right, 1.0 - w, w), np.where(right, -np.log(w), -np.log1p(-w))
-
-
-# --- expexppg --------------------------------------------------------------
-
-def _expexppg_h(u, omu, lsf, a, b):
-    return np.expm1(-b * u**a) / np.expm1(-b)
-
-
-def _expexppg_lhp(u, omu, lsf, a, b):
-    return (
-        math.log(a * b)
-        + _xlogy(a - 1.0, u)
-        - b * u**a
-        - math.log(-math.expm1(-b))
-    )
-
-
-def _expexppg_hinv(p, a, b):
-    inner = -np.log1p(p * math.expm1(-b)) / b
-    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
-
-
-# --- expg ------------------------------------------------------------------
-
-def _expg_h(u, omu, lsf, a):
-    return u**a
-
-
-def _expg_lhp(u, omu, lsf, a):
-    return math.log(a) + _xlogy(a - 1.0, u)
-
-
-def _expg_hinv(p, a):
-    return p ** (1.0 / a), -np.log(-np.expm1(np.log(p) / a))
-
-
-# --- expgg -----------------------------------------------------------------
-
-def _expgg_h(u, omu, lsf, a, b):
-    return (-np.expm1(-a * lsf)) ** b
-
-
-def _expgg_lhp(u, omu, lsf, a, b):
-    return (
-        math.log(a * b)
-        + _xlogy(a - 1.0, omu)
-        + _xlogy(b - 1.0, -np.expm1(-a * lsf))
-    )
-
-
-def _expgg_hinv(p, a, b):
-    s = np.exp(np.log(p) / b)  # 1 - (1 - u)^a
-    # ln(1 - s) from s where it is small, from 1 - s = -expm1(ln p / b) above
-    lsf = np.where(s < 0.5, -np.log1p(-s) / a, -np.log((-np.expm1(np.log(p) / b)) ** (1.0 / a)))
-    return -np.expm1(-lsf), lsf
-
-
-# --- expkumg ---------------------------------------------------------------
-
-def _expkumg_h(u, omu, lsf, a, b, d):
-    w = u**a
-    return (-np.expm1(b * np.log1p(-w))) ** d
-
-
-def _expkumg_lhp(u, omu, lsf, a, b, d):
-    l1 = _log_one_minus_upow(u, omu, lsf, a)  # ln(1 - u^a)
-    la = _xlogy(a, u)  # ln u^a
-    # ln(1 - (1 - u^a)^b), which is ln b + ln u^a once u^a underflows
-    l2 = np.where(la < -700.0, math.log(b) + la, _log1m_exp(-b * l1))
-    return math.log(a * b * d) + _xlogy(a - 1.0, u) + (b - 1.0) * l1 + (d - 1.0) * l2
-
-
-def _expkumg_hinv(p, a, b, d):
-    inner = -np.expm1(np.log1p(-p ** (1.0 / d)) / b)
-    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
-
-
-# --- gammag ----------------------------------------------------------------
-
-def _gammag_h(u, omu, lsf, a):
-    return sc.gammainc(a, lsf)
-
-
-def _gammag_lhp(u, omu, lsf, a):
-    return _xlogy(a - 1.0, lsf) - sc.gammaln(a)
-
-
-def _gammag_hinv(p, a):
-    t = sc.gammaincinv(a, p)
-    return -np.expm1(-t), t
-
-
-# --- gammag1 ---------------------------------------------------------------
-
-def _gammag1_h(u, omu, lsf, a):
-    t = -np.log(u)
-    return sc.gammaincc(a, t)
-
-
-def _gammag1_lhp(u, omu, lsf, a):
-    return (a - 1.0) * _log_neg_log_u(_neg_log_u(u, omu), omu, lsf) - sc.gammaln(a)
-
-
-def _gammag1_hinv(p, a):
-    t = sc.gammaincinv(a, 1.0 - p)
-    return np.exp(-t), -np.log(-np.expm1(-t))
-
-
-# --- gammag2 ---------------------------------------------------------------
-
-def _gammag2_h(u, omu, lsf, a):
-    t = u / omu
-    return sc.gammainc(a, t)
-
-
-def _gammag2_lhp(u, omu, lsf, a):
-    t = u / omu
-    return _xlogy(a - 1.0, t) - t + 2.0 * lsf - sc.gammaln(a)
-
-
-def _gammag2_hinv(p, a):
-    t = sc.gammaincinv(a, p)
-    return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
-
-
-# --- gbetag ----------------------------------------------------------------
-
-def _gbetag_h(u, omu, lsf, a, b, d):
-    return sc.betainc(a, b, u**d)
-
-
-def _gbetag_lhp(u, omu, lsf, a, b, d):
-    return (
-        math.log(d)
-        - sc.betaln(a, b)
-        + _xlogy(a * d - 1.0, u)
-        + (b - 1.0) * _log_one_minus_upow(u, omu, lsf, d)
-    )
-
-
-def _gbetag_hinv(p, a, b, d):
-    y = sc.betaincinv(a, b, p)
-    return y ** (1.0 / d), -np.log(-np.expm1(np.log(y) / d))
-
-
-# --- gexppg ----------------------------------------------------------------
-
-def _gexppg_den(omu, a, b):
-    return -math.expm1(-a) - b * (-np.expm1(-a * omu))
-
-
-def _gexppg_h(u, omu, lsf, a, b):
-    # e^{-a omu} - e^{-a} = e^{-a} expm1(a u), without the left-tail cancellation
-    return math.exp(-a) * np.expm1(a * u) / _gexppg_den(omu, a, b)
-
-
-def _gexppg_lhp(u, omu, lsf, a, b):
-    den = _gexppg_den(omu, a, b)
-    return (
-        math.log(a)
-        + math.log1p(-b)
-        + math.log(-math.expm1(-a))
-        - a * omu
-        - 2.0 * np.log(den)
-    )
-
-
-def _gexppg_hinv(p, a, b):
-    # z = e^{-a(1 - u)} = e^{-a} + x (1 - e^{-a}) with x = p (1 - b) / (1 - p b):
-    # ln z from z, or near z = 1 from 1 - z = (1 - p)(1 - e^{-a}) / (1 - p b);
-    # u from a u = ln(1 + x (e^a - 1)) below 1/2, where 1 - (1 - u) cancels
-    q = 1.0 - p * b
-    x, omz = p * (1.0 - b) / q, (1.0 - p) * -math.expm1(-a) / q
-    omu = -np.where(omz < 0.5, np.log1p(-omz), np.log(math.exp(-a) + x * -math.expm1(-a))) / a
-    u = np.log1p(x * np.expm1(a)) / a
-    u = np.where(u < 0.5, u, 1.0 - omu)
-    return u, np.where(u < 0.5, -np.log1p(-u), -np.log(omu))
-
-
-# --- gmbetaexpg ------------------------------------------------------------
-
-def _gmbetaexpg_h(u, omu, lsf, a, b):
-    t = u / omu
-    return (-np.expm1(-b * t)) ** a
-
-
-def _gmbetaexpg_lhp(u, omu, lsf, a, b):
-    t = u / omu
-    return (
-        math.log(a * b)
-        + 2.0 * lsf
-        - b * t
-        + _xlogy(a - 1.0, -np.expm1(-b * t))
-    )
-
-
-def _gmbetaexpg_hinv(p, a, b):
-    t = -np.log1p(-np.exp(np.log(p) / a)) / b
-    return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
-
-
-# --- gtransg ---------------------------------------------------------------
-
-def _gtransg_h(u, omu, lsf, a, b):
-    return (u * (1.0 + b * omu)) ** a
-
-
-def _gtransg_lhp(u, omu, lsf, a, b):
-    return (
-        math.log(a)
-        + _xlogy(a - 1.0, u)
-        + np.log(1.0 + b - 2.0 * b * u)
-        + _xlogy(a - 1.0, 1.0 + b * omu)
-    )
-
-
-def _gtransg_hinv(p, a, b):
-    s = np.asarray(p, dtype=float) ** (1.0 / a)
-    oms = -np.expm1(np.log(p) / a)  # 1 - s
-    if abs(b) < 1e-12:
-        return s, -np.log(oms)
-    # positive roots, written cancellation-free, of b u^2 - (1+b) u + s = 0
-    # and of b w^2 + (1-b) w - (1-s) = 0 for w = 1 - u
-    u = 2.0 * s / (1.0 + b + np.sqrt((1.0 + b) ** 2 - 4.0 * b * s))
-    return u, -np.log(2.0 * oms / (1.0 - b + np.sqrt((1.0 - b) ** 2 + 4.0 * b * oms)))
-
-
-# --- gxlogisticg -----------------------------------------------------------
-
-def _gxlogisticg_h(u, omu, lsf, a):
-    lt = np.log(lsf)
-    return sc.expit(a * lt)
-
-
-def _gxlogisticg_lhp(u, omu, lsf, a):
-    t = lsf
-    lt = np.log(t)
-    return (
-        math.log(a)
-        + _xlogy(a - 1.0, t)
-        - 2.0 * np.logaddexp(0.0, a * lt)
-        + lsf
-    )
-
-
-def _gxlogisticg_lhp_sf(u, omu, lsf, a):
-    # ln(h'(u) * (1 - u)): the lhp above minus its +lsf term
-    lt = np.log(lsf)
-    return math.log(a) + _xlogy(a - 1.0, lsf) - 2.0 * np.logaddexp(0.0, a * lt)
-
-
-def _gxlogisticg_hinv(p, a):
-    t = np.exp(sc.logit(p) / a)
-    return -np.expm1(-t), t
-
-
-# --- kumg ------------------------------------------------------------------
-
-def _kumg_h(u, omu, lsf, a, b):
-    return -np.expm1(b * np.log1p(-(u**a)))
-
-
-def _kumg_lhp(u, omu, lsf, a, b):
-    l1 = _log_one_minus_upow(u, omu, lsf, a)  # ln(1 - u^a)
-    return math.log(a * b) + _xlogy(a - 1.0, u) + (b - 1.0) * l1
-
-
-def _kumg_hinv(p, a, b):
-    inner = -np.expm1(np.log1p(-p) / b)
-    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
-
-
-# --- loggammag1 ------------------------------------------------------------
-
-def _loggammag1_h(u, omu, lsf, a, b):
-    return sc.gammainc(a, b * lsf)
-
-
-def _loggammag1_lhp(u, omu, lsf, a, b):
-    return (
-        a * math.log(b)
-        - sc.gammaln(a)
-        + _xlogy(a - 1.0, lsf)
-        - (b - 1.0) * lsf
-    )
-
-
-def _loggammag1_hinv(p, a, b):
-    t = sc.gammaincinv(a, p) / b
-    return -np.expm1(-t), t
-
-
-# --- loggammag2 ------------------------------------------------------------
-
-def _loggammag2_h(u, omu, lsf, a, b):
-    t = -np.log(u)
-    return sc.gammaincc(a, b * t)
-
-
-def _loggammag2_lhp(u, omu, lsf, a, b):
-    log_t = _log_neg_log_u(_neg_log_u(u, omu), omu, lsf)  # ln(-ln u)
-    return a * math.log(b) - sc.gammaln(a) + (a - 1.0) * log_t + _xlogy(b - 1.0, u)
-
-
-def _loggammag2_hinv(p, a, b):
-    t = sc.gammaincinv(a, 1.0 - p) / b
-    return np.exp(-t), -np.log(-np.expm1(-t))
-
-
-# --- mbetag ----------------------------------------------------------------
-
-def _mbetag_h(u, omu, lsf, a, b, d):
-    s = d * u / (1.0 - (1.0 - d) * u)
-    return sc.betainc(a, b, np.clip(s, 0.0, 1.0))
-
-
-def _mbetag_lhp(u, omu, lsf, a, b, d):
-    return (
-        a * math.log(d)
-        + _xlogy(a - 1.0, u)
-        - (b - 1.0) * lsf
-        - sc.betaln(a, b)
-        - (a + b) * np.log(1.0 - (1.0 - d) * u)
-    )
-
-
-def _mbetag_hinv(p, a, b, d):
-    y = sc.betaincinv(a, b, p)
-    return y / (d + (1.0 - d) * y), -np.log(d * (1.0 - y) / (d + (1.0 - d) * y))
-
-
-# --- mog -------------------------------------------------------------------
-
-def _mog_h(u, omu, lsf, a):
-    return u / (u + a * omu)
-
-
-def _mog_lhp(u, omu, lsf, a):
-    return math.log(a) - 2.0 * np.log(u + a * omu)
-
-
-def _mog_hinv(p, a):
-    omp = 1.0 - np.asarray(p, dtype=float)
-    den = a + (1.0 - a) * omp
-    u = a * p / den
-    return u, np.where(u < 0.5, -np.log1p(-u), -np.log(omp / den))
-
-
-# --- mokumg ----------------------------------------------------------------
-
-def _mokumg_h(u, omu, lsf, a, b, d):
-    v = np.exp(b * np.log1p(-(u**a)))
-    return (1.0 - v) / (1.0 - v + d * v)
-
-
-def _mokumg_lhp(u, omu, lsf, a, b, d):
-    l1 = _log_one_minus_upow(u, omu, lsf, a)  # ln(1 - u^a)
-    v = np.exp(b * l1)  # (1 - u^a)^b
-    return (
-        math.log(a * b * d)
-        + _xlogy(a - 1.0, u)
-        + (b - 1.0) * l1
-        - 2.0 * np.log(1.0 - (1.0 - d) * v)
-    )
-
-
-def _mokumg_hinv(p, a, b, d):
-    omp = 1.0 - np.asarray(p, dtype=float)
-    w = omp / (d + (1.0 - d) * omp)
-    inner = -np.expm1(np.log(w) / b)
-    return inner ** (1.0 / a), -np.log(-np.expm1(np.log(inner) / a))
-
-
-# --- ologlogg --------------------------------------------------------------
-
-def _ologlogg_w(u, omu, lsf, d):
-    # w = u^d / (u^d + (1-u)^d), the odds transform
-    return sc.expit(d * (np.log(u) + lsf))
-
-
-def _ologlogg_h(u, omu, lsf, a, b, d):
-    w = _ologlogg_w(u, omu, lsf, d)
-    wa = np.exp(a * np.log(w))
-    return -np.expm1(b * np.log1p(-wa))
-
-
-def _ologlogg_lhp(u, omu, lsf, a, b, d):
-    z = d * (np.log(u) + lsf)  # logit of the odds transform w
-    lnw = -np.logaddexp(0.0, -z)
-    # ln(1 - w^a): for large z, 1 - w^a ~ a e^-z
-    l1 = np.where(z > 700.0, math.log(a) - z, _log1m_exp(-a * lnw))
-    return (
-        math.log(a * b * d)
-        + _xlogy(a * d - 1.0, u)
-        - (d - 1.0) * lsf
-        - (a + 1.0) * np.log(u**d + omu**d)
-        + (b - 1.0) * l1
-    )
-
-
-def _ologlogg_hinv(p, a, b, d):
-    w = (-np.expm1(np.log1p(-p) / b)) ** (1.0 / a)
-    z = sc.logit(w) / d
-    return sc.expit(z), -np.log(sc.expit(-z))
-
-
-# --- texpsg ----------------------------------------------------------------
-
-def _texpsg_h(u, omu, lsf, a):
-    return np.expm1(-a * u) / math.expm1(-a)
-
-
-def _texpsg_lhp(u, omu, lsf, a):
-    return math.log(a) - a * u - math.log(-math.expm1(-a))
-
-
-def _texpsg_hinv(p, a):
-    p = np.asarray(p, dtype=float)
-    # 1 - u = log(p + (1-p) e^a) / a, evaluated in log space
-    omu = np.logaddexp(np.log(p), np.log1p(-p) + a) / a
-    return -np.log1p(p * math.expm1(-a)) / a, -np.log(omu)
-
-
-# --- weibullextg -----------------------------------------------------------
-
-def _weibullextg_h(u, omu, lsf, a, b):
-    t = u / omu
-    return -np.expm1(-a * t ** (1.0 / b))
-
-
-def _weibullextg_lhp(u, omu, lsf, a, b):
-    t = u / omu
-    return (
-        math.log(a / b)
-        + 2.0 * lsf
-        + _xlogy(1.0 / b - 1.0, t)
-        - a * t ** (1.0 / b)
-    )
-
-
-def _weibullextg_hinv(p, a, b):
-    t = (-np.log1p(-np.asarray(p, dtype=float)) / a) ** b
-    return t / (1.0 + t), -np.log(1.0 / (1.0 + t))
-
-
-# --- weibullg --------------------------------------------------------------
-
-def _weibullg_h(u, omu, lsf, a, b):
-    t = lsf
-    return -np.expm1(-((t / b) ** a))
-
-
-def _weibullg_lhp(u, omu, lsf, a, b):
-    t = lsf
-    return (
-        math.log(a)
-        - a * math.log(b)
-        + _xlogy(a - 1.0, t)
-        - (t / b) ** a
-        + lsf
-    )
-
-
-def _weibullg_hinv(p, a, b):
-    t = b * (-np.log1p(-np.asarray(p, dtype=float))) ** (1.0 / a)
-    return -np.expm1(-t), t
+def _family(name, params, chain, domains=None):
+    return FamilySpec(name, tuple(params), domains or (_POS,) * len(params), chain)
 
 
 FAMILIES: dict[str, FamilySpec] = {
     f.name: f
     for f in [
-        FamilySpec("betaexpg", ("a", "b", "d"), (_POS, _POS, _POS), _betaexpg_h, _betaexpg_lhp, _betaexpg_hinv),
-        FamilySpec("betag", ("a", "b"), (_POS, _POS), _betag_h, _betag_lhp, _betag_hinv),
-        FamilySpec("expexppg", ("a", "b"), (_POS, _POS), _expexppg_h, _expexppg_lhp, _expexppg_hinv),
-        FamilySpec("expg", ("a",), (_POS,), _expg_h, _expg_lhp, _expg_hinv),
-        FamilySpec("expgg", ("a", "b"), (_POS, _POS), _expgg_h, _expgg_lhp, _expgg_hinv),
-        FamilySpec("expkumg", ("a", "b", "d"), (_POS, _POS, _POS), _expkumg_h, _expkumg_lhp, _expkumg_hinv),
-        FamilySpec("gammag", ("a",), (_POS,), _gammag_h, _gammag_lhp, _gammag_hinv),
-        FamilySpec("gammag1", ("a",), (_POS,), _gammag1_h, _gammag1_lhp, _gammag1_hinv),
-        FamilySpec("gammag2", ("a",), (_POS,), _gammag2_h, _gammag2_lhp, _gammag2_hinv),
-        FamilySpec("gbetag", ("a", "b", "d"), (_POS, _POS, _POS), _gbetag_h, _gbetag_lhp, _gbetag_hinv),
-        FamilySpec("gexppg", ("a", "b"), (_POS, (0.0, 1.0)), _gexppg_h, _gexppg_lhp, _gexppg_hinv),
-        FamilySpec("gmbetaexpg", ("a", "b"), (_POS, _POS), _gmbetaexpg_h, _gmbetaexpg_lhp, _gmbetaexpg_hinv),
-        FamilySpec("gtransg", ("a", "b"), (_POS, (-1.0, 1.0)), _gtransg_h, _gtransg_lhp, _gtransg_hinv),
-        FamilySpec("gxlogisticg", ("a",), (_POS,), _gxlogisticg_h, _gxlogisticg_lhp, _gxlogisticg_hinv, log_h_prime_sf=_gxlogisticg_lhp_sf),
-        FamilySpec("kumg", ("a", "b"), (_POS, _POS), _kumg_h, _kumg_lhp, _kumg_hinv),
-        FamilySpec("loggammag1", ("a", "b"), (_POS, _POS), _loggammag1_h, _loggammag1_lhp, _loggammag1_hinv),
-        FamilySpec("loggammag2", ("a", "b"), (_POS, _POS), _loggammag2_h, _loggammag2_lhp, _loggammag2_hinv),
-        FamilySpec("mbetag", ("a", "b", "d"), (_POS, _POS, _POS), _mbetag_h, _mbetag_lhp, _mbetag_hinv),
-        FamilySpec("mog", ("a",), (_POS,), _mog_h, _mog_lhp, _mog_hinv),
-        FamilySpec("mokumg", ("a", "b", "d"), (_POS, _POS, _POS), _mokumg_h, _mokumg_lhp, _mokumg_hinv),
-        FamilySpec("ologlogg", ("a", "b", "d"), (_POS, _POS, _POS), _ologlogg_h, _ologlogg_lhp, _ologlogg_hinv),
-        FamilySpec("texpsg", ("a",), (_POS,), _texpsg_h, _texpsg_lhp, _texpsg_hinv),
-        FamilySpec("weibullextg", ("a", "b"), (_POS, _POS), _weibullextg_h, _weibullextg_lhp, _weibullextg_hinv),
-        FamilySpec("weibullg", ("a", "b"), (_POS, _POS), _weibullg_h, _weibullg_lhp, _weibullg_hinv),
+        _family("betaexpg", "abd", lambda a, b, d: [B(b, a), RP(d)]),
+        _family("betag", "ab", lambda a, b: [B(a, b)]),
+        _family("expexppg", "ab", lambda a, b: [TE(b), P(a)]),
+        _family("expg", "a", lambda a: [P(a)]),
+        _family("expgg", "ab", lambda a, b: [P(b), RP(a)]),
+        _family("expkumg", "abd", lambda a, b, d: [P(d), RP(b), P(a)]),
+        _family("gammag", "a", lambda a: [GP(a), L1()]),
+        _family("gammag1", "a", lambda a: [R(), GP(a), L1(), R()]),
+        _family("gammag2", "a", lambda a: [GP(a), OD()]),
+        _family("gbetag", "abd", lambda a, b, d: [B(a, b), P(d)]),
+        _family("gexppg", "ab", lambda a, b: [MO(1.0 - b), R(), TE(a), R()], (_POS, (0.0, 1.0))),
+        _family("gmbetaexpg", "ab", lambda a, b: [P(a), W(1.0, 1.0 / b), OD()]),
+        _family("gtransg", "ab", lambda a, b: [P(a), QT(b)], (_POS, (-1.0, 1.0))),
+        _family("gxlogisticg", "a", lambda a: [LL(a), L1()]),
+        _family("kumg", "ab", lambda a, b: [RP(b), P(a)]),
+        _family("loggammag1", "ab", lambda a, b: [GP(a), Sc(b), L1()]),
+        _family("loggammag2", "ab", lambda a, b: [R(), GP(a), Sc(b), L1(), R()]),
+        _family("mbetag", "abd", lambda a, b, d: [B(a, b), MO(1.0 / d)]),
+        _family("mog", "a", lambda a: [MO(a)]),
+        _family("mokumg", "abd", lambda a, b, d: [MO(d), RP(b), P(a)]),
+        _family("ologlogg", "abd", lambda a, b, d: [RP(b), P(a), OP(d)]),
+        _family("texpsg", "a", lambda a: [TE(a)]),
+        _family("weibullextg", "ab", lambda a, b: [W(1.0 / b, a**-b), OD()]),
+        _family("weibullg", "ab", lambda a, b: [W(a, b), L1()]),
     ]
 }
 
@@ -717,55 +407,71 @@ def _resolve(family, base, params, location):
     return fam, induced, (dist, shape, params[-1] if location else 0.0)
 
 
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
+def _at_ends(out, u, omu, lsf, lo, hi):
+    """out with a NaN made from a NaN-free triple (an endpoint's 0/0 or
+    inf/inf) sent to its value at the nearer end, lo at 0 and hi at 1; a NaN
+    in the triple (the base made it) stays NaN."""
+    nan = np.isnan(out)
+    if not np.count_nonzero(nan):
+        return out
+    return np.where(nan & ~np.isnan(u + omu + lsf), np.where(u > 0.5, hi, lo), out)
+
+
 def _h(fam, induced, u, omu, lsf):
-    """h on the triple.  A NaN h makes from a NaN-free triple is an endpoint's
-    0/0 or inf/inf and goes to the nearer end; a NaN in the triple (the base
-    made it) stays NaN."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = fam.h(u, omu, lsf, *induced)
-        end = np.isnan(out) & ~np.isnan(u + omu + lsf)
-    return np.clip(np.where(end, np.where(u > 0.5, 1.0, 0.0), out), 0.0, 1.0)
+    """h on the triple."""
+    with np.errstate(**_QUIET):
+        v = _forward_v(fam.chain(*induced), (u, omu, lsf))
+    return np.minimum(1.0, np.maximum(0.0, _at_ends(v, u, omu, lsf, 0.0, 1.0)))
 
 
 def _lhp(fam, induced, u, omu, lsf):
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = fam.log_h_prime(u, omu, lsf, *induced)
+    with np.errstate(**_QUIET):
+        out = _log_slope(fam.chain(*induced), (u, omu, lsf))
     return np.where(np.isnan(out), -np.inf, out)
 
 
-def _inverse(fam, induced, p):
-    """``(u, -ln(1 - u))`` at the u with h(u) = p, from one call of the kernel."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, lsf = fam.h_inv(p, *induced)
+def _inverse(fam, induced, p, one_minus_p=None, neg_log_sf=None):
+    """``(u, -ln(1 - u))`` at the u with h(u) = p, from the chain run backwards
+    on the triple of p; a caller that knows 1 - p or -ln(1 - p) better than
+    p does passes them."""
+    with np.errstate(**_QUIET):
+        s = (p, 1.0 - p if one_minus_p is None else one_minus_p, -np.log1p(-p) if neg_log_sf is None else neg_log_sf)
+        bottom, top = s[0] == 0.0, s[2] == np.inf
+        for m, prm in fam.chain(*induced):
+            s = _apply(m, prm, s, inverse=True)
+        u, lsf = s[0], _full(s)[2]
     u = np.clip(np.where(np.isnan(u), np.where(p > 0.5, 1.0, 0.0), u), 0.0, 1.0)
-    u = np.where(p == 0.0, 0.0, np.where(p == 1.0, 1.0, u))
+    u = np.where(bottom, 0.0, np.where(top, 1.0, u))
     lsf = np.maximum(np.where(np.isnan(lsf), np.where(p > 0.5, np.inf, 0.0), lsf), 0.0)
-    lsf = np.where(p == 0.0, 0.0, np.where(p == 1.0, np.inf, lsf))
+    lsf = np.where(bottom, 0.0, np.where(top, np.inf, lsf))
     return u, lsf
 
 
 def _log_density(fam, induced, b, x, tail):
     """Composite log-density at x from the base tail triple ``tail`` at x."""
     u, omu, lsf = tail
-    if fam.log_h_prime_sf is not None:
-        # composite density as [h'(u)(1-u)] * hazard(x): both factors stay
-        # moderate where ln h'(u) and the base log-density separately blow
-        # up to +/- lsf and their sum is cancellation noise
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = fam.log_h_prime_sf(u, omu, lsf, *induced) + _log_hazard(b, x, lsf)
-        # below the median lsf is -log1p(-u), which is 0 only where the base
-        # cdf u itself has underflowed to 0 (outside the support, or within
-        # ~1e-308 of its edge in probability); the density is taken as 0
-        zero = lsf <= 0.0
-    else:
-        lhp, lg = _lhp(fam, induced, u, omu, lsf), _on_support(b, b[0].log_pdf, x)
-        with np.errstate(invalid="ignore"):
+    steps = fam.chain(*induced)
+    with np.errstate(**_QUIET):
+        if steps[-1][0] is L1:
+            # [h'(u)(1 - u)] * hazard(x): both factors stay moderate where
+            # ln h'(u) and the base log-density separately blow up to +-lsf
+            out = _log_slope(steps, tail, skip=1) + _log_hazard(b, x, lsf)
+            # below the median lsf is -log1p(-u), which is 0 only where the
+            # base cdf u itself has underflowed to 0 (outside the support, or
+            # within ~1e-308 of its edge in probability); the density is 0
+            zero = lsf <= 0.0
+        else:
+            lhp, lg = _log_slope(steps, tail), _on_support(b, b[0].log_pdf, x)
             out = lhp + lg
-        # h' is finite on the open interval, so lhp = +inf with a finite base
-        # log-density happens only where u (below the median) or the base sf
-        # (above it) has underflowed to an exact 0, i.e. within ~1e-308 of an
-        # end of the support in probability; the density is taken as 0 there
-        zero = np.isposinf(lhp) & np.isfinite(lg)
+            # h' is finite on the open interval, so lhp = +inf with a finite
+            # base log-density happens only where u (below the median) or the
+            # base sf (above it) has underflowed to an exact 0, i.e. within
+            # ~1e-308 of an end of the support in probability; the density is
+            # taken as 0 there
+            zero = np.isposinf(lhp) & np.isfinite(lg)
     return np.where(np.isnan(out) | zero, -np.inf, out)
 
 
@@ -832,29 +538,38 @@ def family_pdf(family, base, x, params, location=True, log=False):
 
 
 def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=True):
+    """h(G(x)); with ``lower_tail`` off the chain's own 1 - h and, with
+    ``log_p``, its own ln(1 - h), never 1 - h by subtraction."""
     fam, induced, b = _resolve(family, base, params, location)
-    out = _h(fam, induced, *_base_tail(b, x))
-    if not lower_tail:
-        out = 1.0 - out
+    tail = _base_tail(b, x)
+    if lower_tail:
+        out = _h(fam, induced, *tail)
+        if log_p:
+            with np.errstate(divide="ignore"):
+                out = np.log(out)
+        return _scalar(out)
+    with np.errstate(**_QUIET):
+        _, w, l = _full(_forward(fam.chain(*induced), tail))
     if log_p:
-        with np.errstate(divide="ignore"):
-            out = np.log(out)
-    return _scalar(out)
+        return _scalar(-np.maximum(_at_ends(l, *tail, 0.0, np.inf), 0.0))
+    return _scalar(np.clip(_at_ends(w, *tail, 1.0, 0.0), 0.0, 1.0))
 
 
 def family_quantile(family, base, p, params, location=True, log_p=False, lower_tail=True):
     fam, induced, b = _resolve(family, base, params, location)
     p = np.asarray(p, dtype=float)
-    if log_p:
-        p = np.exp(p)
-    if not lower_tail:
-        p = 1.0 - p
-    if np.any((p < 0) | (p > 1)):
+    prob = np.exp(p) if log_p else p
+    if np.any((prob < 0) | (prob > 1)):
         raise ValueError("quantile probabilities must lie in [0, 1]")
+    if lower_tail:
+        u, l = _inverse(fam, induced, prob)
+    else:
+        # the upper-tail probability q starts the chain as (1 - q, q, -ln q)
+        with np.errstate(divide="ignore"):
+            u, l = _inverse(fam, induced, 1.0 - prob, prob, -(p if log_p else np.log(prob)))
     # lower half of u through the base quantile, upper half through the base
     # inverse-survival (in -log survival form) so a u that saturates at 1.0
     # in double precision never loses the tail; each only on its own half
-    u, l = _inverse(fam, induced, p)
     lo = u <= 0.5
     with np.errstate(invalid="ignore", over="ignore"):
         x_lo, x_hi = _invert(b, b[0].quantile, u[lo]), _invert(b, b[0].isf, l[~lo])

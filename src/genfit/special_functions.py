@@ -27,18 +27,20 @@ def inv_reg_inc_gamma_upper_from_log(l, a):
     deeper in the tail it solves the leading-order asymptotic
     -ln Q(a, x) ~ x - (a-1) ln x + ln Gamma(a) by Newton iteration.
     """
-    l = np.asarray(l, dtype=float)
-    a = np.asarray(a, dtype=float)
-    shallow = l < 600.0
+    l, a = np.broadcast_arrays(np.asarray(l, dtype=float), np.asarray(a, dtype=float))
+    deep = l >= 600.0
     with np.errstate(over="ignore"):
-        x_shallow = sc.gammainccinv(a, np.exp(-np.where(shallow, l, 0.0)))
-    target = l - sc.gammaln(a)
-    x = np.maximum(np.asarray(l, dtype=float).copy(), a + 2.0)
-    for _ in range(60):
-        # two correction terms of the asymptotic series for Q(a, x)
-        corr = np.log1p((a - 1.0) / x + (a - 1.0) * (a - 2.0) / (x * x))
-        f = x - (a - 1.0) * np.log(x) - corr - target
-        df = 1.0 - (a - 1.0) / x
-        x = np.maximum(x - f / np.maximum(df, 0.5), a + 1.0)
-    out = np.where(shallow, x_shallow, x)
+        out = np.array(sc.gammainccinv(a, np.exp(-np.where(deep, 0.0, l))))
+    if deep.any():
+        # Newton only where exp(-l) underflows
+        ld, ad = l[deep], a[deep]
+        target = ld - sc.gammaln(ad)
+        x = np.maximum(ld, ad + 2.0)
+        for _ in range(60):
+            # two correction terms of the asymptotic series for Q(a, x)
+            corr = np.log1p((ad - 1.0) / x + (ad - 1.0) * (ad - 2.0) / (x * x))
+            f = x - (ad - 1.0) * np.log(x) - corr - target
+            df = 1.0 - (ad - 1.0) / x
+            x = np.maximum(x - f / np.maximum(df, 0.5), ad + 1.0)
+        out[deep] = x
     return out if out.ndim else float(out)

@@ -219,14 +219,20 @@ class TestComposedDistribution:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("base", ALL_BASES)
     def test_cdf_limits(self, family, base):
-        induced = default_induced(family)
-        bp = tuple([1.3] * get_base(base).n_params) + (0.5,)
-        params = induced + bp
-        assert family_cdf(family, base, 0.5, params) == 0.0  # at mu
-        x_hi = family_quantile(family, base, 1.0 - 1e-7, params)
-        if np.isfinite(x_hi):
-            assert 1.0 - 1e-6 <= family_cdf(family, base, x_hi, params) <= 1.0
-        assert family_cdf(family, base, math.inf, params) == 1.0
+        # at the moderate defaults and at a seeded draw, the cdf is exactly 0
+        # at mu and exactly 1 at +inf, where the base triple is exact
+        rng = np.random.default_rng([ALL_FAMILIES.index(family), ALL_BASES.index(base)])
+        seeded = tuple(
+            rng.uniform(0.5, 3.0) if math.isinf(hi) else rng.uniform(0.8 * lo + 0.2 * hi, 0.2 * lo + 0.8 * hi)
+            for lo, hi in get_family(family).domains
+        ) + tuple(rng.uniform(0.5, 3.0, size=get_base(base).n_params))
+        for shape in (default_induced(family) + (1.3,) * get_base(base).n_params, seeded):
+            params = shape + (0.5,)
+            assert family_cdf(family, base, 0.5, params) == 0.0  # at mu
+            x_hi = family_quantile(family, base, 1.0 - 1e-7, params)
+            if np.isfinite(x_hi):
+                assert 1.0 - 1e-6 <= family_cdf(family, base, x_hi, params) <= 1.0
+            assert family_cdf(family, base, math.inf, params) == 1.0
 
     def test_cdf_at_an_overflowing_quantile(self):
         # the F base's kernel forms inf/inf at x = +inf
@@ -239,7 +245,14 @@ class TestComposedDistribution:
         params = (1.7, 1.7, 1.3, 1.3, 0.0)
         x = 1.1
         p = family_cdf("kumg", "weibull", x, params)
-        assert family_cdf("kumg", "weibull", x, params, lower_tail=False) == 1.0 - p
+        # the upper tail is the chain's own 1 - h, checked against 50 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            g = -mp.expm1(-((mp.mpf(x) / mp.mpf(1.3)) ** mp.mpf(1.3)))
+            want = (1 - g ** mp.mpf(1.7)) ** mp.mpf(1.7)
+            assert family_cdf("kumg", "weibull", x, params, lower_tail=False) == pytest.approx(
+                float(want), rel=1e-14, abs=0.0
+            )
         assert family_cdf("kumg", "weibull", x, params, log_p=True) == math.log(p)
         q = family_quantile("kumg", "weibull", p, params)
         assert q == pytest.approx(x, rel=1e-10)
@@ -250,6 +263,21 @@ class TestComposedDistribution:
         assert family_quantile(
             "kumg", "weibull", 1.0 - p, params, lower_tail=False
         ) == pytest.approx(x, rel=1e-10)
+
+    def test_upper_tail_reads_the_triple(self):
+        # 1 - h is never formed by subtraction: the expg x exp survival at 40
+        # is e^-40 = 4.2e-18, not 0, and the upper-tail quantile at q = 1e-20
+        # is -ln q = 46.0517, not +inf
+        params = (1.0, 1.0)
+        sf = family_cdf("expg", "exp", 40.0, params, location=False, lower_tail=False)
+        assert sf == pytest.approx(math.exp(-40.0), rel=1e-14)
+        log_sf = family_cdf("expg", "exp", 40.0, params, location=False, lower_tail=False, log_p=True)
+        assert log_sf == pytest.approx(-40.0, rel=1e-14)
+        q = family_quantile("expg", "exp", 1e-20, params, location=False, lower_tail=False)
+        assert q == pytest.approx(-math.log(1e-20), rel=1e-14)
+        # with log_p the upper tail goes past the underflow of q itself
+        q = family_quantile("expg", "exp", -1000.0, params, location=False, lower_tail=False, log_p=True)
+        assert q == pytest.approx(1000.0, rel=1e-14)
 
     def test_log_pdf_matches_pdf(self):
         params = (1.7, 0.5, 1.3, 1.3, 0.0)

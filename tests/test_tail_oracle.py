@@ -9,6 +9,8 @@ transforms, their derivatives and their inverses at u far below eps, and the
 survival side of the F, chi-square, gamma and Frechet bases.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special as sc
@@ -304,3 +306,143 @@ def test_h_inverse_both_tails(family, induced, oracle, p):
         assert h_inverse(family, p, induced) == pytest.approx(float(want_u), rel=1e-12, abs=0.0)
     else:
         assert _h_inverse(family, p, induced)[1] == pytest.approx(float(want_lsf), rel=1e-12, abs=0.0)
+
+
+# --- oracle per primitive map: forward triple, ln|phi'| and inverse ----------
+
+from genfit import family_transforms as ft  # noqa: E402
+
+
+def _ln_u(u, omu):
+    return mp.log(u) if u < 0.5 else mp.log1p(-omu)
+
+
+def _ln_o(u, omu):
+    return mp.log1p(-u) if u < 0.5 else mp.log(omu)
+
+
+# each oracle maps (u, 1 - u), or t, to (phi, 1 - phi) or t, with both sides
+# computed directly so that neither is rebuilt from the other
+UNIT_ORACLES = {
+    "P": (lambda u, o, a: (mp.exp(a * _ln_u(u, o)), -mp.expm1(a * _ln_u(u, o))),
+          lambda u, o, a: mp.log(a) + (a - 1) * _ln_u(u, o)),
+    "RP": (lambda u, o, b: (-mp.expm1(b * _ln_o(u, o)), o**b),
+           lambda u, o, b: mp.log(b) + (b - 1) * _ln_o(u, o)),
+    "MO": (lambda u, o, c: (u / (u + c * o), c * o / (u + c * o)),
+           lambda u, o, c: mp.log(c) - 2 * mp.log(u + c * o)),
+    "OP": (lambda u, o, d: (u**d / (u**d + o**d), o**d / (u**d + o**d)),
+           lambda u, o, d: mp.log(d) + (d - 1) * (_ln_u(u, o) + _ln_o(u, o)) - 2 * mp.log(u**d + o**d)),
+    "B": (lambda u, o, p, q: (mp.betainc(p, q, 0, u, regularized=True), mp.betainc(q, p, 0, o, regularized=True)),
+          lambda u, o, p, q: (p - 1) * _ln_u(u, o) + (q - 1) * _ln_o(u, o) - mp.log(mp.beta(p, q))),
+    "TE": (lambda u, o, c: (mp.expm1(-c * u) / mp.expm1(-c), mp.exp(-c * u) * mp.expm1(-c * o) / mp.expm1(-c)),
+           lambda u, o, c: mp.log(c) - c * u - mp.log(-mp.expm1(-c))),
+    "QT": (lambda u, o, b: (u * (1 + b * o), o * (1 - b * u)),
+           lambda u, o, b: mp.log(1 + b * (o - u))),
+    "R": (lambda u, o: (o, u), lambda u, o: mp.mpf(0)),
+}
+UNIT_CASES = [("P", (0.3,)), ("P", (2.5,)), ("RP", (0.4,)), ("RP", (3.0,)), ("MO", (0.2,)), ("MO", (4.0,)),
+              ("OP", (0.6,)), ("OP", (2.0,)), ("B", (0.7, 2.5)), ("B", (3.0, 0.8)), ("TE", (1.5,)),
+              ("TE", (30.0,)), ("QT", (0.7,)), ("QT", (-0.9,)), ("R", ())]
+# a point is v itself below 1/2, and -ln(1 - v) from 1/2 up, to 1e3
+UNIT_POINTS = [("v", 1e-300), ("v", 1e-100), ("v", 1e-20), ("v", 1e-8), ("v", 0.3),
+               ("l", 0.6931471805599453), ("l", 2.0), ("l", 18.420680743952367),
+               ("l", 27.631021115928547), ("l", 50.0), ("l", 700.0), ("l", 1000.0)]
+
+
+def _point(kind, x):
+    """(u, 1 - u) in 50 digits and the double triple the chain would carry."""
+    if kind == "v":
+        u = mp.mpf(x)
+        return (u, 1 - u), (np.asarray(x), np.asarray(1.0 - x), np.asarray(-np.log1p(-x)))
+    o = mp.exp(-mp.mpf(x))
+    return (1 - o, o), (np.asarray(float(-mp.expm1(-mp.mpf(x)))), np.asarray(float(o)), np.asarray(x))
+
+
+def _neg_log(y, oy):
+    return -mp.log1p(-y) if y < 0.5 else -mp.log(oy)
+
+
+def _assert_triple(got, y, oy, rel, what):
+    want = (y, oy, _neg_log(y, oy))
+    for g, w, name in zip(got, want, ("v", "1 - v", "-ln(1 - v)")):
+        _assert_rel(float(g), w, rel, f"{what}: {name}")
+
+
+def _run(m, p, s, inverse=False):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return ft._full(ft._apply(m, p, s, inverse))
+
+
+@pytest.mark.parametrize("kind,x", UNIT_POINTS, ids=[f"{k}={x:g}" for k, x in UNIT_POINTS])
+@pytest.mark.parametrize("name,params", UNIT_CASES, ids=[f"{n}{p}" for n, p in UNIT_CASES])
+def test_unit_primitive_matches_oracle(name, params, kind, x):
+    phi, lpd = UNIT_ORACLES[name]
+    m, mp_params = getattr(ft, name), [mp.mpf(v) for v in params]
+    (u, o), s = _point(kind, x)
+    y, oy = phi(u, o, *mp_params)
+    # special functions (betainc, betaincinv) carry their own few-ulp error
+    rel = 1e-12 if name == "B" else 1e-13
+    _assert_triple(_run(m, params, s), y, oy, rel, "forward")
+    lv = float(_ln_u(u, o))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = float(m.lpd(lv, *s, *params))
+    assert got == pytest.approx(float(lpd(u, o, *mp_params)), rel=rel, abs=1e-15)
+    if y > 1e-300:
+        # the inverse from the oracle's own triple of the image
+        image = (np.asarray(float(y)), np.asarray(float(oy)), np.asarray(float(_neg_log(y, oy))))
+        _assert_triple(_run(m, params, image, inverse=True), u, o, rel, "inverse")
+
+
+POS_ORACLES = {
+    "GP": (lambda t, a: (mp.gammainc(a, 0, t, regularized=True), mp.gammainc(a, t, mp.inf, regularized=True)),
+           lambda t, a: (a - 1) * mp.log(t) - t - mp.loggamma(a)),
+    "W": (lambda t, k, c: (-mp.expm1(-((t / c) ** k)), mp.exp(-((t / c) ** k))),
+          lambda t, k, c: mp.log(k) - k * mp.log(c) + (k - 1) * mp.log(t) - (t / c) ** k),
+    "LL": (lambda t, a: (t**a / (1 + t**a), 1 / (1 + t**a)),
+           lambda t, a: mp.log(a) + (a - 1) * mp.log(t) - 2 * mp.log1p(t**a)),
+}
+POS_CASES = [("GP", (2.5,)), ("GP", (0.4,)), ("W", (1.7, 2.0)), ("W", (0.5, 0.3)), ("LL", (0.8,)), ("LL", (3.0,))]
+POS_POINTS = [1e-300, 1e-20, 1e-3, 0.7, 3.0, 40.0, 300.0, 700.0]
+
+
+@pytest.mark.parametrize("t", POS_POINTS)
+@pytest.mark.parametrize("name,params", POS_CASES, ids=[f"{n}{p}" for n, p in POS_CASES])
+def test_back_primitive_matches_oracle(name, params, t):
+    # the maps from t on (0, inf) back to the unit interval
+    phi, lpd = POS_ORACLES[name]
+    m, mp_params, tm = getattr(ft, name), [mp.mpf(v) for v in params], mp.mpf(t)
+    y, oy = phi(tm, *mp_params)
+    if oy < mp.mpf(10) ** -300000:
+        pytest.skip("1 - phi below any double exponent the oracle can state")
+    rel = 1e-13 if name != "GP" else 1e-12
+    if name == "GP" and -mp.log(oy) >= 600:
+        # where Q(a, t) is below e^-600 the forward map past its underflow and
+        # the inverse (special_functions) use the two-term asymptotic series
+        # shared with the gamma base, whose next term is of relative order
+        # a^3 / t^4
+        rel = 1e-10
+    _assert_triple(_run(m, params, (np.asarray(t),)), y, oy, rel, "forward")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = float(m.lpd(math.log(t), np.asarray(t), *params))
+    assert got == pytest.approx(float(lpd(tm, *mp_params)), rel=rel, abs=1e-15)
+    if 1e-300 < y and oy > 1e-300:
+        image = (np.asarray(float(y)), np.asarray(float(oy)), np.asarray(float(_neg_log(y, oy))))
+        back = float(_run(m, params, image, inverse=True)[0])
+        assert back == pytest.approx(t, rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("kind,x", UNIT_POINTS, ids=[f"{k}={x:g}" for k, x in UNIT_POINTS])
+def test_links_match_oracle(kind, x):
+    # L1 = -ln(1 - v) and OD = v/(1 - v), their ln|phi'| and inverses, and the scale
+    (u, o), s = _point(kind, x)
+    for m, want, lpd in ((ft.L1, -_ln_o(u, o), -_ln_o(u, o)), (ft.OD, u / o, -2 * _ln_o(u, o))):
+        if want > 1e300:
+            continue
+        t = _run(m, (), s)[0]
+        _assert_rel(float(t), want, 1e-13, kind)
+        assert float(m.lpd(float(_ln_u(u, o)), *s)) == pytest.approx(float(lpd), rel=1e-13, abs=1e-15)
+        if want > 1e-300:
+            _assert_triple(_run(m, (), (np.asarray(float(want)),), inverse=True), u, o, 1e-13, "inverse")
+    t = np.asarray(float(-_ln_o(u, o)))
+    assert float(_run(ft.Sc, (2.5,), (t,))[0]) == pytest.approx(2.5 * float(t), rel=1e-15)
+    assert float(_run(ft.Sc, (2.5,), (2.5 * t,), inverse=True)[0]) == pytest.approx(float(t), rel=1e-15)
