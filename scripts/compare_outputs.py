@@ -14,9 +14,11 @@ names both sides have; a missing name is recorded as a difference.
 For every (function, family, base) it reports how many outputs are
 bit-identical, the largest change in ulps and the largest relative change;
 fits compare theta-hat, S, the evaluation count, the converged flag and the
-message.  It also prints the infeasible-start counts of each side.  The exit
-status is 1 when an output moved whose ``function:family:base`` matches no
-``--expect`` pattern (fnmatch syntax, plus ``{a,b}`` alternatives), else 0.
+message; CLI calls (``python -m genfit.cli``, one fresh interpreter each)
+compare the exit code, stdout and stderr byte for byte.  It also prints the
+infeasible-start counts of each side.  The exit status is 1 when an output
+moved whose ``function:family:base`` matches no ``--expect`` pattern
+(fnmatch syntax, plus ``{a,b}`` alternatives), else 0.
 
 The grids:
 
@@ -26,9 +28,11 @@ The grids:
   and, on a p grid, the quantile (both tails, plain and log); ``h_forward``,
   ``log_h_prime`` and ``h_inverse`` per family; eval_bulk's six compositions
   at seeds 11 and 12; S at every start of all 1,080 compositions on the three
-  bundled datasets; the three reference fits by Nelder-Mead and BFGS; and the
-  24 fit_survey layout fits.  About a minute per side.
-* ``small``: a few compositions of each kind and one short fit.
+  bundled datasets; the three reference fits by Nelder-Mead, BFGS and CG;
+  the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
+  reference models by Nelder-Mead and BFGS, and ``cdf`` and ``quantile`` of
+  eval_bulk's six compositions.  About a minute and a half per side.
+* ``small``: a few compositions of each kind, one short fit and one CLI call.
 """
 
 from __future__ import annotations
@@ -165,6 +169,23 @@ def _fit(genfit, rec, label, name, family, base, **config):
         rec[(label, family, base, name)] = f"{type(exc).__name__}: {exc}"
 
 
+CLI_X = "0.05,0.5,1,1.5,2,3,5,10,50"
+CLI_P = "0.001,0.01,0.1,0.25,0.5,0.75,0.9,0.99,0.999"
+
+
+def _cli(rec, key, *argv):
+    """One cold ``python -m genfit.cli`` call on this side's src (the worker's
+    PYTHONPATH): its exit code, stdout and stderr as one text."""
+    proc = subprocess.run([sys.executable, "-m", "genfit.cli", *argv], capture_output=True, text=True)
+    rec[key] = f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+
+
+def _cli_evaluate(rec, family, base, params):
+    for verb, flag, points in (("cdf", "--x", CLI_X), ("quantile", "--p", CLI_P)):
+        _cli(rec, (f"cli_{verb}", family, base, "-"), verb, "--family", family, "--base", base,
+             "--params", ",".join(map(repr, params)), flag, points, "--output", "json")
+
+
 def run_worker(grid, out):
     import genfit
     import genfit.datasets
@@ -179,16 +200,23 @@ def run_worker(grid, out):
         _bulk(genfit, rec, BULK_COMPOSITIONS[:2], 1000)
         _starts(genfit, rec, ["bearing"], ["kumg", "mog", "betag"], ["weibull", "gamma"])
         _fit(genfit, rec, "fit_reference", "pollution", "mog", "exp", method="nelder-mead", max_iter=50, seed=0)
+        _cli(rec, ("cli_cdf", "mog", "exp", "-"), "cdf", "--family", "mog", "--base", "exp",
+             "--params", "2,0.5,0", "--x", CLI_X, "--output", "json")
     else:
         _composition_grid(genfit, rec, families, bases, 2)
         _bulk(genfit, rec, BULK_COMPOSITIONS, 100_000)
         _starts(genfit, rec, ["bearing", "pollution", "earthquake"], families, bases)
         for name, family, base in REFERENCE_FITS:
-            for method in ("nelder-mead", "bfgs"):
+            for method in ("nelder-mead", "bfgs", "cg"):
                 _fit(genfit, rec, f"fit_{method}", name, family, base, method=method, restarts=3, seed=0)
+            for method in ("nelder-mead", "bfgs"):
+                _cli(rec, (f"cli_fit_{method}", family, base, name), "fit", "--family", family, "--base", base,
+                     "--data", name, "--method", method, "--seed", "0", "--output", "json")
         for i, family in enumerate(families):
             _fit(genfit, rec, "fit_survey", ("bearing", "pollution")[i % 2], family, bases[i % len(bases)],
                  method="nelder-mead", restarts=0, seed=0)
+        for family, base, params in BULK_COMPOSITIONS:
+            _cli_evaluate(rec, family, base, params)
     with open(out, "wb") as fh:
         pickle.dump(rec, fh)
 

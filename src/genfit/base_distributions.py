@@ -35,6 +35,8 @@ which silence numpy's floating-point warnings for them.
 Each public function checks the name, the count and every domain of its
 parameter vector once (``_resolve_base``).  The private cores take the
 resolved ``(dist, shape, mu)`` and trust it; the family layer calls them.
+In the tail, log-pdf and log-hazard kernels a parameter is a float or a
+(B, 1) column; ``_per_entry`` gives such a column Python's own log and power.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import Callable
 import numpy as np
 import scipy.special as sc
 
-from .special_functions import inv_reg_inc_gamma_upper_from_log
+from .special_functions import _log_q_asymptote, _log_q_series, inv_reg_inc_gamma_upper_from_log
 
 __all__ = [
     "BASE_DISTRIBUTIONS",
@@ -71,24 +73,28 @@ def _scalar(out):
     return out if out.ndim else float(out)
 
 
-def _log_q_asymptote(x, a):
-    """ln Q(a, x) by its asymptotic series, for where Q has underflowed."""
-    xs = np.maximum(x, a + 1.0)
-    return (
-        -xs
-        + (a - 1.0) * np.log(xs)
-        - sc.gammaln(a)
-        + np.log1p((a - 1.0) / xs + (a - 1.0) * (a - 2.0) / (xs * xs))
-    )
+def _per_entry(fn):
+    """fn, a ``math`` function or ``pow``, on parameters that are floats or
+    (B, 1) columns of one shape, entry by entry: numpy's log, log1p, expm1 and
+    power differ from Python's in the last bit at some arguments."""
+
+    def lifted(*p):
+        if isinstance(p[0], float):
+            return fn(*p)
+        return np.array([fn(*v) for v in zip(*(x.ravel().tolist() for x in p))]).reshape(p[0].shape)
+
+    return lifted
 
 
-def _log_gamma_upper_tail(x, a):
-    """ln Q(a, x); switches to the asymptotic series once Q underflows."""
-    x = np.asarray(x, dtype=float)
-    q = sc.gammaincc(a, x)
-    shallow = q > 1e-300
-    out = np.where(shallow, np.log(np.where(shallow, q, 1.0)), _log_q_asymptote(x, a))
-    return _scalar(out)
+_ln, _ln1p, _em1, _pow = (_per_entry(f) for f in (math.log, math.log1p, math.expm1, pow))
+
+
+def _beta_sides(right, p, q, v, w, fn):
+    """``(i, 1 - i)`` from one fn (betainc or betaincinv) per element: i(p, q)
+    at v, or i(q, p) at w = 1 - v where ``right``, the side with the precision."""
+    i = fn(np.where(right, q, p), np.where(right, p, q), np.where(right, w, v))
+    j = 1.0 - i
+    return np.where(right, j, i), np.where(right, i, j)
 
 
 def _unit_gamma_tail(x, a):
@@ -290,15 +296,13 @@ def _f_log_pdf(y, alpha, beta):
 
 
 def _f_tail(y, alpha, beta):
+    # u = I_x(ha, hb) at x = alpha y / d and sf = I_t(hb, ha) at t = 1 - x, from
+    # one betainc per element; I_t(hb, ha) ~ t^hb / (hb B(hb, ha)) as t -> 0
     ha, hb = alpha / 2.0, beta / 2.0
     d = alpha * y + beta
     t = beta / d
-    return (
-        sc.betainc(ha, hb, alpha * y / d),
-        sc.betainc(hb, ha, t),
-        # I_t(hb, ha) ~ t^hb / (hb B(hb, ha)) as t -> 0
-        lambda: hb * np.log(t) - np.log(hb) - sc.betaln(hb, ha),
-    )
+    u, sf = _beta_sides(t < hb / (ha + hb), ha, hb, alpha * y / d, t, sc.betainc)
+    return u, sf, lambda: hb * np.log(t) - np.log(hb) - sc.betaln(hb, ha)
 
 
 def _f_quantile(q, alpha, beta):
@@ -596,17 +600,20 @@ def _chen_log_hazard(y, alpha, beta):
 
 
 def _gamma_shape_log_hazard(z, a):
-    # unit-scale gamma; asymptotic branch once the upper tail integral is
-    # dominated by its first continued-fraction terms
-    deep_z = np.where(z > 1e6, z, np.inf)
-    deep = -np.log1p((a - 1.0) / deep_z + (a - 1.0) * (a - 2.0) / (deep_z * deep_z))
-    direct = (
-        -sc.gammaln(a)
-        + (a - 1.0) * np.log(z)
-        - z
-        - _log_gamma_upper_tail(np.where(z > 1e6, 1.0, z), a)
-    )
-    return np.where(z > 1e6, deep, direct)
+    # unit-scale gamma: ln pdf - ln Q, ln Q by its asymptotic series where Q
+    # underflows; past z = 1e6 minus the log of the series alone, whose
+    # leading terms cancel against the log-pdf
+    far = z > 1e6
+    x = np.where(far, 1.0, z)
+    q = sc.gammaincc(a, x)
+    shallow = q > 1e-300
+    log_q = np.log(np.where(shallow, q, 1.0))
+    if np.count_nonzero(~shallow):
+        log_q = np.where(shallow, log_q, _log_q_asymptote(x, a))
+    out = -sc.gammaln(a) + (a - 1.0) * np.log(z) - z - log_q
+    if np.count_nonzero(far):
+        out = np.where(far, -_log_q_series(np.where(far, z, np.inf), a), out)
+    return out
 
 
 def _chisq_log_hazard(y, alpha):
@@ -614,15 +621,15 @@ def _chisq_log_hazard(y, alpha):
 
 
 def _exp_log_hazard(y, alpha):
-    return np.full(np.shape(np.asarray(y, dtype=float)), math.log(alpha))
+    return _ln(alpha) + np.zeros(np.shape(y))
 
 
 def _gamma_log_hazard(y, alpha, beta):
-    return _gamma_shape_log_hazard(np.asarray(y, dtype=float) / beta, alpha) - math.log(beta)
+    return _gamma_shape_log_hazard(np.asarray(y, dtype=float) / beta, alpha) - _ln(beta)
 
 
 def _gompertz_log_hazard(y, alpha, beta):
-    return math.log(alpha) + beta * np.asarray(y, dtype=float)
+    return _ln(alpha) + beta * np.asarray(y, dtype=float)
 
 
 def _lfr_log_hazard(y, alpha, beta):

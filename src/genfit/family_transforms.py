@@ -46,6 +46,8 @@ the base quantile of u where u <= 1/2 and the base inverse survival of
 Checking.  A public function resolves the names and checks the count and
 every domain of theta once (``_resolve``, or ``_resolve_family`` for the
 ``h_*`` functions); the private cores it hands the specs to never check again.
+In the forward maps, ln|phi'| and the end rules, a parameter is a float or a
+(B, 1) column, one entry per row of a (B, n) state (``mps_fit._spacing_rows``).
 """
 
 from __future__ import annotations
@@ -59,15 +61,19 @@ import scipy.special as sc
 
 from .base_distributions import (
     _base_tail,
+    _beta_sides,
     _check_shape,
+    _em1,
     _invert,
     _log_hazard,
-    _log_q_asymptote,
+    _ln,
+    _ln1p,
     _on_support,
+    _pow,
     _scalar,
     get_base,
 )
-from .special_functions import inv_reg_inc_gamma_upper_from_log
+from .special_functions import _log_q_asymptote, inv_reg_inc_gamma_upper_from_log
 
 __all__ = [
     "FAMILIES",
@@ -107,7 +113,9 @@ def _full(s):
 
 def _xl(c, lv):
     """c * lv, and 0 at c = 0 even where lv is infinite."""
-    return c * lv if c != 0.0 else 0.0
+    if isinstance(c, float):
+        return c * lv if c != 0.0 else 0.0
+    return np.where(c == 0.0, 0.0, c * lv)
 
 
 def _from_l(l):
@@ -154,22 +162,15 @@ def _mo_fwd(v, w, l, c):
     return v / den, cw / den, None
 
 
-def _beta(right, p, q, v, w, fn):
-    # fn (betainc or betaincinv) once per element: I(p, q) at v, or I(q, p)
-    # at 1 - v on the elements where that side holds the precision
-    i = fn(np.where(right, q, p), np.where(right, p, q), np.where(right, w, v))
-    return np.where(right, 1.0 - i, i), np.where(right, i, 1.0 - i), None
-
-
 def _te_fwd(v, w, l, c):
-    em = math.expm1(-c)
+    em = _em1(-c)
     return np.expm1(-c * v) / em, np.exp(-c * v) * np.expm1(-c * w) / em, None
 
 
 def _te_inv(v, w, l, c):
     # u = -ln(1 + v (e^-c - 1))/c, or where that argument nears 0 its form
     # -ln(1 - v + v e^-c)/c from ln(1 - v) and ln v
-    x, lnv = v * math.expm1(-c), _lnv(v, w)
+    x, lnv = v * _em1(-c), _lnv(v, w)
     u = np.where(x > -0.5, -np.log1p(x), -np.logaddexp(-l, lnv - c)) / c
     omu = np.logaddexp(lnv, c - l) / c
     return u, omu, _l(u, omu)
@@ -190,9 +191,11 @@ def _qt_inv(v, w, l, b):
 def _gamma_fwd(t, a):
     # Q(a, t) where scipy's own P(a, t) would be 1 - Q(a, t)
     t = np.asarray(t)
-    up = t > max(1.0, a)
+    up = t > np.maximum(1.0, a)
+    # a column of shapes (one per row of t) is spread over t for the masks
+    a_lo, a_up = (np.broadcast_to(a, t.shape)[m] for m in (~up, up)) if np.ndim(a) else (a, a)
     i = np.empty(t.shape)
-    i[~up], i[up] = sc.gammainc(a, t[~up]), sc.gammaincc(a, t[up])
+    i[~up], i[up] = sc.gammainc(a_lo, t[~up]), sc.gammaincc(a_up, t[up])
     j = 1.0 - i
     v, w = np.where(up, j, i), np.where(up, i, j)
     if not np.count_nonzero(w < _TINY):
@@ -212,44 +215,44 @@ def _rev(v, w, l):
     return w, v, None
 
 
-P = _Map(_pow_fwd, lambda lv, v, w, l, a: math.log(a) + _xl(a - 1.0, lv), _pow_inv,
-         bot=lambda a: (a, 0.0), top=lambda a: (1.0, math.log(a)), v=lambda v, w, l, a: v**a)
-RP = _Map(lambda v, w, l, b: _from_l(b * l), lambda lv, v, w, l, b: math.log(b) - (b - 1.0) * l,
-          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, math.log(b)), reads_l=True)
-MO = _Map(_mo_fwd, lambda lv, v, w, l, c: math.log(c) - 2.0 * np.log(v + c * w),
+P = _Map(_pow_fwd, lambda lv, v, w, l, a: _ln(a) + _xl(a - 1.0, lv), _pow_inv,
+         bot=lambda a: (a, 0.0), top=lambda a: (1.0, _ln(a)), v=lambda v, w, l, a: v**a)
+RP = _Map(lambda v, w, l, b: _from_l(b * l), lambda lv, v, w, l, b: _ln(b) - (b - 1.0) * l,
+          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, _ln(b)), reads_l=True)
+MO = _Map(_mo_fwd, lambda lv, v, w, l, c: _ln(c) - 2.0 * np.log(v + c * w),
           lambda v, w, l, c: _mo_fwd(v, w, l, 1.0 / c),
-          bot=lambda c: (1.0, -math.log(c)), top=lambda c: (1.0, math.log(c)))
+          bot=lambda c: (1.0, -_ln(c)), top=lambda c: (1.0, _ln(c)))
 OP = _Map(lambda v, w, l, d: _logistic(d * (np.log(v) + l)),
-          lambda lv, v, w, l, d: (math.log(d) - np.logaddexp(0.0, -d * (lv + l))
+          lambda lv, v, w, l, d: (_ln(d) - np.logaddexp(0.0, -d * (lv + l))
                                   - np.logaddexp(0.0, d * (lv + l)) - lv + l),
           lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True,
           v=lambda v, w, l, d: sc.expit(d * (np.log(v) + l)))
-B = _Map(lambda v, w, l, p, q: _beta(w < q / (p + q), p, q, v, w, sc.betainc),
+B = _Map(lambda v, w, l, p, q: (*_beta_sides(w < q / (p + q), p, q, v, w, sc.betainc), None),
          lambda lv, v, w, l, p, q: _xl(p - 1.0, lv) - (q - 1.0) * l - sc.betaln(p, q),
-         lambda v, w, l, p, q: _beta(v > sc.betainc(p, q, 0.5), p, q, v, w, sc.betaincinv),
-         bot=lambda p, q: (p, -math.log(p) - sc.betaln(p, q)),
-         top=lambda p, q: (q, -math.log(q) - sc.betaln(p, q)))
-TE = _Map(_te_fwd, lambda lv, v, w, l, c: math.log(c) - c * v - math.log(-math.expm1(-c)), _te_inv,
-          bot=lambda c: (1.0, math.log(c) - math.log(-math.expm1(-c))),
-          top=lambda c: (1.0, math.log(c) - c - math.log(-math.expm1(-c))),
-          v=lambda v, w, l, c: np.expm1(-c * v) / math.expm1(-c))
+         lambda v, w, l, p, q: (*_beta_sides(v > sc.betainc(p, q, 0.5), p, q, v, w, sc.betaincinv), None),
+         bot=lambda p, q: (p, -_ln(p) - sc.betaln(p, q)),
+         top=lambda p, q: (q, -_ln(q) - sc.betaln(p, q)))
+TE = _Map(_te_fwd, lambda lv, v, w, l, c: _ln(c) - c * v - _ln(-_em1(-c)), _te_inv,
+          bot=lambda c: (1.0, _ln(c) - _ln(-_em1(-c))),
+          top=lambda c: (1.0, _ln(c) - c - _ln(-_em1(-c))),
+          v=lambda v, w, l, c: np.expm1(-c * v) / _em1(-c))
 QT = _Map(_qt_fwd, lambda lv, v, w, l, b: np.log1p(b * (w - v)), _qt_inv,
-          bot=lambda b: (1.0, math.log1p(b)), top=lambda b: (1.0, math.log1p(-b)),
+          bot=lambda b: (1.0, _ln1p(b)), top=lambda b: (1.0, _ln1p(-b)),
           v=lambda v, w, l, b: v * (1.0 + b * w))
 R = _Map(_rev, lambda lv, v, w, l: 0.0, _rev, bot=None)
 L1 = _Map(lambda v, w, l: (l,), lambda lv, v, w, l: l, _from_l, reads_l=True)
 OD = _Map(lambda v, w, l: (v / w,), lambda lv, v, w, l: 2.0 * l,
           lambda t: (t / (1.0 + t), 1.0 / (1.0 + t), np.log1p(t)))
-Sc = _Map(lambda t, c: (c * t,), lambda lt, t, c: math.log(c), lambda t, c: (t / c,),
-          bot=lambda c: (1.0, math.log(c)))
+Sc = _Map(lambda t, c: (c * t,), lambda lt, t, c: _ln(c), lambda t, c: (t / c,),
+          bot=lambda c: (1.0, _ln(c)))
 GP = _Map(_gamma_fwd, lambda lt, t, a: _xl(a - 1.0, lt) - t - sc.gammaln(a), _gamma_inv,
           bot=lambda a: (a, -sc.gammaln(a + 1.0)), v=lambda t, a: sc.gammainc(a, t),
           w=lambda t, a: sc.gammaincc(a, t))
 W = _Map(lambda t, k, c: _from_l((t / c) ** k),
-         lambda lt, t, k, c: math.log(k) - k * math.log(c) + _xl(k - 1.0, lt) - (t / c) ** k,
-         lambda v, w, l, k, c: (c * l ** (1.0 / k),), bot=lambda k, c: (k, -k * math.log(c)))
+         lambda lt, t, k, c: _ln(k) - k * _ln(c) + _xl(k - 1.0, lt) - (t / c) ** k,
+         lambda v, w, l, k, c: (c * l ** (1.0 / k),), bot=lambda k, c: (k, -k * _ln(c)))
 LL = _Map(lambda t, a: _logistic(a * np.log(t)),
-          lambda lt, t, a: math.log(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
+          lambda lt, t, a: _ln(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
           lambda v, w, l, a: (np.exp((np.log(v) + l) / a),), bot=lambda a: (a, 0.0),
           v=lambda t, a: sc.expit(a * np.log(t)))
 
@@ -356,7 +359,7 @@ FAMILIES: dict[str, FamilySpec] = {
         _family("mokumg", "abd", lambda a, b, d: [MO(d), RP(b), P(a)]),
         _family("ologlogg", "abd", lambda a, b, d: [RP(b), P(a), OP(d)]),
         _family("texpsg", "a", lambda a: [TE(a)]),
-        _family("weibullextg", "ab", lambda a, b: [W(1.0 / b, a**-b), OD()]),
+        _family("weibullextg", "ab", lambda a, b: [W(1.0 / b, _pow(a, -b)), OD()]),
         _family("weibullg", "ab", lambda a, b: [W(a, b), L1()]),
     ]
 }
@@ -453,8 +456,8 @@ def _inverse(fam, induced, p, one_minus_p=None, neg_log_sf=None):
 def _log_density(fam, induced, b, x, tail):
     """Composite log-density at x from the base tail triple ``tail`` at x."""
     u, omu, lsf = tail
-    steps = fam.chain(*induced)
     with np.errstate(**_QUIET):
+        steps = fam.chain(*induced)
         if steps[-1][0] is L1:
             # [h'(u)(1 - u)] * hazard(x): both factors stay moderate where
             # ln h'(u) and the base log-density separately blow up to +-lsf

@@ -13,7 +13,9 @@ construction.
 
 Each evaluation checks theta once and makes one base tail pass, which gives
 both the cdf and the tied points' log-densities; ``SpacingContext`` builds the
-free <-> natural maps once.
+free <-> natural maps once.  A single theta stays Python floats: the
+optimizers' single points go through ``spacing_objective``, and only the
+gradient's stack of 2k points goes through ``_spacing_rows`` as one pass.
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
@@ -67,6 +69,7 @@ class SpacingContext:
         self.data = data
         self.tie_mask = np.concatenate([[False], np.diff(data) == 0.0])
         self._maps = _transforms(self)
+        self._lo, self._hi = np.array([t[2] for t in self._maps]).T
 
     @property
     def n(self) -> int:
@@ -101,6 +104,7 @@ class MoranTest:
 # --- parameter reparameterization -----------------------------------------
 
 _CLIP = 700.0
+_POS, _REAL = (0.0, math.inf), (-math.inf, math.inf)
 
 
 def _exp(psi):
@@ -117,15 +121,15 @@ _DOMAINS = {
 
 
 def _transforms(ctx: SpacingContext):
-    """Per-coordinate (natural -> free, free -> natural) maps."""
+    """Per-coordinate (natural -> free, free -> natural, open natural domain)."""
     bd = get_base(ctx.base)
-    pairs = [_DOMAINS[d][:2] for d in get_family(ctx.family).domains]
+    maps = [(*_DOMAINS[d][:2], d) for d in get_family(ctx.family).domains]
     for i in range(bd.n_params):
-        pairs.append(((lambda v: v), (lambda psi: psi)) if i in bd.real_params else (math.log, _exp))
+        maps.append(((lambda v: v), (lambda psi: psi), _REAL) if i in bd.real_params else (math.log, _exp, _POS))
     if ctx.location:
         x1 = float(ctx.data[0])
-        pairs.append((lambda mu: math.log(x1 - mu), lambda psi: x1 - _exp(psi)))
-    return pairs
+        maps.append((lambda mu: math.log(x1 - mu), lambda psi: x1 - _exp(psi), _REAL))
+    return maps
 
 
 def to_free(ctx: SpacingContext, theta):
@@ -139,17 +143,23 @@ def from_free(ctx: SpacingContext, psi):
 
 # --- the objective ---------------------------------------------------------
 
+def _terms(fam, induced, b, ctx: SpacingContext):
+    """Tie-corrected log-spacings (length m) on the last axis; -inf where infeasible."""
+    tail = _base_tail(b, ctx.data)
+    h = _h(fam, induced, *tail)
+    ext = np.concatenate([np.zeros(h.shape[:-1] + (1,)), h, np.ones(h.shape[:-1] + (1,))], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.log(np.maximum(ext[..., 1:] - ext[..., :-1], 0.0))
+    if ctx.tie_mask.any():
+        # .T indexes the last axis of one row or of a stack at plain indexing's cost
+        tied = np.flatnonzero(ctx.tie_mask)
+        terms.T[tied] = _log_density(fam, induced, b, ctx.data[tied], [t.T[tied].T for t in tail]).T
+    return terms
+
+
 def spacing_sum_terms(theta, ctx: SpacingContext):
     """Per-spacing log terms (length m), tie-corrected; -inf where infeasible."""
-    fam, induced, b = _resolve(ctx.family, ctx.base, theta, ctx.location)
-    tail = _base_tail(b, ctx.data)
-    ext = np.concatenate([[0.0], _h(fam, induced, *tail), [1.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(np.maximum(np.diff(ext), 0.0))
-    if ctx.tie_mask.any():
-        tied = np.flatnonzero(ctx.tie_mask)
-        terms[tied] = _log_density(fam, induced, b, ctx.data[tied], [t[tied] for t in tail])
-    return terms
+    return _terms(*_resolve(ctx.family, ctx.base, theta, ctx.location), ctx)
 
 
 def spacing_value(theta, ctx: SpacingContext) -> float:
@@ -169,6 +179,24 @@ def spacing_objective(theta_free, ctx: SpacingContext) -> float:
     if not np.all(np.isfinite(theta)):
         return -math.inf
     return spacing_value(theta, ctx)
+
+
+def _spacing_rows(psi_rows, ctx: SpacingContext):
+    """``spacing_objective`` at each row of a (B, k) stack, bit for bit, in one
+    pass: the rows that pass its checks and ``_resolve``'s become (B, 1)
+    parameter columns, and the base tail, h and the tie terms run on (B, n)."""
+    thetas = np.array([from_free(ctx, psi) for psi in psi_rows])
+    ok = ((ctx._lo < thetas) & (thetas < ctx._hi)).all(axis=1)
+    out = np.full(len(thetas), -math.inf)
+    fam, dist = get_family(ctx.family), get_base(ctx.base)
+    k, cols = fam.n_induced, tuple(np.ascontiguousarray(thetas[ok].T)[:, :, None])
+    try:
+        terms = _terms(fam, cols[:k], (dist, cols[k : k + dist.n_params], cols[-1] if ctx.location else 0.0), ctx)
+    except (ValueError, OverflowError):  # weibullextg's a**-b; the single calls raise too
+        return np.array([spacing_objective(psi, ctx) for psi in psi_rows])
+    with np.errstate(invalid="ignore"):
+        out[ok] = np.where(np.isfinite(terms).all(axis=1), np.sum(terms, axis=1) / ctx.m, -math.inf)
+    return out
 
 
 # --- starting values -------------------------------------------------------
@@ -221,7 +249,8 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
     # adds those probes
     for tried, theta0 in enumerate(_starts(ctx), 1):
         try:
-            res = maximize(lambda psi: spacing_objective(psi, ctx), to_free(ctx, theta0), config)
+            res = maximize(lambda psi: spacing_objective(psi, ctx), to_free(ctx, theta0), config,
+                           rows=lambda psi_rows: _spacing_rows(psi_rows, ctx))
             break
         except _InfeasibleStart:
             pass

@@ -2,8 +2,9 @@
 
 The objective convention is maximization; infeasible points are signalled by
 -inf, never by exceptions.  Nelder-Mead, BFGS, and CG are delegated to
-``scipy.optimize`` (BFGS/CG with an explicit central-difference gradient);
-simulated annealing is implemented here.  "L-BFGS-B" is accepted as an alias
+``scipy.optimize`` (BFGS/CG with an explicit central-difference gradient,
+which evaluates its 2k points as one stack); simulated annealing is
+implemented here.  "L-BFGS-B" is accepted as an alias
 of BFGS because all box constraints are removed upstream by smooth
 reparameterization.
 """
@@ -62,15 +63,11 @@ class _InfeasibleStart(ValueError):
     """The objective is not finite at the starting point."""
 
 
-def _central_diff_grad(f, x):
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        h = max(1e-7, 1e-7 * abs(x[i]))
-        e = np.zeros_like(x)
-        e[i] = h
-        fp, fm = f(x + e), f(x - e)
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
+def _central_diff_grad(rows, x):
+    """Central differences from one ``rows`` call on the 2k points x +- h_i e_i."""
+    h = np.maximum(1e-7, 1e-7 * np.abs(x))
+    f = rows(np.concatenate([x + np.diag(h), x - np.diag(h)]))
+    return (f[: x.size] - f[x.size :]) / (2.0 * h)
 
 
 def _sann(neg_f, x0, config, rng):
@@ -89,12 +86,16 @@ def _sann(neg_f, x0, config, rng):
     return best_x, best_f
 
 
-def _run_once(objective, x0, config, rng):
+def _run_once(objective, rows, x0, config, rng):
     """One optimizer run from x0: (x, f, converged, message)."""
 
     def neg_f(x):
         v = objective(np.asarray(x, dtype=float))
         return _BIG if not np.isfinite(v) else -float(v)
+
+    def neg_rows(xs):
+        v = rows(xs)
+        return np.where(np.isfinite(v), -v, _BIG)
 
     method = resolve_method(config.method)
     if method == "sann":
@@ -121,15 +122,18 @@ def _run_once(objective, x0, config, rng):
             neg_f,
             x0,
             method=scipy_method,
-            jac=lambda x: _central_diff_grad(neg_f, x),
+            jac=lambda x: _central_diff_grad(neg_rows, x),
             options={"maxiter": config.max_iter},
         )
     return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), str(res.message)
 
 
-def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
+def maximize(objective, x0, config: OptimizerConfig, rows=None) -> OptResult:
     """Maximize ``objective`` from x0 with jittered restarts; returns the best
-    point found.  Raises if the starting point itself is infeasible."""
+    point found.  Raises if the starting point itself is infeasible.
+    ``rows`` maps a (B, k) stack of points to their B values, by default by
+    ``objective`` row by row; each gradient is one call, and ``n_evals``
+    counts its rows."""
     n_evals = 0
 
     def counted(x):
@@ -137,17 +141,22 @@ def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
         n_evals += 1
         return objective(x)
 
+    def counted_rows(xs):
+        nonlocal n_evals
+        n_evals += len(xs)
+        return rows(xs) if rows is not None else np.array([objective(x) for x in xs])
+
     x0 = np.asarray(x0, dtype=float)
     f0 = float(counted(x0))
     if not np.isfinite(f0):
         raise _InfeasibleStart("infeasible start")
     rng = np.random.default_rng(config.seed)
-    best = _run_once(counted, x0, config, rng)
+    best = _run_once(counted, counted_rows, x0, config, rng)
     for _ in range(max(config.restarts, 0)):
         jittered = x0 + rng.normal(scale=0.3, size=x0.size)
         if not np.isfinite(counted(jittered)):
             continue
-        trial = _run_once(counted, jittered, config, rng)
+        trial = _run_once(counted, counted_rows, jittered, config, rng)
         if trial[1] > best[1]:
             best = trial
     # never report a point worse than where we started

@@ -6,13 +6,15 @@ structural property of the objective.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from genfit import mps_fit
+from genfit.base_distributions import BASE_DISTRIBUTIONS
 from genfit.datasets import load_dataset
-from genfit.family_transforms import family_cdf, family_log_pdf, h_forward, log_h_prime
+from genfit.family_transforms import FAMILIES, family_cdf, family_log_pdf, h_forward, log_h_prime
 from genfit.mps_fit import (
     EULER_MASCHERONI,
     SpacingContext,
@@ -148,6 +150,29 @@ class TestSpacingValue:
         assert spacing_value(theta, ctx) == -math.inf
 
 
+class TestSpacingRows:
+    @pytest.mark.parametrize("name", ["bearing", "pollution", "earthquake"])
+    def test_rows_equal_single_calls(self, name):
+        # every composition at its moment start, the +-h stack of the
+        # gradient there, a jittered row and a row at the +-700 clip: the
+        # batch gives each row the single call's bits, -inf included, and
+        # lets no floating-point warning escape
+        data = load_dataset(name)
+        for i, family in enumerate(sorted(FAMILIES)):
+            for j, base in enumerate(sorted(BASE_DISTRIBUTIONS)):
+                ctx = SpacingContext(data, family, base)
+                x = to_free(ctx, _start_theta(ctx))
+                h = np.diag(np.maximum(1e-7, 1e-7 * np.abs(x)))
+                rng = np.random.default_rng([i, j])
+                psi_rows = np.vstack([x, x + h, x - h, x + rng.normal(scale=0.3, size=x.size),
+                                      np.where(rng.uniform(size=x.size) < 0.5, -700.0, 700.0)])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = mps_fit._spacing_rows(psi_rows, ctx)
+                want = [spacing_objective(psi, ctx) for psi in psi_rows]
+                np.testing.assert_array_equal(got, want, err_msg=f"{family} x {base}")
+
+
 class TestReparameterization:
     @pytest.mark.parametrize(
         "family,base,theta",
@@ -188,17 +213,25 @@ class TestFit:
         assert res.moran == pytest.approx(-ctx.m * res.s_opt, rel=1e-12)
         assert res.k == 5
 
-    def test_one_objective_call_per_counted_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["nelder-mead", "bfgs", "cg"])
+    def test_one_objective_call_per_counted_evaluation(self, monkeypatch, method):
+        # single points through spacing_objective, gradient stacks through
+        # _spacing_rows; n_evals counts each row
         calls = []
-        objective = mps_fit.spacing_objective
+        objective, rows = mps_fit.spacing_objective, mps_fit._spacing_rows
 
         def counted(psi, ctx):
             calls.append(1)
             return objective(psi, ctx)
 
+        def counted_rows(psi_rows, ctx):
+            calls.extend([1] * len(psi_rows))
+            return rows(psi_rows, ctx)
+
         monkeypatch.setattr(mps_fit, "spacing_objective", counted)
+        monkeypatch.setattr(mps_fit, "_spacing_rows", counted_rows)
         ctx = SpacingContext(load_dataset("bearing"), "weibullg", "weibull")
-        res = fit(ctx, OptimizerConfig(seed=0, restarts=1))
+        res = fit(ctx, OptimizerConfig(method=method, seed=0, restarts=1))
         assert len(calls) == res.convergence.n_evals
 
     def test_infeasible_start_names_the_composition(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from genfit.optimizers import OptimizerConfig, maximize, resolve_method
+from genfit.optimizers import OptimizerConfig, _central_diff_grad, maximize, resolve_method
 
 
 def neg_quadratic(x):
@@ -102,3 +102,36 @@ class TestMaximize:
 
         res = maximize(counted, [1.0], OptimizerConfig(method=method, max_iter=200, restarts=3, seed=0))
         assert res.n_evals == calls[0]
+
+
+class TestGradient:
+    def test_one_rows_call_per_gradient(self):
+        # the 2k points x +- h_i e_i go to the objective as one stack
+        stacks = []
+
+        def rows(xs):
+            stacks.append(xs.copy())
+            return np.array([neg_rosenbrock(x) for x in xs])
+
+        x = np.array([0.3, -0.7])
+        g = _central_diff_grad(rows, x)
+        assert len(stacks) == 1 and stacks[0].shape == (4, 2)
+        x0, x1 = x
+        np.testing.assert_allclose(g, [400 * x0 * (x1 - x0**2) + 2 * (1 - x0), -200 * (x1 - x0**2)], rtol=1e-6)
+
+    @pytest.mark.parametrize("method", ["bfgs", "cg"])
+    def test_rows_adapter_matches_the_default(self, method):
+        # a rows function gives the bits the default row-by-row loop gives,
+        # and n_evals counts its rows
+        calls = []
+
+        def rows(xs):
+            calls.append(len(xs))
+            return np.array([neg_rosenbrock(x) for x in xs])
+
+        cfg = OptimizerConfig(method=method, max_iter=200, restarts=2, seed=0)
+        plain = maximize(neg_rosenbrock, [0.5, 0.5], cfg)
+        batched = maximize(neg_rosenbrock, [0.5, 0.5], cfg, rows=rows)
+        np.testing.assert_array_equal(batched.x_opt, plain.x_opt)
+        assert (batched.f_opt, batched.n_evals) == (plain.f_opt, plain.n_evals)
+        assert calls and set(calls) == {4}
