@@ -28,10 +28,11 @@ The grids:
   and, on a p grid, the quantile (both tails, plain and log); ``h_forward``,
   ``log_h_prime`` and ``h_inverse`` per family; eval_bulk's six compositions
   at seeds 11 and 12; S at every start of all 1,080 compositions on the three
-  bundled datasets; the three reference fits by Nelder-Mead, BFGS and CG;
-  the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
+  bundled datasets; the three reference fits by Nelder-Mead at the
+  optimizer seeds 0-5 that perfbench's fit_reference uses, and by BFGS and CG
+  at seed 0; the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
   reference models by Nelder-Mead and BFGS, and ``cdf`` and ``quantile`` of
-  eval_bulk's six compositions.  About a minute and a half per side.
+  eval_bulk's six compositions.  About a minute per side.
 * ``small``: a few compositions of each kind, one short fit and one CLI call.
 """
 
@@ -158,15 +159,16 @@ def _starts(genfit, rec, datasets, families, bases):
 
 def _fit(genfit, rec, label, name, family, base, **config):
     mf = genfit.mps_fit
+    key = f"{name}:seed{config['seed']}"
     try:
         ctx = mf.SpacingContext(genfit.datasets.load_dataset(name), family, base, True)
         res = mf.fit(ctx, genfit.optimizers.OptimizerConfig(**config))
         conv = res.convergence
-        rec[(label, family, base, name)] = np.concatenate(
+        rec[(label, family, base, key)] = np.concatenate(
             [res.theta_hat, [res.s_opt, conv.n_evals, float(conv.converged)]])
-        rec[(label + "_message", family, base, name)] = str(conv.message)
+        rec[(label + "_message", family, base, key)] = str(conv.message)
     except Exception as exc:  # noqa: BLE001
-        rec[(label, family, base, name)] = f"{type(exc).__name__}: {exc}"
+        rec[(label, family, base, key)] = f"{type(exc).__name__}: {exc}"
 
 
 CLI_X = "0.05,0.5,1,1.5,2,3,5,10,50"
@@ -207,7 +209,9 @@ def run_worker(grid, out):
         _bulk(genfit, rec, BULK_COMPOSITIONS, 100_000)
         _starts(genfit, rec, ["bearing", "pollution", "earthquake"], families, bases)
         for name, family, base in REFERENCE_FITS:
-            for method in ("nelder-mead", "bfgs", "cg"):
+            for seed in range(6):  # fit_reference's Nelder-Mead seeds
+                _fit(genfit, rec, "fit_nelder-mead", name, family, base, method="nelder-mead", restarts=3, seed=seed)
+            for method in ("bfgs", "cg"):
                 _fit(genfit, rec, f"fit_{method}", name, family, base, method=method, restarts=3, seed=0)
             for method in ("nelder-mead", "bfgs"):
                 _cli(rec, (f"cli_fit_{method}", family, base, name), "fit", "--family", family, "--base", base,

@@ -13,9 +13,11 @@ construction.
 
 Each evaluation checks theta once and makes one base tail pass, which gives
 both the cdf and the tied points' log-densities; ``SpacingContext`` builds the
-free <-> natural maps once.  A single theta stays Python floats: the
-optimizers' single points go through ``spacing_objective``, and only the
-gradient's stack of 2k points goes through ``_spacing_rows`` as one pass.
+free <-> natural maps once.  A single theta stays Python floats and goes
+through ``spacing_objective``; every stack the optimizers ask for goes through
+``_spacing_rows`` as one pass: a gradient's 2k points, and under Nelder-Mead
+each step's points of all the runs in lockstep (a first simplex, a shrink, or
+one point per run).
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
@@ -232,12 +234,19 @@ def _start_theta(ctx: SpacingContext, mu0=None):
 
 
 def _starts(ctx: SpacingContext):
-    """The moment start, then (location on) the fallback starts, in order."""
+    """The moment start, then (location on) the fallback starts, in order;
+    for the chisq base the last one matches the mean and the variance: a
+    chisq_k has mean k and variance 2k, so mu0 = mean - var/2 and the base's
+    start rule, k = mean(y), gives k = var/2."""
     yield _start_theta(ctx)
     if ctx.location:
         sd = float(np.std(ctx.data))
         for c in _FALLBACK_SDS:
             yield _start_theta(ctx, float(ctx.data[0]) - c * sd)
+        if ctx.base == "chisq":
+            mu0 = float(np.mean(ctx.data)) - float(np.var(ctx.data)) / 2.0
+            if mu0 < ctx.data[0]:
+                yield _start_theta(ctx, mu0)
 
 
 def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult:

@@ -19,6 +19,7 @@ from genfit.mps_fit import (
     EULER_MASCHERONI,
     SpacingContext,
     _start_theta,
+    _starts,
     fit,
     from_free,
     moran_chi_square_test,
@@ -235,22 +236,37 @@ class TestFit:
         assert len(calls) == res.convergence.n_evals
 
     def test_infeasible_start_names_the_composition(self):
-        ctx = SpacingContext(load_dataset("pollution"), "expg", "chisq")
-        with pytest.raises(ValueError, match="infeasible starting point for expg x chisq"):
+        ctx = SpacingContext(load_dataset("pollution"), "gammag2", "f")
+        with pytest.raises(ValueError, match="infeasible starting point for gammag2 x f"):
             fit(ctx, OptimizerConfig(seed=0))
+
+    def test_moment_matched_chisq_start_rescues_the_fit(self):
+        # S is -inf at the moment start and at every sd fallback; the start
+        # with mean and variance matched (mu0 = mean - var/2) is finite
+        ctx = SpacingContext(load_dataset("pollution"), "expg", "chisq")
+        s = [spacing_value(theta, ctx) for theta in _starts(ctx)]
+        assert len(s) == 5 and not np.isfinite(s[:4]).any() and np.isfinite(s[4])
+        res = fit(ctx, OptimizerConfig(seed=0, max_iter=50, restarts=0))
+        assert np.isfinite(res.s_opt) and res.s_opt >= s[4]
+        assert res.convergence.n_evals > 4
 
     @pytest.mark.parametrize("family,base", [("mog", "chisq"), ("gammag2", "gompertz")])
     def test_fallback_start_rescues_the_fit(self, monkeypatch, family, base):
         # S is -inf at the moment start; a start with mu0 further below x_(1)
         # is finite, and its probes count as evaluations
         calls = []
-        objective = mps_fit.spacing_objective
+        objective, rows = mps_fit.spacing_objective, mps_fit._spacing_rows
 
         def counted(psi, ctx):
             calls.append(1)
             return objective(psi, ctx)
 
+        def counted_rows(psi_rows, ctx):
+            calls.extend([1] * len(psi_rows))
+            return rows(psi_rows, ctx)
+
         monkeypatch.setattr(mps_fit, "spacing_objective", counted)
+        monkeypatch.setattr(mps_fit, "_spacing_rows", counted_rows)
         ctx = SpacingContext(load_dataset("bearing"), family, base)
         assert spacing_value(_start_theta(ctx), ctx) == -math.inf
         res = fit(ctx, OptimizerConfig(seed=0, restarts=0))

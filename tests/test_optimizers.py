@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from genfit.optimizers import OptimizerConfig, _central_diff_grad, maximize, resolve_method
+from genfit.optimizers import _BIG, OptimizerConfig, _central_diff_grad, _nelder_mead, maximize, resolve_method
 
 
 def neg_quadratic(x):
@@ -135,3 +136,146 @@ class TestGradient:
         np.testing.assert_array_equal(batched.x_opt, plain.x_opt)
         assert (batched.f_opt, batched.n_evals) == (plain.f_opt, plain.n_evals)
         assert calls and set(calls) == {4}
+
+
+def _scipy_options(cfg):
+    # the options scipy's Nelder-Mead ran with before the port
+    return {"maxiter": cfg.max_iter, "maxfev": 50 * cfg.max_iter, "xatol": cfg.x_tol, "fatol": cfg.f_tol}
+
+
+def _run_port(fun, x0, cfg):
+    """Drive the Nelder-Mead generator: (x, f, calls, converged, message)."""
+    run, calls = _nelder_mead(np.asarray(x0, dtype=float), cfg), 0
+    points = next(run)
+    try:
+        while True:
+            calls += len(points)
+            points = run.send(np.array([fun(x) for x in points]))
+    except StopIteration as done:
+        x, f, converged, message = done.value
+    return x, f, calls, converged, message
+
+
+def rosenbrock(x):
+    return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
+
+
+def walled_bowl(x):
+    # _BIG above a plane through the start's neighbourhood: the first simplex
+    # has three points tied at _BIG, and scipy's argsort decides their order
+    if np.sum(x) > 3.01:
+        return _BIG
+    return float(np.sum((x - np.array([-1.0, 0.5, 2.0])) ** 2))
+
+
+def terraced(x):
+    # a staircase: equal values at distinct points, so every tie rule matters
+    return float(np.floor(4.0 * ((x[0] - 1.0) ** 2 + 2.0 * (x[1] + 0.5) ** 2)))
+
+
+class TestNelderMeadPort:
+    @pytest.mark.parametrize(
+        "fun,x0,cfg",
+        [
+            (rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iter=5000)),  # converges by tolerance
+            (rosenbrock, [-1.2, 1.0], OptimizerConfig(max_iter=30)),  # stops at max_iter
+            (walled_bowl, [1.0, 1.0, 1.0], OptimizerConfig()),  # ties at _BIG
+            (terraced, [10.0, -10.0], OptimizerConfig()),  # ties between finite values
+            (lambda x: float(np.sum(x**2)), [0.0, 2.0], OptimizerConfig()),  # a zero start coordinate
+        ],
+        ids=["converges", "max-iter", "ties-at-big", "terraces", "zero-coordinate"],
+    )
+    def test_matches_scipy_bit_for_bit(self, fun, x0, cfg):
+        ref = minimize(fun, x0, method="Nelder-Mead", options=_scipy_options(cfg))
+        x, f, calls, converged, message = _run_port(fun, x0, cfg)
+        assert x.tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+        assert float(f) == float(ref.fun)
+        assert (calls, converged, message) == (ref.nfev, ref.success, ref.message)
+
+    def test_ties_case_hits_the_wall(self):
+        assert sorted(walled_bowl(np.array(x)) for x in ([1.05, 1, 1], [1, 1.05, 1], [1, 1, 1.05])) == [_BIG] * 3
+
+
+def _sequential(objective, x0, cfg):
+    """The restart loop as it ran before lockstep: scipy runs one after another."""
+    rng, calls = np.random.default_rng(cfg.seed), [0]
+
+    def neg_f(x):
+        calls[0] += 1
+        v = objective(x)
+        return _BIG if not np.isfinite(v) else -float(v)
+
+    def run(x):
+        res = minimize(neg_f, x, method="Nelder-Mead", options=_scipy_options(cfg))
+        return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), str(res.message)
+
+    x0 = np.asarray(x0, dtype=float)
+    neg_f(x0)
+    best = run(x0)
+    for _ in range(cfg.restarts):
+        jittered = x0 + rng.normal(scale=0.3, size=x0.size)
+        if neg_f(jittered) == _BIG:
+            continue
+        trial = run(jittered)
+        if trial[1] > best[1]:
+            best = trial
+    return best, calls[0]
+
+
+def tilted_half_space(x):
+    # -inf for x[0] <= 0; from (0.2, 0) under seed 5 the first jitter is infeasible
+    if x[0] <= 0:
+        return -np.inf
+    return -float((np.log(x[0]) - 1.0) ** 2 + (x[1] - 0.5) ** 2)
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("restarts", [0, 1, 2, 3])
+    @pytest.mark.parametrize("batched", [False, True], ids=["row-by-row", "rows"])
+    def test_matches_the_sequential_loop(self, restarts, batched):
+        cfg = OptimizerConfig(max_iter=400, restarts=restarts, seed=5)
+        x0 = np.array([0.2, 0.0])
+        rng = np.random.default_rng(5)
+        assert [x0[0] + rng.normal(scale=0.3, size=2)[0] > 0 for _ in range(3)] == [False, True, True]
+        stacks = []
+
+        def rows(xs):
+            stacks.append(len(xs))
+            return np.array([tilted_half_space(x) for x in xs])
+
+        (x, f, converged, message), calls = _sequential(tilted_half_space, x0, cfg)
+        res = maximize(tilted_half_space, x0, cfg, rows=rows if batched else None)
+        assert res.x_opt.tobytes() == x.tobytes()
+        assert (res.f_opt, res.n_evals, res.converged, res.message) == (f, calls, converged, message)
+        if batched:
+            # one stack per lockstep step; single points go to the objective
+            assert stacks and min(stacks) >= 2
+
+    def test_stacks_plus_single_calls_count_every_evaluation(self):
+        singles, stacked = [0], [0]
+
+        def objective(x):
+            singles[0] += 1
+            return tilted_half_space(x)
+
+        def rows(xs):
+            stacked[0] += len(xs)
+            return np.array([tilted_half_space(x) for x in xs])
+
+        res = maximize(objective, [0.2, 0.0], OptimizerConfig(max_iter=400, restarts=3, seed=5), rows=rows)
+        assert singles[0] + stacked[0] == res.n_evals
+
+    @pytest.mark.parametrize(
+        "seed,x_hex,f_hex",
+        [
+            (0, ("0x1.59a30abcdbd9bp+1", "0x1.0b9f27a3f06fep-1"), "-0x1.254101ecb73dcp-11"),
+            (1, ("0x1.57e27b0fcbd78p+1", "0x1.e8088c1d1b7a8p-2"), "-0x1.67431a30ef834p-11"),
+        ],
+    )
+    def test_sann_unchanged(self, seed, x_hex, f_hex):
+        # pinned from the sequential loop before lockstep; SANN keeps that loop
+        res = maximize(tilted_half_space, [1.0, 0.0], OptimizerConfig(method="sann", max_iter=300, restarts=2, seed=seed))
+        assert [float(v).hex() for v in res.x_opt] == list(x_hex)
+        assert float(res.f_opt).hex() == f_hex
+        assert (res.n_evals, res.converged) == (906, True)
+
