@@ -15,9 +15,10 @@ Each evaluation checks theta once and makes one base tail pass, which gives
 both the cdf and the tied points' log-densities; ``SpacingContext`` builds the
 free <-> natural maps once.  A single theta stays Python floats and goes
 through ``spacing_objective``; every stack the optimizers ask for goes through
-``_spacing_rows`` as one pass: a gradient's 2k points, and under Nelder-Mead
-each step's points of all the runs in lockstep (a first simplex, a shrink, or
-one point per run).
+``_spacing_rows`` as one pass: each step's points of all the runs in lockstep.
+A run asks for a first simplex, a shrink or one point under Nelder-Mead, and
+for a point with its gradient's 2k points (or the 2k alone) under BFGS and
+CG.
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform

@@ -1,21 +1,25 @@
 """Derivative-free and gradient-based maximizers for the spacing objective.
 
 The objective convention is maximization; infeasible points are signalled by
--inf, never by exceptions.  Nelder-Mead is implemented here, as a port of
-scipy's that yields the stacks of points it needs, so that a fit's main run
-and its jittered restarts advance in lockstep, one stack evaluation per step,
-and reach the points scipy's run would, bit for bit.  BFGS and CG are
-delegated to ``scipy.optimize`` (with an explicit central-difference
-gradient, which evaluates its 2k points as one stack); they are the only
-methods that import it.  Simulated annealing is implemented here.
-"L-BFGS-B" is accepted as an alias of BFGS because all box constraints are
-removed upstream by smooth reparameterization.
+-inf, never by exceptions.  Every method but simulated annealing runs as a
+generator that yields the stacks of points it needs, so that a fit's main run
+and its jittered restarts advance in lockstep, one stack evaluation per step.
+Nelder-Mead is a port of scipy's and reaches the points scipy's run would,
+bit for bit.  BFGS and CG are ``scipy.optimize`` itself, run in a worker
+thread that hands each stack over and waits for its values; a point's value
+and its central-difference gradient are one stack.  They are the only
+methods that import scipy.optimize.  Simulated annealing is implemented here
+and runs its restarts one after another.  "L-BFGS-B" is accepted as an alias
+of BFGS because all box constraints are removed upstream by smooth
+reparameterization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import queue
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,8 +63,10 @@ class OptResult:
     x_opt: np.ndarray
     f_opt: float
     n_evals: int  # every objective call maximize made, over all restarts
-    converged: bool
+    converged: bool  # of the best run, as is message
     message: str
+    # (f, converged, message) of every run started, the main run first
+    runs: list = field(default_factory=list)
 
 
 class _InfeasibleStart(ValueError):
@@ -74,20 +80,21 @@ def _central_diff_grad(rows, x):
     return (f[: x.size] - f[x.size :]) / (2.0 * h)
 
 
-def _sann(neg_f, x0, config, rng):
+def _sann(objective, x0, config, rng):
+    """One simulated-annealing run from x0: (x, f, converged, message), f maximized."""
     x = x0.copy()
-    fx = neg_f(x)
+    fx = _neg_one(objective(x))
     best_x, best_f = x.copy(), fx
     temp = 1.0
     for _ in range(config.max_iter):
         cand = x + rng.normal(scale=0.1 + 0.4 * temp, size=x.size)
-        fc = neg_f(cand)
+        fc = _neg_one(objective(cand))
         if fc < fx or rng.uniform() < np.exp(-(fc - fx) / max(temp, 1e-12)):
             x, fx = cand, fc
             if fx < best_f:
                 best_x, best_f = x.copy(), fx
         temp *= 0.995
-    return best_x, best_f
+    return best_x, -best_f, True, "sann schedule completed"
 
 
 def _order(sim, fsim):
@@ -152,25 +159,97 @@ def _nelder_mead(x0, config):
     return sim[0], np.min(fsim), True, "Optimization terminated successfully."
 
 
-def _lockstep(neg_rows, starts, config):
-    """One Nelder-Mead run from each start, advanced together: each step
-    evaluates every point the unfinished runs wait for in one ``neg_rows``
-    call.  Returns each run's (x, f, converged, message), f maximized."""
-    runs = [_nelder_mead(x, config) for x in starts]
-    waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
-    results = [None] * len(runs)
-    while waiting:
-        values = neg_rows(waiting[0][2] if len(waiting) == 1 else np.concatenate([w[2] for w in waiting]))
-        still, pos = [], 0
-        for i, run, points in waiting:
-            try:
-                still.append((i, run, run.send(values[pos : pos + len(points)])))
-            except StopIteration as done:
-                x, f, converged, message = done.value
-                results[i] = (x, -float(f), converged, message)
-            pos += len(points)
-        waiting = still
-    return results
+class _Abandoned(BaseException):
+    """Unwinds a scipy run's worker thread when its generator is closed."""
+
+
+def _scipy_run(x0, config):
+    """A BFGS or CG minimization from x0 by ``scipy.optimize.minimize``, as a
+    generator like ``_nelder_mead``.
+
+    scipy runs in a worker thread.  Its callbacks hand each stack of points to
+    the generator, which yields it, and block until the values are sent back,
+    so only one of the two threads runs at a time.  ``fun(x)`` asks for x and
+    its 2k central-difference points in one stack and keeps the gradient for
+    the ``jac(x)`` that scipy asks for next; a ``jac`` at another point asks
+    for its 2k points alone.  Closing the generator unwinds and joins the
+    thread."""
+    # imported here so that evaluation and Nelder-Mead never pay for scipy.optimize
+    from scipy.optimize import minimize
+
+    method = {"bfgs": "BFGS", "cg": "CG"}[resolve_method(config.method)]
+    asks, answers = queue.SimpleQueue(), queue.SimpleQueue()
+    grad_at = {}
+
+    def values(points):
+        asks.put((points, None))
+        got = answers.get()
+        if got is None:
+            raise _Abandoned
+        return got
+
+    def fun(x):
+        fx = []
+
+        def with_x(points):  # x rides at the head of its gradient's stack
+            f = values(np.concatenate([x[None], points]))
+            fx.append(float(f[0]))
+            return f[1:]
+
+        grad_at.clear()
+        grad_at[x.tobytes()] = _central_diff_grad(with_x, x)
+        return fx[0]
+
+    def jac(x):
+        g = grad_at.get(x.tobytes())
+        return _central_diff_grad(values, x) if g is None else g
+
+    def work():
+        try:
+            asks.put((None, minimize(fun, x0, method=method, jac=jac, options={"maxiter": config.max_iter})))
+        except _Abandoned:
+            pass
+        except BaseException as exc:  # raised again in the driving thread
+            asks.put((None, exc))
+
+    worker = threading.Thread(target=work, name="genfit-scipy-run", daemon=True)
+    worker.start()
+    try:
+        points, out = asks.get()
+        while points is not None:
+            answers.put((yield points))
+            points, out = asks.get()
+    finally:
+        answers.put(None)  # unblocks a worker still waiting for values
+        worker.join()
+    if isinstance(out, BaseException):
+        raise out
+    return np.asarray(out.x, dtype=float), out.fun, bool(out.success), str(out.message)
+
+
+def _lockstep(neg_rows, runs):
+    """Advances the runs (generators like ``_nelder_mead``) together: each
+    step evaluates every point the unfinished runs wait for in one
+    ``neg_rows`` call.  Returns each run's (x, f, converged, message), f
+    maximized.  Every run is closed on the way out, also when one raises."""
+    try:
+        waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
+        results = [None] * len(runs)
+        while waiting:
+            values = neg_rows(waiting[0][2] if len(waiting) == 1 else np.concatenate([w[2] for w in waiting]))
+            still, pos = [], 0
+            for i, run, points in waiting:
+                try:
+                    still.append((i, run, run.send(values[pos : pos + len(points)])))
+                except StopIteration as done:
+                    x, f, converged, message = done.value
+                    results[i] = (x, -float(f), converged, message)
+                pos += len(points)
+            waiting = still
+        return results
+    finally:
+        for run in runs:
+            run.close()
 
 
 def _neg(values):
@@ -183,28 +262,6 @@ def _neg_one(v):
     return _BIG if not math.isfinite(v) else -float(v)
 
 
-def _run_once(objective, rows, x0, config, rng):
-    """One BFGS, CG or SANN run from x0: (x, f, converged, message)."""
-
-    def neg_f(x):
-        return _neg_one(objective(np.asarray(x, dtype=float)))
-
-    if resolve_method(config.method) == "sann":
-        x, f = _sann(neg_f, x0, config, rng)
-        return x, -f, True, "sann schedule completed"
-    # imported here so that evaluation and Nelder-Mead never pay for scipy.optimize
-    from scipy.optimize import minimize
-
-    res = minimize(
-        neg_f,
-        x0,
-        method={"bfgs": "BFGS", "cg": "CG"}[resolve_method(config.method)],
-        jac=lambda x: _central_diff_grad(lambda xs: _neg(rows(xs)), x),
-        options={"maxiter": config.max_iter},
-    )
-    return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), str(res.message)
-
-
 def maximize(objective, x0, config: OptimizerConfig, rows=None) -> OptResult:
     """Maximize ``objective`` from x0 with jittered restarts; returns the best
     point found, the first in restart order among equals.  Raises if the
@@ -212,11 +269,11 @@ def maximize(objective, x0, config: OptimizerConfig, rows=None) -> OptResult:
 
     ``rows`` maps a (B, k) stack of points to their B values, by default by
     ``objective`` row by row; a stack of one row goes to ``objective``.  Under
-    Nelder-Mead, which draws nothing from the generator during a run, the
-    restarts' jitters are drawn up front and probed as one stack, and the
-    feasible runs advance in lockstep, one stack per step.  The other methods
-    run one after another (a SANN run draws from the generator); each BFGS
-    or CG gradient is one stack.  ``n_evals`` counts every point evaluated."""
+    Nelder-Mead, BFGS and CG, which draw nothing from the generator during a
+    run, the restarts' jitters are drawn up front and probed as one stack,
+    and the feasible runs advance in lockstep, one stack per step.  SANN runs
+    draw from the generator, so they run one after another.  ``n_evals``
+    counts every point evaluated; ``runs`` holds every run's outcome."""
     n_evals = 0
 
     def counted(x):
@@ -241,21 +298,23 @@ def maximize(objective, x0, config: OptimizerConfig, rows=None) -> OptResult:
         raise _InfeasibleStart("infeasible start")
     rng = np.random.default_rng(config.seed)
     restarts = max(config.restarts, 0)
-    if resolve_method(config.method) == "nelder-mead":
+    method = resolve_method(config.method)
+    if method == "sann":
+        runs = [_sann(counted, x0, config, rng)]
+        for _ in range(restarts):
+            jittered = x0 + rng.normal(scale=0.3, size=x0.size)
+            if np.isfinite(counted(jittered)):
+                runs.append(_sann(counted, jittered, config, rng))
+    else:
         starts = [x0]
         if restarts:
             jitters = np.array([x0 + rng.normal(scale=0.3, size=x0.size) for _ in range(restarts)])
             starts += list(jitters[np.isfinite(counted_rows(jitters))])
-        runs = _lockstep(neg_rows, starts, config)
-    else:
-        runs = [_run_once(counted, counted_rows, x0, config, rng)]
-        for _ in range(restarts):
-            jittered = x0 + rng.normal(scale=0.3, size=x0.size)
-            if np.isfinite(counted(jittered)):
-                runs.append(_run_once(counted, counted_rows, jittered, config, rng))
+        run = _nelder_mead if method == "nelder-mead" else _scipy_run
+        runs = _lockstep(neg_rows, [run(x, config) for x in starts])
     best = max(runs, key=lambda run: run[1])
     # never report a point worse than where we started
     if best[1] < f0:
         best = (x0, f0, False, "no improvement over start")
     x, f, converged, message = best
-    return OptResult(x, f, n_evals, converged, message)
+    return OptResult(x, f, n_evals, converged, message, [r[1:] for r in runs])
