@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 import scipy.special as sc
 
-from genfit.base_distributions import base_cdf, base_log_sf, base_quantile, base_sf
+from genfit.base_distributions import (
+    base_cdf,
+    base_isf_log,
+    base_log_hazard,
+    base_log_pdf,
+    base_log_sf,
+    base_quantile,
+    base_sf,
+)
 from genfit.family_transforms import (
     _h_inverse,
     family_cdf,
@@ -455,3 +463,126 @@ def test_links_match_oracle(kind, x):
     t = np.asarray(float(-_ln_o(u, o)))
     assert float(_run(ft.Sc, (2.5,), (t,))[0]) == pytest.approx(2.5 * float(t), rel=1e-15)
     assert float(_run(ft.Sc, (2.5,), (2.5 * t,), inverse=True)[0]) == pytest.approx(float(t), rel=1e-15)
+
+
+# --- oracle per base: every public function at four points --------------------
+
+def _hazard_form(cum, rate):
+    """(cdf, sf, pdf) of a base whose survival value is e^-H, from H and dH/dy."""
+    def oracle(y, *p):
+        h = cum(y, *p)
+        return -mp.expm1(-h), mp.exp(-h), rate(y, *p) * mp.exp(-h)
+    return oracle
+
+
+def _normal_form(z, dz):
+    """(cdf, sf, pdf) of a base whose cdf is the normal cdf of z(y)."""
+    def oracle(y, *p):
+        zy = z(y, *p)
+        return mp.ncdf(zy), mp.ncdf(-zy), mp.npdf(zy) * dz(y, *p)
+    return oracle
+
+
+def _gamma_form(y, a, scale):
+    x = y / scale
+    return (mp.gammainc(a, 0, x, regularized=True), mp.gammainc(a, x, mp.inf, regularized=True),
+            x ** (a - 1) * mp.exp(-x) / (mp.gamma(a) * scale))
+
+
+def _f_form(y, alpha, beta):
+    cdf, pdf = _f(y, alpha, beta)
+    return cdf, mp.betainc(beta / 2, alpha / 2, 0, beta / (alpha * y + beta), regularized=True), pdf
+
+
+def _frechet_form(y, alpha, beta):
+    r = (y / beta) ** -alpha
+    return mp.exp(-r), -mp.expm1(-r), alpha / beta * (y / beta) ** (-alpha - 1) * mp.exp(-r)
+
+
+def _loglogistic_form(y, alpha, beta):
+    ra = (y / beta) ** alpha
+    return ra / (1 + ra), 1 / (1 + ra), alpha / y * ra / (1 + ra) ** 2
+
+
+# (oracle, shape): (cdf, sf, pdf) at y > 0, each side computed directly
+BASE_ORACLES = {
+    "birnbaum-saunders": (_normal_form(lambda y, a, b: (mp.sqrt(y / b) - mp.sqrt(b / y)) / a,
+                                       lambda y, a, b: (mp.sqrt(y / b) + mp.sqrt(b / y)) / (2 * a * y)), (0.5, 1.0)),
+    "burrxii": (_hazard_form(lambda y, a, b: a * mp.log1p(y**b), lambda y, a, b: a * b * y ** (b - 1) / (1 + y**b)),
+                (2.0, 3.0)),
+    "chen": (_hazard_form(lambda y, a, b: b * mp.expm1(y**a), lambda y, a, b: a * b * y ** (a - 1) * mp.exp(y**a)),
+             (0.7, 0.5)),
+    "chisq": (lambda y, a: _gamma_form(y, a / 2, 2), (3.0,)),
+    "exp": (_hazard_form(lambda y, a: a * y, lambda y, a: a), (1.7,)),
+    "f": (_f_form, (2.5, 6.0)),
+    "frechet": (_frechet_form, (2.0, 1.5)),
+    "gamma": (_gamma_form, (2.5, 1.3)),
+    "gompertz": (_hazard_form(lambda y, a, b: a / b * mp.expm1(b * y), lambda y, a, b: a * mp.exp(b * y)), (0.5, 1.2)),
+    "lfr": (_hazard_form(lambda y, a, b: a * y + b * y * y / 2, lambda y, a, b: a + b * y), (0.8, 1.5)),
+    "log-logistic": (_loglogistic_form, (2.5, 1.3)),
+    "log-normal": (_normal_form(lambda y, a, b: (mp.log(y) - a) / b, lambda y, a, b: 1 / (b * y)), (0.3, 0.6)),
+    "lomax": (_hazard_form(lambda y, a, b: a * mp.log1p(b * y), lambda y, a, b: a * b / (1 + b * y)), (1.3, 2.0)),
+    "rayleigh": (_hazard_form(lambda y, b: (y / b) ** 2, lambda y, b: 2 * y / b**2), (1.5,)),
+    "weibull": (_hazard_form(lambda y, a, b: (y / b) ** a, lambda y, a, b: a / b * (y / b) ** (a - 1)), (1.7, 2.0)),
+}
+# a left-tail point and the median by probability, then two points by
+# l = -ln(survival value): one where 1 - u rounds to 0, one near underflow
+BASE_POINTS = [("q", 1e-10), ("q", 0.5), ("l", 50.0), ("l", 700.0)]
+
+
+def _newton(y, target, value, slope):
+    """The root of value(y) = target, polished from the double y in 50 digits."""
+    y = mp.mpf(y)
+    for _ in range(6):
+        y -= (value(y) - target) / slope(y)
+    return y
+
+
+@pytest.mark.parametrize("kind,x", BASE_POINTS, ids=[f"{k}={x:g}" for k, x in BASE_POINTS])
+@pytest.mark.parametrize("base", sorted(BASE_ORACLES))
+def test_base_matches_oracle(base, kind, x):
+    oracle, shape = BASE_ORACLES[base]
+    params, mp_shape = shape + (0.0,), [mp.mpf(v) for v in shape]
+    l = -math.log1p(-x) if kind == "q" else x
+    y = base_quantile(base, x, params) if kind == "q" else base_isf_log(base, l, params)
+    assert np.isfinite(y) and y > 0.0
+    cdf, sf, pdf = oracle(mp.mpf(y), *mp_shape)
+    _assert_rel(base_cdf(base, y, params), cdf, 1e-12, y)
+    _assert_rel(base_sf(base, y, params), sf, 1e-12, y)
+    assert base_log_sf(base, y, params) == pytest.approx(float(mp.log(sf)), rel=1e-12, abs=0.0)
+    assert base_log_pdf(base, y, params) == pytest.approx(float(mp.log(pdf)), rel=1e-12, abs=1e-13)
+    # the inverses against the 50-digit root at the same probability
+    def forms(t):
+        return oracle(t, *mp_shape)
+    if kind == "q":
+        want = _newton(y, mp.mpf(x), lambda t: forms(t)[0], lambda t: forms(t)[2])
+        assert base_quantile(base, x, params) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    want = _newton(y, mp.mpf(l), lambda t: -mp.log(forms(t)[1]), lambda t: forms(t)[2] / forms(t)[1])
+    # at l = 1e-10 an inverse that reads the survival value e^-l itself keeps
+    # only about 7 digits (the chisq, F, Frechet and gamma kernels)
+    rel = 1e-7 if l < 1e-5 else 1e-12
+    assert base_isf_log(base, l, params) == pytest.approx(float(want), rel=rel, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [1e8, 1e14, 1e20])
+@pytest.mark.parametrize(
+    "base,shape",
+    [("gamma", (2.5, 1.3)), ("chisq", (3.0,)), ("birnbaum-saunders", (0.5, 1.0)), ("log-normal", (0.3, 0.6))],
+    ids=["gamma", "chisq", "birnbaum-saunders", "log-normal"],
+)
+def test_base_log_hazard_far_right(base, shape, x):
+    # ln g - ln(1 - G), whose two terms are both of order -ln(1 - G) here
+    _, sf, pdf = BASE_ORACLES[base][0](mp.mpf(x), *[mp.mpf(v) for v in shape])
+    got = base_log_hazard(base, x, shape + (0.0,))
+    assert got == pytest.approx(float(mp.log(pdf) - mp.log(sf)), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "base,shape", [("burrxii", (2.0, 50.0)), ("log-logistic", (50.0, 1.0))], ids=["burrxii", "log-logistic"]
+)
+def test_base_log_sf_past_the_overflow_of_the_power(base, shape):
+    # y^50 overflows at y = 1e10, while ln(1 - G) stays near -2302.6 and -1151.3
+    y, params = 1e10, shape + (0.0,)
+    _, sf, pdf = BASE_ORACLES[base][0](mp.mpf(y), *[mp.mpf(v) for v in shape])
+    assert base_log_sf(base, y, params) == pytest.approx(float(mp.log(sf)), rel=1e-13, abs=0.0)
+    assert base_log_pdf(base, y, params) == pytest.approx(float(mp.log(pdf)), rel=1e-13, abs=0.0)
