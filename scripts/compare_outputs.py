@@ -25,7 +25,9 @@ The grids:
 * ``full``: 24 families x 15 bases at two seeded theta each, location on and
   off, arrays and scalars: x = mu + {0, 1e-300, 1e-12, logspace(-8, 10, 60)},
   NaN and mu - 1 through the cdf (both tails, plain and log), the log-pdf
-  and, on a p grid, the quantile (both tails, plain and log); ``h_forward``,
+  and, on a p grid, the quantile (both tails, plain and log); per base at two
+  seeded theta (mu = 0.5), the public ``base_*`` functions on the same x and
+  p grids, ``base_isf_log`` at l = -ln p, keyed ``base_cdf:-:<base>``; ``h_forward``,
   ``log_h_prime`` and ``h_inverse`` per family; eval_bulk's six compositions
   at seeds 11 and 12; S at every start of all 1,080 compositions on the three
   bundled datasets; the three reference fits by Nelder-Mead at the
@@ -33,7 +35,8 @@ The grids:
   at seed 0; the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
   reference models by Nelder-Mead and BFGS, and ``cdf`` and ``quantile`` of
   eval_bulk's six compositions.  About a minute per side.
-* ``small``: a few compositions of each kind, one short fit and one CLI call.
+* ``small``: a few compositions and bases of each kind, one short fit and one
+  CLI call.
 """
 
 from __future__ import annotations
@@ -85,10 +88,11 @@ def _call(fn, *args, **kw):
 
 
 def _theta(genfit, fi, bi, j, family, base):
-    """Seeded in-domain parameters for one composition (location excluded)."""
+    """Seeded in-domain parameters for one composition (location excluded), or
+    for the base alone when ``family`` is None."""
     rng = np.random.default_rng([fi, bi, j])
     out = []
-    for lo, hi in genfit.family_transforms.get_family(family).domains:
+    for lo, hi in genfit.family_transforms.get_family(family).domains if family else ():
         out.append(rng.uniform(0.5, 3.0) if math.isinf(hi) else rng.uniform(0.8 * lo + 0.2 * hi, 0.2 * lo + 0.8 * hi))
     dist = genfit.base_distributions.get_base(base)
     out += [rng.uniform(-1.0, 1.0) if i in dist.real_params else rng.uniform(0.5, 3.0) for i in range(dist.n_params)]
@@ -128,6 +132,28 @@ def _composition_grid(genfit, rec, families, bases, n_theta):
             rec[("h_forward", family, "-", str(j))] = _call(ft.h_forward, family, U_GRID, induced)
             rec[("log_h_prime", family, "-", str(j))] = _call(ft.log_h_prime, family, U_GRID, induced)
             rec[("h_inverse", family, "-", str(j))] = _call(ft.h_inverse, family, P_GRID, induced)
+
+
+def _base_grid(genfit, rec, bases, n_theta):
+    """The public base functions per base, on the x grid (cdf, sf, ln sf, ln pdf,
+    ln hazard) and the p grid (quantile, isf, and isf_log at l = -ln p)."""
+    bd = genfit.base_distributions
+    all_b = sorted(bd.BASE_DISTRIBUTIONS)
+    with np.errstate(divide="ignore"):
+        l_grid = -np.log(P_GRID)
+    for base in bases:
+        bi = all_b.index(base)
+        for j in range(n_theta):
+            params = _theta(genfit, 0, bi, j, None, base) + (0.5,)
+            x = np.concatenate([0.5 + X_OFFSETS, [np.nan, -0.5]])
+            calls = [(fn, x, SCALAR_X) for fn in (bd.base_cdf, bd.base_sf, bd.base_log_sf, bd.base_log_pdf,
+                                                  bd.base_log_hazard)]
+            calls += [(bd.base_quantile, P_GRID, SCALAR_P), (bd.base_isf, P_GRID, SCALAR_P),
+                      (bd.base_isf_log, l_grid, SCALAR_P)]
+            for fn, pts, scalars in calls:
+                rec[(fn.__name__, "-", base, f"{j}:array")] = _call(fn, base, pts, params)
+                for i in scalars:
+                    rec[(fn.__name__, "-", base, f"{j}:scalar{i}")] = _call(fn, base, float(pts[i]), params)
 
 
 def _bulk(genfit, rec, compositions, n):
@@ -199,6 +225,7 @@ def run_worker(grid, out):
     bases = sorted(genfit.base_distributions.BASE_DISTRIBUTIONS)
     if grid == "small":
         _composition_grid(genfit, rec, ["kumg", "mog", "betag"], ["weibull", "gamma"], 1)
+        _base_grid(genfit, rec, ["weibull", "gamma"], 1)
         _bulk(genfit, rec, BULK_COMPOSITIONS[:2], 1000)
         _starts(genfit, rec, ["bearing"], ["kumg", "mog", "betag"], ["weibull", "gamma"])
         _fit(genfit, rec, "fit_reference", "pollution", "mog", "exp", method="nelder-mead", max_iter=50, seed=0)
@@ -206,6 +233,7 @@ def run_worker(grid, out):
              "--params", "2,0.5,0", "--x", CLI_X, "--output", "json")
     else:
         _composition_grid(genfit, rec, families, bases, 2)
+        _base_grid(genfit, rec, bases, 2)
         _bulk(genfit, rec, BULK_COMPOSITIONS, 100_000)
         _starts(genfit, rec, ["bearing", "pollution", "earthquake"], families, bases)
         for name, family, base in REFERENCE_FITS:

@@ -11,14 +11,14 @@ removed by smooth reparameterization so every optimizer in the menu runs
 unconstrained; in particular the location satisfies mu < x_(1) by
 construction.
 
-Each evaluation checks theta once and makes one base tail pass, which gives
-both the cdf and the tied points' log-densities; ``SpacingContext`` builds the
-free <-> natural maps once.  A single theta stays Python floats and goes
-through ``spacing_objective``; every stack the optimizers ask for goes through
-``_spacing_rows`` as one pass: each step's points of all the runs in lockstep.
-A run asks for a first simplex, a shrink or one point under Nelder-Mead, and
-for a point with its gradient's 2k points (or the 2k alone) under BFGS and
-CG.
+Each evaluation checks theta once and runs the composition's one chain from
+y = x - mu, for the cdf and, at tied points, the log-density;
+``SpacingContext`` builds the free <-> natural maps once.  A single theta
+stays Python floats and goes through ``spacing_objective``; every stack the
+optimizers ask for goes through ``_spacing_rows`` as one pass: each step's
+points of all the runs in lockstep.  A run asks for a first simplex, a shrink
+or one point under Nelder-Mead, and for a point with its gradient's 2k points
+(or the 2k alone) under BFGS and CG.
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
@@ -34,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .base_distributions import _base_tail, get_base
-from .family_transforms import _h, _log_density, _resolve, get_family, n_total_params
+from .base_distributions import get_base
+from .chains import _QUIET, _cdf, _log_density
+from .family_transforms import _resolve, _steps, get_family, n_total_params
 from .optimizers import _InfeasibleStart, OptimizerConfig, OptResult, maximize
 
 __all__ = [
@@ -146,17 +147,17 @@ def from_free(ctx: SpacingContext, psi):
 
 # --- the objective ---------------------------------------------------------
 
-def _terms(fam, induced, b, ctx: SpacingContext):
+def _terms(steps, mu, ctx: SpacingContext):
     """Tie-corrected log-spacings (length m) on the last axis; -inf where infeasible."""
-    tail = _base_tail(b, ctx.data)
-    h = _h(fam, induced, *tail)
+    y = ctx.data - mu
+    h = _cdf(steps, y)
     ext = np.concatenate([np.zeros(h.shape[:-1] + (1,)), h, np.ones(h.shape[:-1] + (1,))], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(np.maximum(ext[..., 1:] - ext[..., :-1], 0.0))
     if ctx.tie_mask.any():
         # .T indexes the last axis of one row or of a stack at plain indexing's cost
         tied = np.flatnonzero(ctx.tie_mask)
-        terms.T[tied] = _log_density(fam, induced, b, ctx.data[tied], [t.T[tied].T for t in tail]).T
+        terms.T[tied] = _log_density(steps, y.T[tied].T).T
     return terms
 
 
@@ -169,7 +170,7 @@ def spacing_value(theta, ctx: SpacingContext) -> float:
     """Mean log-spacing S(theta) in the natural parameterization."""
     try:
         terms = spacing_sum_terms(theta, ctx)
-    except (ValueError, OverflowError):
+    except ValueError:  # an out-of-domain natural theta
         return -math.inf
     if not np.all(np.isfinite(terms)):
         return -math.inf
@@ -187,16 +188,15 @@ def spacing_objective(theta_free, ctx: SpacingContext) -> float:
 def _spacing_rows(psi_rows, ctx: SpacingContext):
     """``spacing_objective`` at each row of a (B, k) stack, bit for bit, in one
     pass: the rows that pass its checks and ``_resolve``'s become (B, 1)
-    parameter columns, and the base tail, h and the tie terms run on (B, n)."""
+    parameter columns, and the chain and the tie terms run on (B, n)."""
     thetas = np.array([from_free(ctx, psi) for psi in psi_rows])
     ok = ((ctx._lo < thetas) & (thetas < ctx._hi)).all(axis=1)
     out = np.full(len(thetas), -math.inf)
     fam, dist = get_family(ctx.family), get_base(ctx.base)
     k, cols = fam.n_induced, tuple(np.ascontiguousarray(thetas[ok].T)[:, :, None])
-    try:
-        terms = _terms(fam, cols[:k], (dist, cols[k : k + dist.n_params], cols[-1] if ctx.location else 0.0), ctx)
-    except (ValueError, OverflowError):  # weibullextg's a**-b; the single calls raise too
-        return np.array([spacing_objective(psi, ctx) for psi in psi_rows])
+    with np.errstate(**_QUIET):  # a chain's parameters, such as a/b, may overflow
+        steps = _steps(fam, dist, cols[:k], cols[k : k + dist.n_params])
+    terms = _terms(steps, cols[-1] if ctx.location else 0.0, ctx)
     with np.errstate(invalid="ignore"):
         out[ok] = np.where(np.isfinite(terms).all(axis=1), np.sum(terms, axis=1) / ctx.m, -math.inf)
     return out

@@ -1,15 +1,12 @@
 """The one special-function algorithm ``scipy.special`` lacks.
 
-The base and family kernels call ``scipy.special`` directly (``gammaln``,
-``betaln``, ``gammainc``, ``gammaincc``, ``gammaincinv``, ``betainc``,
-``betaincinv``, ``ndtr``, ``ndtri``, ``ndtri_exp``), with parameters already
-checked once where a public function resolves them.  Outside its domain scipy
-returns NaN rather than raising; the callers' non-finite rule (see
-``base_distributions``) decides what that NaN becomes.
-
-What stays here is the upper incomplete gamma function where scipy's
-underflows: ln Q(a, x) by its asymptotic series, and the inverse from the
-log of the value, which must keep working where ``exp(-l)`` underflows.
+The primitive maps of ``chains`` call ``scipy.special`` directly, with
+parameters checked once where a public function resolves them; outside its
+domain scipy returns NaN rather than raising, and the chain runners'
+non-finite rule decides what that NaN becomes.  What stays here is the
+upper incomplete gamma function where scipy's underflows (for the gamma cdf
+map GP): ln Q(a, x) by its asymptotic series, and the inverse from the log
+of the value, which must keep working where ``exp(-l)`` underflows.
 """
 
 from __future__ import annotations

@@ -49,17 +49,25 @@ def test_unchanged_tree_shows_no_difference(unchanged_repo):
 
 
 def test_a_moved_output_fails_unless_expected(unchanged_repo):
-    # in the working tree only, mog's cdf moves by one part in 1e12
+    # in the working tree only, mog's cdf and the gamma base's sf move by one
+    # part in 1e12
     ft = unchanged_repo / "src" / "genfit" / "family_transforms.py"
     ft.write_text(ft.read_text() + (
-        "\n_cdf = family_cdf\n\n\n"
+        "\n_unmoved_cdf = family_cdf\n\n\n"
         "def family_cdf(family, *args, **kw):\n"
-        "    out = _cdf(family, *args, **kw)\n"
+        "    out = _unmoved_cdf(family, *args, **kw)\n"
         "    return out * (1.0 - 1e-12) if family == 'mog' else out\n"
+    ))
+    bd = unchanged_repo / "src" / "genfit" / "base_distributions.py"
+    bd.write_text(bd.read_text() + (
+        "\n_unmoved_sf = base_sf\n\n\n"
+        "def base_sf(name, *args):\n"
+        "    return _unmoved_sf(name, *args) * (1.0 - 1e-12) if name == 'gamma' else _unmoved_sf(name, *args)\n"
     ))
     proc = _compare(unchanged_repo)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    flagged = [line for line in proc.stdout.splitlines() if line.endswith("UNEXPECTED")]
-    assert flagged and all("cdf" in line.split(":")[0] and ":mog:" in line for line in flagged)
-    proc = _compare(unchanged_repo, "--expect", "*cdf*:mog:*")
+    flagged = [line.split()[0] for line in proc.stdout.splitlines() if line.endswith("UNEXPECTED")]
+    assert "base_sf:-:gamma" in flagged
+    assert all(name == "base_sf:-:gamma" or "cdf" in name.split(":")[0] and ":mog:" in name for name in flagged)
+    proc = _compare(unchanged_repo, "--expect", "*cdf*:mog:*", "--expect", "base_sf:-:gamma")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -143,9 +143,9 @@ class TestSpacingValue:
         np.testing.assert_array_equal(terms[tied], family_log_pdf(family, base, ctx.data[tied], theta))
 
     def test_nan_survival_is_infeasible(self):
-        # a point seed-0 Nelder-Mead reaches: F's tail kernel gives sf = NaN
-        # at a shape of ~5e303, and only the gamma transform's domain check
-        # on -ln(1 - u) turns that into an infeasible point
+        # a point seed-0 Nelder-Mead reaches: the F base's beta cdf gives NaN
+        # at a shape of ~5e303, the NaN stays NaN through the chain, and the
+        # objective reads it as an infeasible point
         ctx = SpacingContext(load_dataset("bearing"), "gammag", "f")
         theta = (3.748759707120287, 1.0142320547350045e304, 2.2482733042146714, 150.30326603818773)
         assert spacing_value(theta, ctx) == -math.inf
@@ -172,6 +172,18 @@ class TestSpacingRows:
                     got = mps_fit._spacing_rows(psi_rows, ctx)
                 want = [spacing_objective(psi, ctx) for psi in psi_rows]
                 np.testing.assert_array_equal(got, want, err_msg=f"{family} x {base}")
+
+    def test_weibullextg_row_at_a_tiny_a(self):
+        # weibullextg at a = 1e-3, b = 200, where a^-b = 1e600 overflows: its
+        # chain takes a t^(1/b), S is finite, and the stack holding that row
+        # gives each row the single call's bits
+        ctx = SpacingContext(load_dataset("bearing"), "weibullextg", "exp")
+        start = _start_theta(ctx)
+        x, row = to_free(ctx, start), to_free(ctx, (1e-3, 200.0, *start[2:]))
+        psi_rows = np.vstack([x, row, x + 0.1])
+        got = mps_fit._spacing_rows(psi_rows, ctx)
+        assert got.tobytes() == np.array([spacing_objective(psi, ctx) for psi in psi_rows]).tobytes()
+        assert np.isfinite(got[1])
 
 
 class TestReparameterization:

@@ -254,6 +254,15 @@ def test_h_forward_far_below_eps(family, induced, u, oracle):
     assert h_forward(family, u, induced) == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
+def test_weibullextg_at_a_tiny_a():
+    # h = 1 - exp(-a (u/(1 - u))^(1/b)), where the form (t/a^-b)^(1/b) would
+    # overflow at a^-b = 1e600
+    u = -mp.expm1(-1)  # the exp base with rate 1 at x = 1
+    want = -mp.expm1(-mp.mpf(1e-3) * (u / (1 - u)) ** (1 / mp.mpf(200)))
+    got = family_cdf("weibullextg", "exp", 1.0, (1e-3, 200.0, 1.0, 0.0))
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("u", [1e-10, 1e-5, 0.5, 1.0 - 1e-6])
 @pytest.mark.parametrize("induced", [(1.0, 2.0, 0.8), (0.5, 3.0, 2.0), (0.3, 0.3, 3.0)])
 def test_betaexpg_h_both_tails(induced, u):
@@ -330,7 +339,7 @@ def test_h_inverse_both_tails(family, induced, oracle, p):
 
 # --- oracle per primitive map: forward triple, ln|phi'| and inverse ----------
 
-from genfit import family_transforms as ft  # noqa: E402
+from genfit import chains as ft  # noqa: E402
 
 
 def _ln_u(u, omu):
@@ -421,7 +430,13 @@ POS_ORACLES = {
     "LL": (lambda t, a: (t**a / (1 + t**a), 1 / (1 + t**a)),
            lambda t, a: mp.log(a) + (a - 1) * mp.log(t) - 2 * mp.log1p(t**a)),
 }
-POS_CASES = [("GP", (2.5,)), ("GP", (0.4,)), ("W", (1.7, 2.0)), ("W", (0.5, 0.3)), ("LL", (0.8,)), ("LL", (3.0,))]
+POS_ORACLES.update({
+    "E": (lambda t: (-mp.expm1(-t), mp.exp(-t)), lambda t: -t),
+    "ODI": (lambda t: (t / (1 + t), 1 / (1 + t)), lambda t: -2 * mp.log1p(t)),
+    "Fr": (lambda t, k: (mp.exp(-(t**-k)), -mp.expm1(-(t**-k))), lambda t, k: mp.log(k) - (k + 1) * mp.log(t) - t**-k),
+})
+POS_CASES = [("GP", (2.5,)), ("GP", (0.4,)), ("W", (1.7, 2.0)), ("W", (0.5, 0.3)), ("LL", (0.8,)), ("LL", (3.0,)),
+             ("E", ()), ("ODI", ()), ("Fr", (0.4,)), ("Fr", (3.0,))]
 POS_POINTS = [1e-300, 1e-20, 1e-3, 0.7, 3.0, 40.0, 300.0, 700.0]
 
 
@@ -439,9 +454,13 @@ def test_back_primitive_matches_oracle(name, params, t):
     # there the asymptotic series shared with the gamma base
     rel = 1e-13 if name != "GP" else 1e-12
     _assert_triple(_run(m, params, (np.asarray(t),)), y, oy, rel, "forward")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         got = float(m.lpd(math.log(t), np.asarray(t), *params))
-    assert got == pytest.approx(float(lpd(tm, *mp_params)), rel=rel, abs=1e-15)
+    want = lpd(tm, *mp_params)
+    if abs(want) > 1e300:
+        assert got == -math.inf  # ln|phi'| below the doubles
+    else:
+        assert got == pytest.approx(float(want), rel=rel, abs=1e-15)
     if 1e-300 < y and oy > 1e-300:
         image = (np.asarray(float(y)), np.asarray(float(oy)), np.asarray(float(_neg_log(y, oy))))
         back = float(_run(m, params, image, inverse=True)[0])
@@ -558,10 +577,7 @@ def test_base_matches_oracle(base, kind, x):
         want = _newton(y, mp.mpf(x), lambda t: forms(t)[0], lambda t: forms(t)[2])
         assert base_quantile(base, x, params) == pytest.approx(float(want), rel=1e-12, abs=0.0)
     want = _newton(y, mp.mpf(l), lambda t: -mp.log(forms(t)[1]), lambda t: forms(t)[2] / forms(t)[1])
-    # at l = 1e-10 an inverse that reads the survival value e^-l itself keeps
-    # only about 7 digits (the chisq, F, Frechet and gamma kernels)
-    rel = 1e-7 if l < 1e-5 else 1e-12
-    assert base_isf_log(base, l, params) == pytest.approx(float(want), rel=rel, abs=0.0)
+    assert base_isf_log(base, l, params) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [1e8, 1e14, 1e20])
@@ -578,6 +594,20 @@ def test_base_log_hazard_far_right(base, shape, x):
 
 
 @pytest.mark.parametrize(
+    "base,shape,y",
+    [("f", (2.5, 60.0), 3e12), ("frechet", (2.0, 1.5), 1e200), ("gamma", (2.5, 1.3), 1500.0),
+     ("chisq", (3.0,), 2000.0), ("log-normal", (0.3, 0.6), 1e10), ("birnbaum-saunders", (0.5, 1.0), 1e3)],
+    ids=["f", "frechet", "gamma", "chisq", "log-normal", "birnbaum-saunders"],
+)
+def test_base_log_sf_past_the_underflow_of_sf(base, shape, y):
+    # 1 - G is below the doubles here (ln of it from -722 to -2001), and its
+    # log comes from each cdf map's own behaviour at 1
+    _, sf, _ = BASE_ORACLES[base][0](mp.mpf(y), *[mp.mpf(v) for v in shape])
+    assert base_sf(base, y, shape + (0.0,)) == 0.0
+    assert base_log_sf(base, y, shape + (0.0,)) == pytest.approx(float(mp.log(sf)), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize(
     "base,shape", [("burrxii", (2.0, 50.0)), ("log-logistic", (50.0, 1.0))], ids=["burrxii", "log-logistic"]
 )
 def test_base_log_sf_past_the_overflow_of_the_power(base, shape):
@@ -586,3 +616,83 @@ def test_base_log_sf_past_the_overflow_of_the_power(base, shape):
     _, sf, pdf = BASE_ORACLES[base][0](mp.mpf(y), *[mp.mpf(v) for v in shape])
     assert base_log_sf(base, y, params) == pytest.approx(float(mp.log(sf)), rel=1e-13, abs=0.0)
     assert base_log_pdf(base, y, params) == pytest.approx(float(mp.log(pdf)), rel=1e-13, abs=0.0)
+
+
+# the normal cdf, from the real line to the unit interval, at points of both signs
+REAL_ORACLES = {
+    "N": (lambda z: (mp.ncdf(z), mp.ncdf(-z)), lambda z: -z * z / 2 - mp.log(2 * mp.pi) / 2),
+}
+REAL_POINTS = [-38.0, -5.0, -1e-3, 0.3, 5.0, 38.0, 800.0]
+
+
+@pytest.mark.parametrize("z", REAL_POINTS)
+@pytest.mark.parametrize("name", sorted(REAL_ORACLES))
+def test_real_primitive_matches_oracle(name, z):
+    phi, lpd = REAL_ORACLES[name]
+    m, zm = getattr(ft, name), mp.mpf(z)
+    y, oy = phi(zm)
+    if y < 1e-300:
+        pytest.skip("v below the doubles: the map's state reads 0 there")
+    _assert_triple(_run(m, (), (np.asarray(z),)), y, oy, 1e-13, "forward")
+    assert float(m.lpd(0.0, np.asarray(z))) == pytest.approx(float(lpd(zm)), rel=1e-13, abs=1e-15)
+    image = (np.asarray(float(y)), np.asarray(float(oy)), np.asarray(float(_neg_log(y, oy))))
+    back = float(_run(m, (), image, inverse=True)[0])
+    # scipy's ndtri_exp keeps about 12 digits at ln(1 - v) = -3.2e5 (z = 800)
+    assert back == pytest.approx(z, rel=1e-12 if z > 40.0 else 1e-13, abs=1e-15)
+
+
+# the maps within (0, inf) and from it to the real line: forward value,
+# ln|phi'| and the inverse
+INNER_ORACLES = {
+    "Pw": (lambda t, a: t**a, lambda t, a: mp.log(a) + (a - 1) * mp.log(t)),
+    "X": (lambda t: mp.expm1(t), lambda t: t),
+    "Lp": (lambda t, a: mp.log1p(t**a), lambda t, a: mp.log(a * t ** (a - 1) / (1 + t**a))),
+    "Q": (lambda t, a, b: a * t + b * t * t / 2, lambda t, a, b: mp.log(a + b * t)),
+    "LN": (lambda t: mp.log(t), lambda t: -mp.log(t)),
+    "BSL": (lambda t: mp.sqrt(t) - 1 / mp.sqrt(t), lambda t: mp.log((t + 1) / (2 * t * mp.sqrt(t)))),
+    "Af": (lambda t, a, b: (t - a) / b, lambda t, a, b: -mp.log(b)),
+}
+INNER_CASES = [("Pw", (2.5,)), ("Pw", (0.4,)), ("X", ()), ("Lp", (1.0,)), ("Lp", (3.0,)), ("Lp", (50.0,)),
+               ("Q", (0.8, 1.5)), ("LN", ()), ("BSL", ()), ("Af", (0.3, 0.6))]
+
+
+@pytest.mark.parametrize("t", POS_POINTS)
+@pytest.mark.parametrize("name,params", INNER_CASES, ids=[f"{n}{p}" for n, p in INNER_CASES])
+def test_inner_primitive_matches_oracle(name, params, t):
+    phi, lpd = INNER_ORACLES[name]
+    m, mp_params, tm = getattr(ft, name), [mp.mpf(v) for v in params], mp.mpf(t)
+    want = phi(tm, *mp_params)
+    if not 1e-300 < abs(want) < 1e300:
+        pytest.skip("the image is past the doubles")
+    got = float(_run(m, params, (np.asarray(t),))[0])
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got_lpd = float(m.lpd(math.log(t), np.asarray(t), *params))
+    assert got_lpd == pytest.approx(float(lpd(tm, *mp_params)), rel=1e-13, abs=1e-15)
+    back = float(_run(m, params, (np.asarray(float(want)),), inverse=True)[0])
+    # Af's a + b z keeps t only to the absolute precision of a
+    assert back == pytest.approx(t, rel=1e-13, abs=1e-16 if name == "Af" else 0.0)
+
+
+def test_lp_past_the_overflow_of_its_power():
+    # ln(1 + t^50) at t = 1e10, where t^50 overflows, and its inverse
+    t = 1e10
+    got = float(_run(ft.Lp, (50.0,), (np.asarray(t),))[0])
+    assert got == pytest.approx(float(mp.log1p(mp.mpf(t) ** 50)), rel=1e-15)
+    assert float(_run(ft.Lp, (50.0,), (np.asarray(got),), inverse=True)[0]) == pytest.approx(t, rel=1e-13)
+
+
+BOT_CASES = [("E", ()), ("ODI", ()), ("GP", (2.5,)), ("LL", (0.8,)), ("Pw", (2.5,)), ("X", ()), ("Lp", (3.0,)),
+             ("Q", (0.8, 1.5))]
+
+
+@pytest.mark.parametrize("name,params", BOT_CASES, ids=[f"{n}{p}" for n, p in BOT_CASES])
+def test_bot_rule_matches_oracle(name, params):
+    # ln phi(t) ~ r ln t + mu as t -> 0, the rule that carries ln v past the
+    # underflow of v
+    t = mp.mpf(1e-100)
+    phi = {**POS_ORACLES, **INNER_ORACLES}[name][0]
+    image = phi(t, *[mp.mpf(v) for v in params])
+    r, mu = getattr(ft, name).bot(*params)
+    want = mp.log(image[0] if isinstance(image, tuple) else image)
+    assert r * math.log(1e-100) + mu == pytest.approx(float(want), rel=1e-13, abs=0.0)
