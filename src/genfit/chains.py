@@ -12,8 +12,8 @@ States.  A map of the unit interval carries the triple ``(v, 1 - v,
   transmutation), R (reflection);
 - unit -> (0, inf): L1 = -ln(1 - v), OD = v/(1 - v);
 - (0, inf) -> unit: E = 1 - e^-t (the inverse of L1), ODI = t/(1 + t) (the
-  inverse of OD), and the cdfs GP (gamma), LL (log-logistic), Fr (Frechet)
-  and W (Weibull, E o Pw(k) o Sc(1/c) in one map); real -> unit: N (normal);
+  inverse of OD), and the cdfs GP (gamma), LL (log-logistic) and Fr
+  (Frechet); real -> unit: N (normal);
 - (0, inf) -> (0, inf): Sc (scale), Pw (power), X = e^t - 1,
   Lp = ln(1 + t^a), Q = a t + b t^2/2 (the linear failure rate's hazard);
 - to the real line: LN = ln t, BSL = sqrt(t) - 1/sqrt(t) (the
@@ -55,7 +55,7 @@ import math
 import numpy as np
 import scipy.special as sc
 
-from .special_functions import _log_q_asymptote, _log_q_series, inv_reg_inc_gamma_upper_from_log
+from .special_functions import _gamma_log_pdf, _log_q_cf, inv_reg_inc_gamma_upper_from_log
 
 _TINY = 1e-300  # below this a probability has lost its precision to underflow
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -244,7 +244,9 @@ def _gamma_fwd(t, a):
     v, w = np.where(up, j, i), np.where(up, i, j)
     if not np.count_nonzero(w < _TINY):
         return v, w, None
-    return v, w, np.where(t == np.inf, np.inf, np.where(up & (i < _TINY), -_log_q_asymptote(t, a), _l(v, w)))
+    # past the underflow of Q, ln Q = ln|phi'| + ln of its continued fraction
+    td = np.where(up & (i < _TINY), t, np.inf)
+    return v, w, np.where(td < np.inf, -_gamma_log_pdf(np.log(td), td, a) - _log_q_cf(td, a), _l(v, w))
 
 
 def _two_sided(v, l, lower, upper):
@@ -257,17 +259,13 @@ def _two_sided(v, l, lower, upper):
     return (t,)
 
 
-def _gamma_lpd(lt, t, a):
-    return _xl(a - 1.0, lt) - t - sc.gammaln(a)
-
-
 def _gamma_lhz(lt, l, t, a):
-    # past t = 1e6 minus the log of Q's asymptotic series alone, whose
-    # leading terms cancel against ln|phi'|
-    far = t > 1e6
-    out = _gamma_lpd(lt, t, a) + l
+    # where -ln Q > 30, whose terms in ln|phi'| + l cancel, minus ln of Q's
+    # continued fraction alone
+    far = l > 30.0
+    out = _gamma_log_pdf(lt, t, a) + l
     if np.count_nonzero(far):
-        out = np.where(far, -_log_q_series(np.where(far, t, np.inf), a), out)
+        out = np.where(far, -_log_q_cf(np.where(far, t, np.inf), a), out)
     return out
 
 
@@ -360,14 +358,11 @@ Lp = _Map(_lp_fwd, lambda lt, t, a: _ln(a) + _xl(a - 1.0, lt) - np.logaddexp(0.0
           lambda t, a: (np.exp((t + np.log(-np.expm1(-t))) / a),), bot=lambda a: (a, 0.0))
 Q = _Map(lambda t, a, b: (t * (a + b * t / 2.0),), lambda lt, t, a, b: np.log(a + b * t),
          lambda t, a, b: (2.0 * t / (a + np.sqrt(a * a + 2.0 * b * t)),), bot=lambda a, b: (1.0, _ln(a)))
-GP = _Map(_gamma_fwd, _gamma_lpd,
+GP = _Map(_gamma_fwd, _gamma_log_pdf,
           lambda v, w, l, a: _two_sided(v, l, lambda x: sc.gammaincinv(a, x),
                                         lambda x: inv_reg_inc_gamma_upper_from_log(x, a)),
           bot=lambda a: (a, -sc.gammaln(a + 1.0)), v=lambda t, a: sc.gammainc(a, t),
           w=lambda t, a: sc.gammaincc(a, t), lhz=_gamma_lhz)
-W = _Map(lambda t, k, c: _from_l((t / c) ** k),
-         lambda lt, t, k, c: _ln(k) - k * _ln(c) + _xl(k - 1.0, lt) - (t / c) ** k,
-         lambda v, w, l, k, c: (c * l ** (1.0 / k),), bot=lambda k, c: (k, -k * _ln(c)))
 LL = _Map(lambda t, a: _logistic(a * np.log(t)),
           lambda lt, t, a: _ln(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
           lambda v, w, l, a: (np.exp((np.log(v) + l) / a),), bot=lambda a: (a, 0.0),

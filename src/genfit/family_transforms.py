@@ -29,7 +29,7 @@ import numpy as np
 
 from .base_distributions import _check_shape, _uniforms, get_base
 from .chains import (
-    B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, W, _QUIET, _cdf, _forward_v, _join, _lnv,
+    B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, _QUIET, _cdf, _forward_v, _join, _lnv,
     _log_density, _log_slope, _quantile, _scalar, _state
 )
 
@@ -85,7 +85,7 @@ FAMILIES: dict[str, FamilySpec] = {
         _family("gammag2", "a", lambda a: [GP(a), OD()]),
         _family("gbetag", "abd", lambda a, b, d: [B(a, b), P(d)]),
         _family("gexppg", "ab", lambda a, b: [MO(1.0 - b), R(), TE(a), R()], (_POS, (0.0, 1.0))),
-        _family("gmbetaexpg", "ab", lambda a, b: [P(a), W(1.0, 1.0 / b), OD()]),
+        _family("gmbetaexpg", "ab", lambda a, b: [P(a), E(), Sc(b), OD()]),
         _family("gtransg", "ab", lambda a, b: [P(a), QT(b)], (_POS, (-1.0, 1.0))),
         _family("gxlogisticg", "a", lambda a: [LL(a), L1()]),
         _family("kumg", "ab", lambda a, b: [RP(b), P(a)]),
@@ -97,7 +97,7 @@ FAMILIES: dict[str, FamilySpec] = {
         _family("ologlogg", "abd", lambda a, b, d: [RP(b), P(a), OP(d)]),
         _family("texpsg", "a", lambda a: [TE(a)]),
         _family("weibullextg", "ab", lambda a, b: [E(), Sc(a), Pw(1.0 / b), OD()]),
-        _family("weibullg", "ab", lambda a, b: [W(a, b), L1()]),
+        _family("weibullg", "ab", lambda a, b: [E(), Pw(a), Sc(1.0 / b), L1()]),
     ]
 }
 

@@ -68,6 +68,7 @@ def test_a_moved_output_fails_unless_expected(unchanged_repo):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     flagged = [line.split()[0] for line in proc.stdout.splitlines() if line.endswith("UNEXPECTED")]
     assert "base_sf:-:gamma" in flagged
+    assert any("cdf" in name.split(":")[0] and ":mog:" in name for name in flagged)
     assert all(name == "base_sf:-:gamma" or "cdf" in name.split(":")[0] and ":mog:" in name for name in flagged)
     proc = _compare(unchanged_repo, "--expect", "*cdf*:mog:*", "--expect", "base_sf:-:gamma")
     assert proc.returncode == 0, proc.stdout + proc.stderr

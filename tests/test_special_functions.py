@@ -4,7 +4,7 @@ The base and family kernels call ``scipy.special`` directly, in its argument
 order: ``betainc(a, b, x)`` is I_x(a, b) and ``gammainc(a, x)`` is P(a, x).
 These tests pin those conventions, the regularization and the NaN that the
 non-finite rule relies on, as well as the chi-square pair in ``mps_fit`` and
-the one algorithm ``special_functions`` keeps.
+the inverse that ``special_functions`` keeps.
 
 All [frozen] constants below were computed by independent oracles (adaptive
 quadrature of the defining integrals, long bisection on the forward map,

@@ -440,22 +440,29 @@ POS_CASES = [("GP", (2.5,)), ("GP", (0.4,)), ("W", (1.7, 2.0)), ("W", (0.5, 0.3)
 POS_POINTS = [1e-300, 1e-20, 1e-3, 0.7, 3.0, 40.0, 300.0, 700.0]
 
 
+def _pos_chain(name, params):
+    # W, the Weibull cdf, is no map of its own but the chain E o Pw(k) o Sc(1/c)
+    if name == "W":
+        return [ft.E(), ft.Pw(params[0]), ft.Sc(1.0 / params[1])]
+    return [getattr(ft, name)(*params)]
+
+
 @pytest.mark.parametrize("t", POS_POINTS)
 @pytest.mark.parametrize("name,params", POS_CASES, ids=[f"{n}{p}" for n, p in POS_CASES])
 def test_back_primitive_matches_oracle(name, params, t):
     # the maps from t on (0, inf) back to the unit interval
     phi, lpd = POS_ORACLES[name]
-    m, mp_params, tm = getattr(ft, name), [mp.mpf(v) for v in params], mp.mpf(t)
+    steps, mp_params, tm = _pos_chain(name, params), [mp.mpf(v) for v in params], mp.mpf(t)
     y, oy = phi(tm, *mp_params)
     if oy < mp.mpf(10) ** -300000:
         pytest.skip("1 - phi below any double exponent the oracle can state")
     # 1e-12 for the gamma functions, also where Q(a, t) is below e^-600: the
     # forward map past its underflow and the inverse (special_functions) use
-    # there the asymptotic series shared with the gamma base
+    # there Q's continued fraction
     rel = 1e-13 if name != "GP" else 1e-12
-    _assert_triple(_run(m, params, (np.asarray(t),)), y, oy, rel, "forward")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        got = float(m.lpd(math.log(t), np.asarray(t), *params))
+        _assert_triple(ft._full(ft._forward(steps, (np.asarray(t),))), y, oy, rel, "forward")
+        got = float(ft._log_slope(steps, (np.asarray(t),)))
     want = lpd(tm, *mp_params)
     if abs(want) > 1e300:
         assert got == -math.inf  # ln|phi'| below the doubles
@@ -463,7 +470,8 @@ def test_back_primitive_matches_oracle(name, params, t):
         assert got == pytest.approx(float(want), rel=rel, abs=1e-15)
     if 1e-300 < y and oy > 1e-300:
         image = (np.asarray(float(y)), np.asarray(float(oy)), np.asarray(float(_neg_log(y, oy))))
-        back = float(_run(m, params, image, inverse=True)[0])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            back = float(ft._quantile(steps, image))
         assert back == pytest.approx(t, rel=rel, abs=0.0)
 
 
@@ -591,6 +599,36 @@ def test_base_log_hazard_far_right(base, shape, x):
     _, sf, pdf = BASE_ORACLES[base][0](mp.mpf(x), *[mp.mpf(v) for v in shape])
     got = base_log_hazard(base, x, shape + (0.0,))
     assert got == pytest.approx(float(mp.log(pdf) - mp.log(sf)), rel=1e-12, abs=0.0)
+
+
+LARGE_SHAPE = [("gamma", (1e7, 1.0), y) for y in (5e6, 9.997e6, 1e7, 1.05e7, 1.5e7, 3e7)] + [
+    ("chisq", (1.5e7,), y) for y in (1.4995e7, 1.501e7)]
+
+
+@pytest.mark.parametrize("base,shape,y", LARGE_SHAPE, ids=[f"{b}-{y:g}" for b, _, y in LARGE_SHAPE])
+def test_gamma_at_a_large_shape(base, shape, y):
+    # the terms of (a - 1) ln t - t - ln Gamma(a) are each about 1.6e8 at
+    # a = 1e7, and cancel to ln g; right of the mode 1 - G underflows from
+    # y = 1.012e7, and ln g - ln(1 - G) cancels too
+    a, scale = (mp.mpf(shape[0]), mp.mpf(shape[1])) if base == "gamma" else (mp.mpf(shape[0]) / 2, mp.mpf(2))
+    t, params = mp.mpf(y) / scale, shape + (0.0,)
+    sf = mp.gammainc(a, t, mp.inf, regularized=True)  # the lower integral does not converge here
+    pdf = mp.exp((a - 1) * mp.log(t) - t - mp.loggamma(a)) / scale
+    assert base_log_pdf(base, y, params) == pytest.approx(float(mp.log(pdf)), rel=1e-13, abs=0.0)
+    assert base_log_sf(base, y, params) == pytest.approx(float(mp.log(sf)), rel=1e-13, abs=1e-300)
+    assert base_log_hazard(base, y, params) == pytest.approx(float(mp.log(pdf) - mp.log(sf)), rel=1e-13, abs=0.0)
+    if sf < 0.5:
+        assert base_isf_log(base, float(-mp.log(sf)), params) == pytest.approx(y, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("l", [700.0, 1e4])
+@pytest.mark.parametrize("a", [1e5, 1e10])
+def test_gamma_isf_log_past_the_underflow_at_a_large_shape(a, l):
+    # e^-l underflows, so the inverse solves ln Q(a, y) = -l by Newton; at
+    # these shapes the root lies near a, where an asymptotic series of Q in
+    # (a - j)/y does not converge
+    y = base_isf_log("gamma", l, (a, 1.0, 0.0))
+    assert float(-mp.log(mp.gammainc(a, y, mp.inf, regularized=True))) == pytest.approx(l, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(
