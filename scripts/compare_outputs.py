@@ -33,10 +33,11 @@ The grids:
   bundled datasets; the three reference fits by Nelder-Mead at the
   optimizer seeds 0-5 that perfbench's fit_reference uses, and by BFGS and CG
   at seed 0; the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
-  reference models by Nelder-Mead and BFGS, and ``cdf`` and ``quantile`` of
-  eval_bulk's six compositions.  About a minute per side.
-* ``small``: a few compositions and bases of each kind, one short fit and one
-  CLI call.
+  reference models by Nelder-Mead and BFGS, ``cdf`` and ``quantile`` of
+  eval_bulk's six compositions, and one seeded ``selftest`` of kumg x weibull.
+  About a minute per side.
+* ``small``: a few compositions and bases of each kind, one short fit, and
+  the CLI's ``cdf`` call and the ``selftest`` call.
 """
 
 from __future__ import annotations
@@ -249,6 +250,9 @@ def run_worker(grid, out):
                  method="nelder-mead", restarts=0, seed=0)
         for family, base, params in BULK_COMPOSITIONS:
             _cli_evaluate(rec, family, base, params)
+    # a seeded self-test checks its theta draws and samples byte for byte
+    _cli(rec, ("cli_selftest", "kumg", "weibull", "-"), "selftest", "--family", "kumg", "--base", "weibull",
+         "--n-grid", "5,10", "--reps", "3", "--seed", "1", "--output", "json")
     with open(out, "wb") as fh:
         pickle.dump(rec, fh)
 

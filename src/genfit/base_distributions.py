@@ -17,8 +17,9 @@ The public functions read everything from the chain and its runners (see
 ``chains``): the cdf, survival value and its log from the chain's triple,
 the log-pdf as ln of its slope, the log-hazard as that of L1 o G (for a
 hazard-form base the slope of H alone), and the quantile and inverse
-survival from the chain run backwards.  Each checks the name, the count and
-every domain of its parameter vector once (``_resolve_base``).
+survival from the chain run backwards.  Each looks the name up and resolves
+its parameter vector once through ``chains.Model((base,))``, which checks the
+count and every domain in ``BaseDist.domains``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .chains import (
-    Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, N, ODI, Pw, Q, Sc, X, _cdf, _from_l, _join, _log_density,
-    _quantile, _scalar, _state
+    _POS, _REAL, Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, Model, N, ODI, Pw, Q, Sc, X, _cdf, _from_l, _join,
+    _log_density, _quantile, _scalar, _state
 )
 
 __all__ = [
@@ -60,6 +61,12 @@ class BaseDist:
     start: Callable  # start(y) -> shape, a moment-type starting value
     # indices of parameters allowed to range over all reals (log-normal alpha)
     real_params: tuple[int, ...] = field(default=())
+    # open interval per parameter: the real line for real_params, else (0, inf)
+    domains: tuple[tuple[float, float], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "domains", tuple(_REAL if i in self.real_params else _POS
+                                                  for i in range(self.n_params)))
 
     @property
     def n_params(self) -> int:
@@ -186,28 +193,10 @@ def get_base(name: str) -> BaseDist:
         ) from None
 
 
-def _check_shape(dist: BaseDist, shape):
-    for i, p in enumerate(shape):
-        if i not in dist.real_params and p <= 0:
-            raise ValueError(f"{dist.name} parameter {dist.param_names[i]} must be > 0")
-
-
-def _resolve_base(name, params):
-    """``(dist, shape, mu)`` with the name, the count and every domain checked."""
-    dist = get_base(name)
-    params = tuple(float(p) for p in params)
-    if len(params) != dist.n_params + 1:
-        raise ValueError(
-            f"{dist.name} expects {dist.n_params} parameters plus mu, got {len(params)}"
-        )
-    _check_shape(dist, params[:-1])
-    return dist, params[:-1], params[-1]
-
-
 def _base(name, params, x):
     """``(chain, y)`` for a base and its parameters at the points x."""
-    dist, shape, mu = _resolve_base(name, params)
-    return dist.chain(*shape), np.asarray(x, dtype=float) - mu
+    steps, mu = Model((get_base(name),)).resolve(params)
+    return steps, np.asarray(x, dtype=float) - mu
 
 
 def base_log_pdf(name, x, params):
@@ -244,12 +233,12 @@ def base_log_sf(name, x, params):
 
 
 def base_quantile(name, q, params):
-    dist, shape, mu = _resolve_base(name, params)
+    steps, mu = Model((get_base(name),)).resolve(params)
     q = np.asarray(q, dtype=float)
     if np.any((q < 0) | (q > 1)):
         raise ValueError("quantile probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        return _scalar(mu + _quantile(dist.chain(*shape), (q, 1.0 - q, -np.log1p(-q))))
+        return _scalar(mu + _quantile(steps, (q, 1.0 - q, -np.log1p(-q))))
 
 
 def base_isf(name, q, params):
@@ -263,11 +252,11 @@ def base_isf(name, q, params):
 
 def base_isf_log(name, l, params):
     """Quantile at survival value exp(-l); l may exceed the underflow range."""
-    dist, shape, mu = _resolve_base(name, params)
+    steps, mu = Model((get_base(name),)).resolve(params)
     l = np.asarray(l, dtype=float)
     if np.any(l < 0):
         raise ValueError("base_isf_log requires l >= 0")
-    return _scalar(mu + _quantile(dist.chain(*shape), _from_l(l)))
+    return _scalar(mu + _quantile(steps, _from_l(l)))
 
 
 def _uniforms(n, seed, rng):

@@ -36,6 +36,12 @@ reads a hazard-form base's cumulative hazard H itself and the two terms +-H
 of ln h' and ln g never form.  Where L1 sits right outside a map with its own
 log-hazard (``lhz``: GP, LL and N), ``_log_slope`` takes the pair as that.
 
+The model boundary.  A ``Model`` is a composition's specs, outermost first,
+and the location flag; it alone knows theta's layout (each spec's parameters,
+then mu) and each coordinate's open interval (``domains``).  ``resolve``
+checks a theta's count and every domain but mu's and returns the joined chain
+and mu; ``steps`` joins it unchecked, for a stack masked on ``domains``.
+
 The support and the non-finite rule.  The runners from y (``_cdf``,
 ``_state``, ``_log_density``) and back (``_quantile``) run the maps inside
 numpy's silenced floating-point warnings.  y <= 0 and a NaN y are outside
@@ -61,6 +67,7 @@ _TINY = 1e-300  # below this a probability has lost its precision to underflow
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _LN_NORMAL = math.log(np.finfo(float).tiny)  # ln of the smallest normal double
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+_POS, _REAL = (0.0, math.inf), (-math.inf, math.inf)  # the open domains of a parameter or of mu
 
 
 def _scalar(out):
@@ -386,6 +393,44 @@ def _join(outer, inner):
     if outer and inner and outer[-1][0] is L1 and inner[0][0] is E:
         return outer[:-1] + inner[1:]
     return outer + inner
+
+
+class _DomainError(ValueError):
+    """A coordinate of theta outside its open interval."""
+
+
+class Model:
+    """A composition: its specs (each with ``name``, ``param_names``,
+    ``domains`` and ``chain``), outermost first, and whether mu comes last.
+    Theta is each spec's parameters in turn, then mu; ``domains`` holds one
+    open interval per coordinate, mu's the real line."""
+
+    def __init__(self, specs, location=True):
+        self.specs, self.location = specs, location
+        self.domains = tuple(d for s in specs for d in s.domains) + ((_REAL,) if location else ())
+        self.k = len(self.domains)
+        self._names = tuple(f"{s.name} parameter {nm}" for s in specs for nm in s.param_names)
+
+    def steps(self, theta):
+        """The joined chain at theta, floats or (B, 1) columns, unchecked; a
+        trailing mu is not read."""
+        steps, i = [], 0
+        for s in self.specs:
+            n = len(s.domains)
+            steps, i = _join(steps, s.chain(*theta[i : i + n])), i + n
+        return steps
+
+    def resolve(self, params):
+        """``(steps, mu)`` from a full theta, with its count and every domain
+        but mu's checked; mu is 0 with the location off."""
+        theta = tuple(float(p) for p in params)
+        if len(theta) != self.k:
+            raise ValueError(f"{' x '.join(s.name for s in self.specs)} with location={self.location} "
+                             f"expects {self.k} parameters, got {len(theta)}")
+        for v, (lo, hi), name in zip(theta, self.domains, self._names):
+            if not lo < v < hi:
+                raise _DomainError(f"{name}={v} outside ({lo}, {hi})")
+        return self.steps(theta), theta[-1] if self.location else 0.0
 
 
 def _apply(m, p, s, inverse=False):

@@ -6,30 +6,29 @@ a shifted base cdf, pdf h'(G(x)) g(x), and quantile G^{-1}(h^{-1}(p)).
 
 A family is its name, its parameter names, their domains and its chain of
 the maps of ``chains``, the maps the bases are written in, outermost first:
-kumg is ``[RP(b), P(a)]`` for h = RP(b) o P(a).  ``_resolve`` joins the
-family's chain outside the base's, and every composed function runs that one
-chain from y = x - mu: the cdf and its upper tail from the chain's triple,
-the log-density as ln of its slope, the quantile from the chain run
-backwards on the triple of p, or on ``(1 - q, q, -ln q)`` for an upper-tail
-q.  ``h_forward``, ``log_h_prime`` and ``h_inverse`` run the family's chain
-alone on a triple of u or p.
+kumg is ``[RP(b), P(a)]`` for h = RP(b) o P(a).  Every composed function
+runs one chain from y = x - mu, the family's joined outside the base's: the
+cdf and its upper tail from the chain's triple, the log-density as ln of its
+slope, the quantile from the chain run backwards on the triple of p, or on
+``(1 - q, q, -ln q)`` for an upper-tail q.  ``h_forward``, ``log_h_prime``
+and ``h_inverse`` run the family's chain alone on a triple of u or p.
 
-A public function resolves the names and checks the count and every domain
-of theta once (``_resolve``, or ``_resolve_family`` for the ``h_*``
-functions); the chains never check again.
+A public function looks its names up and resolves theta once through
+``chains.Model``: ``Model((family, base), location)``, or
+``Model((family,), False)`` for the ``h_*`` functions.  That checks the count
+and every domain and builds the chain; the chains never check again.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .base_distributions import _check_shape, _uniforms, get_base
+from .base_distributions import _uniforms, get_base
 from .chains import (
-    B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, _QUIET, _cdf, _forward_v, _join, _lnv,
+    _POS, B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, Model, _QUIET, _cdf, _forward_v, _lnv,
     _log_density, _log_slope, _quantile, _scalar, _state
 )
 
@@ -62,9 +61,6 @@ class FamilySpec:
     @property
     def n_induced(self) -> int:
         return len(self.param_names)
-
-
-_POS = (0.0, math.inf)
 
 
 def _family(name, params, chain, domains=None):
@@ -111,47 +107,6 @@ def get_family(name: str) -> FamilySpec:
         ) from None
 
 
-def _check_induced(fam: FamilySpec, induced):
-    for v, (lo, hi), nm in zip(induced, fam.domains, fam.param_names):
-        if not (lo < v < hi):
-            raise ValueError(
-                f"{fam.name} parameter {nm}={v} outside ({lo}, {hi})"
-            )
-
-
-def _resolve_family(name, induced):
-    """``(fam, induced)`` with the name, the count and every domain checked."""
-    fam = get_family(name)
-    induced = tuple(float(v) for v in induced)
-    if len(induced) != fam.n_induced:
-        raise ValueError(f"{fam.name} takes {fam.n_induced} induced parameters")
-    _check_induced(fam, induced)
-    return fam, induced
-
-
-def _steps(fam, dist, induced, shape):
-    """The composition's one chain: the family's outside the base's."""
-    return _join(fam.chain(*induced), dist.chain(*shape))
-
-
-def _resolve(family, base, params, location):
-    """``(chain, mu)`` from a full parameter vector: induced a[, b[, d]]
-    first, base shapes next, mu last (0 when ``location`` is off)."""
-    fam, dist = get_family(family), get_base(base)
-    params = tuple(float(p) for p in params)
-    want = fam.n_induced + dist.n_params + (1 if location else 0)
-    if len(params) != want:
-        raise ValueError(
-            f"{family} x {base} with location={location} expects {want} "
-            f"parameters, got {len(params)}"
-        )
-    k = fam.n_induced
-    induced, shape = params[:k], params[k : k + dist.n_params]
-    _check_shape(dist, shape)
-    _check_induced(fam, induced)
-    return _steps(fam, dist, induced, shape), params[-1] if location else 0.0
-
-
 def _complements(u, one_minus_u, neg_log_sf):
     """The (1 - u, -ln(1 - u)) pair a transform receives; whichever the
     caller leaves out is derived from the one it gave, else from u."""
@@ -168,33 +123,33 @@ def h_forward(name, u, induced, one_minus_u=None, neg_log_sf=None):
     ``one_minus_u`` and ``neg_log_sf`` optionally supply 1-u and -ln(1-u) at
     full precision when the caller knows them better than 1-u can express.
     """
-    fam, induced = _resolve_family(name, induced)
+    steps, _ = Model((get_family(name),), False).resolve(induced)
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise ValueError("h_forward requires u in [0, 1]")
     with np.errstate(**_QUIET):
-        v = _forward_v(fam.chain(*induced), (u, *_complements(u, one_minus_u, neg_log_sf)))
+        v = _forward_v(steps, (u, *_complements(u, one_minus_u, neg_log_sf)))
     return _scalar(np.minimum(1.0, np.maximum(0.0, v)))
 
 
 def log_h_prime(name, u, induced, one_minus_u=None, neg_log_sf=None):
     """log dh/du; may be +-inf at the endpoints, never NaN."""
-    fam, induced = _resolve_family(name, induced)
+    steps, _ = Model((get_family(name),), False).resolve(induced)
     u = np.asarray(u, dtype=float)
     with np.errstate(**_QUIET):
-        out = _log_slope(fam.chain(*induced), (u, *_complements(u, one_minus_u, neg_log_sf)))
+        out = _log_slope(steps, (u, *_complements(u, one_minus_u, neg_log_sf)))
     return _scalar(np.where(np.isnan(out), -np.inf, out))
 
 
 def _h_inverse(name, p, induced):
     """``(u, -ln(1 - u))`` at the u with h(u) = p."""
-    fam, induced = _resolve_family(name, induced)
+    steps, _ = Model((get_family(name),), False).resolve(induced)
     p = np.asarray(p, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise ValueError("h_inverse requires p in [0, 1]")
     # -ln(1 - u) is the quantile of h over the base E, t -> 1 - e^-t
     with np.errstate(divide="ignore"):
-        lsf = _quantile(fam.chain(*induced) + [E()], (p, 1.0 - p, -np.log1p(-p)))
+        lsf = _quantile(steps + [E()], (p, 1.0 - p, -np.log1p(-p)))
     return -np.expm1(-lsf), lsf
 
 
@@ -204,11 +159,11 @@ def h_inverse(name, p, induced):
 
 
 def n_total_params(family, base, location=True):
-    return get_family(family).n_induced + get_base(base).n_params + (1 if location else 0)
+    return Model((get_family(family), get_base(base)), location).k
 
 
 def family_log_pdf(family, base, x, params, location=True):
-    steps, mu = _resolve(family, base, params, location)
+    steps, mu = Model((get_family(family), get_base(base)), location).resolve(params)
     return _scalar(_log_density(steps, np.asarray(x, dtype=float) - mu))
 
 
@@ -225,7 +180,7 @@ def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=T
     """h(G(x)); with ``lower_tail`` off the chain's own 1 - h and, with
     ``log_p``, its own ln(1 - h), never 1 - h by subtraction; ln h from 1 - h
     where h > 1/2."""
-    steps, mu = _resolve(family, base, params, location)
+    steps, mu = Model((get_family(family), get_base(base)), location).resolve(params)
     y = np.asarray(x, dtype=float) - mu
     if lower_tail and not log_p:
         return _scalar(_cdf(steps, y))
@@ -237,7 +192,7 @@ def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=T
 
 
 def family_quantile(family, base, p, params, location=True, log_p=False, lower_tail=True):
-    steps, mu = _resolve(family, base, params, location)
+    steps, mu = Model((get_family(family), get_base(base)), location).resolve(params)
     p = np.asarray(p, dtype=float)
     prob = np.exp(p) if log_p else p
     if np.any((prob < 0) | (prob > 1)):

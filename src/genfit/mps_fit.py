@@ -11,14 +11,17 @@ removed by smooth reparameterization so every optimizer in the menu runs
 unconstrained; in particular the location satisfies mu < x_(1) by
 construction.
 
-Each evaluation checks theta once and runs the composition's one chain from
-y = x - mu, for the cdf and, at tied points, the log-density;
-``SpacingContext`` builds the free <-> natural maps once.  A single theta
-stays Python floats and goes through ``spacing_objective``; every stack the
-optimizers ask for goes through ``_spacing_rows`` as one pass: each step's
-points of all the runs in lockstep.  A run asks for a first simplex, a shrink
-or one point under Nelder-Mead, and for a point with its gradient's 2k points
-(or the 2k alone) under BFGS and CG.
+``SpacingContext`` builds the composition's ``chains.Model`` and the free <->
+natural maps once.  Each evaluation runs the one chain from y = x - mu, for
+the cdf and, at tied points, the log-density.  A single theta stays Python
+floats: ``spacing_objective`` resolves it through ``Model.resolve``, whose
+domain error reads as -inf.  A stack goes through ``_spacing_rows`` in one
+pass, masked on ``Model.domains``, its chain built by ``Model.steps`` on
+(B, 1) columns: each step's points of all the runs in lockstep (a simplex, a
+shrink or one point per Nelder-Mead run; a point and its gradient's 2k
+points under BFGS and CG).  The float path stays: as a one-row stack a lone
+point costs 17-67 % more (median 30 %) over fit_survey's 24 compositions and
+the three reference fits at their moment starts, on a 2-core Xeon.
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
@@ -35,8 +38,8 @@ import numpy as np
 import scipy.special as sc
 
 from .base_distributions import get_base
-from .chains import _QUIET, _cdf, _log_density
-from .family_transforms import _resolve, _steps, get_family, n_total_params
+from .chains import _POS, _QUIET, _REAL, Model, _cdf, _DomainError, _log_density
+from .family_transforms import get_family
 from .optimizers import _InfeasibleStart, OptimizerConfig, OptResult, maximize
 
 __all__ = [
@@ -72,8 +75,9 @@ class SpacingContext:
             raise ValueError("data must exceed the support origin 0 when location is off")
         self.data = data
         self.tie_mask = np.concatenate([[False], np.diff(data) == 0.0])
+        self.model = Model((get_family(self.family), get_base(self.base)), self.location)
         self._maps = _transforms(self)
-        self._lo, self._hi = np.array([t[2] for t in self._maps]).T
+        self._lo, self._hi = np.array(self.model.domains).T
 
     @property
     def n(self) -> int:
@@ -85,7 +89,7 @@ class SpacingContext:
 
     @property
     def k(self) -> int:
-        return n_total_params(self.family, self.base, self.location)
+        return self.model.k
 
 
 @dataclass
@@ -108,31 +112,28 @@ class MoranTest:
 # --- parameter reparameterization -----------------------------------------
 
 _CLIP = 700.0
-_POS, _REAL = (0.0, math.inf), (-math.inf, math.inf)
 
 
 def _exp(psi):
     return math.exp(min(max(psi, -_CLIP), _CLIP))
 
 
-# per induced-parameter domain: natural -> free and free -> natural maps, and
-# the start value (for (0, inf), the reduction-identity point)
+# per open domain: natural -> free and free -> natural maps, and an induced
+# parameter's start value (for (0, inf), the reduction-identity point)
 _DOMAINS = {
-    (0.0, math.inf): (math.log, _exp, 1.0),
+    _POS: (math.log, _exp, 1.0),
     (0.0, 1.0): (sc.logit, lambda psi: float(sc.expit(psi)), 0.5),
     (-1.0, 1.0): (math.atanh, lambda psi: math.tanh(min(max(psi, -20), 20)), 0.0),
+    _REAL: (lambda v: v, lambda psi: psi, 0.0),
 }
 
 
 def _transforms(ctx: SpacingContext):
-    """Per-coordinate (natural -> free, free -> natural, open natural domain)."""
-    bd = get_base(ctx.base)
-    maps = [(*_DOMAINS[d][:2], d) for d in get_family(ctx.family).domains]
-    for i in range(bd.n_params):
-        maps.append(((lambda v: v), (lambda psi: psi), _REAL) if i in bd.real_params else (math.log, _exp, _POS))
+    """Per-coordinate (natural -> free, free -> natural); mu's keeps it below x_(1)."""
+    maps = [_DOMAINS[d][:2] for d in ctx.model.domains]
     if ctx.location:
         x1 = float(ctx.data[0])
-        maps.append((lambda mu: math.log(x1 - mu), lambda psi: x1 - _exp(psi), _REAL))
+        maps[-1] = (lambda mu: math.log(x1 - mu), lambda psi: x1 - _exp(psi))
     return maps
 
 
@@ -163,15 +164,17 @@ def _terms(steps, mu, ctx: SpacingContext):
 
 def spacing_sum_terms(theta, ctx: SpacingContext):
     """Per-spacing log terms (length m), tie-corrected; -inf where infeasible."""
-    return _terms(*_resolve(ctx.family, ctx.base, theta, ctx.location), ctx)
+    return _terms(*ctx.model.resolve(theta), ctx)
 
 
 def spacing_value(theta, ctx: SpacingContext) -> float:
-    """Mean log-spacing S(theta) in the natural parameterization."""
+    """Mean log-spacing S(theta) in the natural parameterization; -inf where a
+    coordinate is out of its domain, a wrong count of them raises."""
     try:
-        terms = spacing_sum_terms(theta, ctx)
-    except ValueError:  # an out-of-domain natural theta
+        steps, mu = ctx.model.resolve(theta)
+    except _DomainError:
         return -math.inf
+    terms = _terms(steps, mu, ctx)
     if not np.all(np.isfinite(terms)):
         return -math.inf
     return float(np.sum(terms) / ctx.m)
@@ -187,16 +190,16 @@ def spacing_objective(theta_free, ctx: SpacingContext) -> float:
 
 def _spacing_rows(psi_rows, ctx: SpacingContext):
     """``spacing_objective`` at each row of a (B, k) stack, bit for bit, in one
-    pass: the rows that pass its checks and ``_resolve``'s become (B, 1)
+    pass: the rows with every coordinate in its domain become (B, 1)
     parameter columns, and the chain and the tie terms run on (B, n)."""
     thetas = np.array([from_free(ctx, psi) for psi in psi_rows])
     ok = ((ctx._lo < thetas) & (thetas < ctx._hi)).all(axis=1)
     out = np.full(len(thetas), -math.inf)
-    fam, dist = get_family(ctx.family), get_base(ctx.base)
-    k, cols = fam.n_induced, tuple(np.ascontiguousarray(thetas[ok].T)[:, :, None])
+    cols = tuple(np.ascontiguousarray(thetas[ok].T)[:, :, None])
     with np.errstate(**_QUIET):  # a chain's parameters, such as a/b, may overflow
-        steps = _steps(fam, dist, cols[:k], cols[k : k + dist.n_params])
-    terms = _terms(steps, cols[-1] if ctx.location else 0.0, ctx)
+        steps = ctx.model.steps(cols)
+    # mu = 0 as a column, so y has a row per theta also where no map broadcasts
+    terms = _terms(steps, cols[-1] if ctx.location else np.zeros_like(cols[0]), ctx)
     with np.errstate(invalid="ignore"):
         out[ok] = np.where(np.isfinite(terms).all(axis=1), np.sum(terms, axis=1) / ctx.m, -math.inf)
     return out
@@ -221,15 +224,15 @@ _FALLBACK_SDS = (1.0, 4.0, 16.0)
 def _start_theta(ctx: SpacingContext, mu0=None):
     """The moment start: induced values at the reduction point, and the base's
     start rule on the data shifted by mu0 (default x_(1) - sd/n)."""
-    domains = get_family(ctx.family).domains
-    induced = list(_ODDS_STARTS.get(ctx.family, (_DOMAINS[d][2] for d in domains)))
+    fam, dist = ctx.model.specs
+    induced = list(_ODDS_STARTS.get(ctx.family, (_DOMAINS[d][2] for d in fam.domains)))
     if mu0 is None:
         mu0 = float(ctx.data[0]) - float(np.std(ctx.data)) / ctx.n if ctx.location else 0.0
     y = ctx.data - mu0
     if np.any(y <= 0):
         # location on, but the data have no spread to put mu0 below x_(1)
         raise ValueError("data must exceed the support origin")
-    base_start = list(get_base(ctx.base).start(y))
+    base_start = list(dist.start(y))
     theta = induced + base_start + ([mu0] if ctx.location else [])
     return np.asarray(theta, dtype=float)
 

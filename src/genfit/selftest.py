@@ -9,12 +9,12 @@ p-values above 0.05.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .base_distributions import get_base
+from .chains import Model
 from .family_transforms import family_cdf, family_sample, get_family
 from .gof import ks_test
 
@@ -51,20 +51,6 @@ def default_n_grid():
     return list(range(5, 101, 5))
 
 
-def _draw_theta(family, base, rng):
-    fam = get_family(family)
-    bd = get_base(base)
-    theta = []
-    for lo, hi in fam.domains:
-        a = max(lo + 1e-9, _DRAW_LO) if lo > -math.inf else _DRAW_LO
-        b = min(hi - 1e-9, _DRAW_HI)
-        theta.append(rng.uniform(min(a, b), max(a, b)))
-    for _ in range(bd.n_params):
-        theta.append(rng.uniform(_DRAW_LO, _DRAW_HI))
-    theta.append(rng.uniform(_DRAW_LO, _DRAW_HI))  # mu
-    return np.asarray(theta)
-
-
 def selftest(family, base, n_grid=None, reps=100, seed=None, max_redraws=50):
     """Run the replication study; returns one SelfTestRow per sample size."""
     if n_grid is None:
@@ -73,6 +59,9 @@ def selftest(family, base, n_grid=None, reps=100, seed=None, max_redraws=50):
         raise ValueError(f"selftest needs reps >= 1, got {reps}")
     if any(n < 2 for n in n_grid):
         raise ValueError(f"selftest sample sizes must be >= 2, got {list(n_grid)}")
+    # every coordinate's draw range, (0.5, 5) clipped into its open domain
+    ranges = [(max(lo + 1e-9, _DRAW_LO), min(hi - 1e-9, _DRAW_HI))
+              for lo, hi in Model((get_family(family), get_base(base))).domains]
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_grid:
@@ -80,7 +69,7 @@ def selftest(family, base, n_grid=None, reps=100, seed=None, max_redraws=50):
         redraws = 0
         for r in range(reps):
             for _ in range(max_redraws):
-                theta = _draw_theta(family, base, rng)
+                theta = np.array([rng.uniform(min(a, b), max(a, b)) for a, b in ranges])
                 x = family_sample(family, base, n, theta, location=True, rng=rng)
                 if np.all(np.isfinite(x)):
                     break

@@ -113,6 +113,28 @@ class TestSpacingValue:
         ctx = SpacingContext(np.array([1.0, 2.0]), "expg", "weibull")
         assert spacing_value((1.0, 1.0, 1.0, 1.5), ctx) == -math.inf
 
+    def test_wrong_length_raises(self):
+        # a count error is the caller's, not an infeasible point
+        ctx = SpacingContext([1, 2, 3], "expg", "weibull")
+        with pytest.raises(ValueError, match="expects 4 parameters, got 3"):
+            spacing_value((1.0, 1.0, 1.0), ctx)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "out"])
+    @pytest.mark.parametrize("i", [0, 1, 3], ids=["a", "alpha", "mu"])
+    def test_bad_coordinate_is_minus_inf(self, monkeypatch, i, value):
+        # a NaN, an infinite or an out-of-domain coordinate (for mu, one above
+        # x_(1)) reads -inf as a single point and as a row of a stack, whose
+        # rows are theta itself once from_free is the identity
+        ctx = SpacingContext(load_dataset("bearing"), "expg", "weibull")
+        theta = _start_theta(ctx)
+        bad = theta.copy()
+        bad[i] = (ctx.data[0] + 1.0 if i == 3 else -1.0) if value == "out" else float(value)
+        assert spacing_value(bad, ctx) == -math.inf
+        monkeypatch.setattr(mps_fit, "from_free", lambda ctx, psi: np.asarray(psi, dtype=float))
+        got = mps_fit._spacing_rows(np.vstack([theta, bad]), ctx)
+        assert got[0] == spacing_value(theta, ctx) > -math.inf
+        assert got[1] == -math.inf
+
     @pytest.mark.parametrize(
         "family,base,theta",
         [
@@ -152,16 +174,19 @@ class TestSpacingValue:
 
 
 class TestSpacingRows:
-    @pytest.mark.parametrize("name", ["bearing", "pollution", "earthquake"])
-    def test_rows_equal_single_calls(self, name):
+    @pytest.mark.parametrize("name,location", [
+        pytest.param(name, location, id=name if location else f"{name}-location-off")
+        for location in (True, False) for name in ("bearing", "pollution", "earthquake")])
+    def test_rows_equal_single_calls(self, name, location):
         # every composition at its moment start, the +-h stack of the
         # gradient there, a jittered row and a row at the +-700 clip: the
         # batch gives each row the single call's bits, -inf included, and
-        # lets no floating-point warning escape
+        # lets no floating-point warning escape; all three datasets are
+        # positive, so each also runs with the location off
         data = load_dataset(name)
         for i, family in enumerate(sorted(FAMILIES)):
             for j, base in enumerate(sorted(BASE_DISTRIBUTIONS)):
-                ctx = SpacingContext(data, family, base)
+                ctx = SpacingContext(data, family, base, location)
                 x = to_free(ctx, _start_theta(ctx))
                 h = np.diag(np.maximum(1e-7, 1e-7 * np.abs(x)))
                 rng = np.random.default_rng([i, j])
