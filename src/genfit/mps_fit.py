@@ -322,5 +322,5 @@ def moran_chi_square_test(moran: float, n: int, k: int, sig_level: float = 0.05)
     c1 = mean - n * c2
     statistic = (moran + k / 2.0 - c1) / c2
     critical = float(chi_square_quantile(1.0 - sig_level, n))
-    p_value = float(1.0 - chi_square_cdf(statistic, n)) if statistic >= 0 else 1.0
+    p_value = float(sc.gammaincc(n / 2.0, statistic / 2.0)) if statistic >= 0 else 1.0
     return MoranTest(statistic=statistic, critical=critical, p_value=p_value, df=n)

@@ -383,6 +383,20 @@ class TestMoran:
         tight = moran_chi_square_test(31.0, n=10, k=5, sig_level=0.01)
         assert tight.critical > loose.critical
 
+    @pytest.mark.parametrize("t", [40.0, 100.0])
+    def test_p_value_keeps_the_upper_tail(self, t):
+        # 1 - cdf is 2e-12 off, relative, at T = 40, and reads 0 at T = 100,
+        # where the chi-square_10 upper tail is 5.4e-17
+        mp = pytest.importorskip("mpmath")
+        n, k = 10, 5
+        mean, var = moran_moments(n)
+        c2 = math.sqrt(var) / math.sqrt(2.0 * n)
+        res = moran_chi_square_test(t * c2 + mean - n * c2 - k / 2.0, n, k)
+        assert res.statistic == pytest.approx(t, rel=1e-12)
+        with mp.workdps(50):
+            want = float(mp.gammainc(n / 2, mp.mpf(res.statistic) / 2, mp.inf, regularized=True))
+        assert res.p_value == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             moran_chi_square_test(30.0, n=1, k=2)
