@@ -425,8 +425,8 @@ class Model:
         but mu's checked; mu is 0 with the location off."""
         theta = tuple(float(p) for p in params)
         if len(theta) != self.k:
-            raise ValueError(f"{' x '.join(s.name for s in self.specs)} with location={self.location} "
-                             f"expects {self.k} parameters, got {len(theta)}")
+            raise ValueError(f"{' x '.join(s.name for s in self.specs)} expects {self.k} parameters"
+                             f"{' (mu last)' if self.location else ''}, got {len(theta)}")
         for v, (lo, hi), name in zip(theta, self.domains, self._names):
             if not lo < v < hi:
                 raise _DomainError(f"{name}={v} outside ({lo}, {hi})")

@@ -116,7 +116,7 @@ class TestSpacingValue:
     def test_wrong_length_raises(self):
         # a count error is the caller's, not an infeasible point
         ctx = SpacingContext([1, 2, 3], "expg", "weibull")
-        with pytest.raises(ValueError, match="expects 4 parameters, got 3"):
+        with pytest.raises(ValueError, match=r"expg x weibull expects 4 parameters \(mu last\), got 3"):
             spacing_value((1.0, 1.0, 1.0), ctx)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "out"])
