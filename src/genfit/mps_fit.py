@@ -182,10 +182,7 @@ def spacing_value(theta, ctx: SpacingContext) -> float:
 
 def spacing_objective(theta_free, ctx: SpacingContext) -> float:
     """S(theta) over the unconstrained parameterization; -inf when invalid."""
-    theta = from_free(ctx, theta_free)
-    if not np.all(np.isfinite(theta)):
-        return -math.inf
-    return spacing_value(theta, ctx)
+    return spacing_value(from_free(ctx, theta_free), ctx)
 
 
 def _spacing_rows(psi_rows, ctx: SpacingContext):
