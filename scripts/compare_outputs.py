@@ -29,7 +29,10 @@ The grids:
   seeded theta (mu = 0.5), the public ``base_*`` functions on the same x and
   p grids, ``base_isf_log`` at l = -ln p, keyed ``base_cdf:-:<base>``; ``h_forward``,
   ``log_h_prime`` and ``h_inverse`` per family; eval_bulk's six compositions
-  at seeds 11 and 12; S at every start of all 1,080 compositions on the three
+  at seeds 11 and 12; a deep-tail group of 2^16-element calls for every
+  composition whose chain holds GP (the gamma and chisq bases, the five
+  gammag families): upper quantiles at q = 10^-U(0, 320), at ln q down to
+  -2,000, and the log-pdf at x - mu up to 1e6; S at every start of all 1,080 compositions on the three
   bundled datasets; the three reference fits by Nelder-Mead at the
   optimizer seeds 0-5 that perfbench's fit_reference uses, and by BFGS and CG
   at seed 0; the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
@@ -74,6 +77,10 @@ BULK_COMPOSITIONS = (
     ("gammag", "lomax", (2.0, 3.0, 2.0, 0.0)),
     ("loggammag1", "birnbaum-saunders", (1.5, 2.0, 0.5, 1.0, 0.0)),
 )
+
+# the compositions whose chain holds GP, the gamma cdf map
+GP_FAMILIES = ("gammag", "gammag1", "gammag2", "loggammag1", "loggammag2")
+GP_BASES = ("chisq", "gamma")
 
 
 # --- the worker: runs against one side's src ------------------------------------
@@ -170,6 +177,36 @@ def _bulk(genfit, rec, compositions, n):
             rec[("bulk_pdf", family, base, str(seed))] = _call(ft.family_pdf, family, base, x, params)
 
 
+def deep_tail_inputs(i, n):
+    """The deep-tail inputs of the i-th composition: upper-tail q = 10^-U(0, 320),
+    upper-tail ln q = -U(0, 2000), and x - mu = 10^U(0, 6)."""
+    rng = np.random.default_rng([13, i])
+    return 10.0 ** -rng.uniform(0.0, 320.0, n), -rng.uniform(0.0, 2000.0, n), 10.0 ** rng.uniform(0.0, 6.0, n)
+
+
+def deep_tail_calls(genfit, family, base, i, n):
+    """``{name: (fn, points, kwargs)}`` of the deep-tail group for one composition
+    at its first seeded theta, mu = 0.5."""
+    ft = genfit.family_transforms
+    all_f, all_b = sorted(ft.FAMILIES), sorted(genfit.base_distributions.BASE_DISTRIBUTIONS)
+    params = _theta(genfit, all_f.index(family), all_b.index(base), 0, family, base) + (0.5,)
+    q, log_q, dx = deep_tail_inputs(i, n)
+    return params, {
+        "deep_quantile_upper": (ft.family_quantile, q, {"lower_tail": False}),
+        "deep_quantile_log": (ft.family_quantile, log_q, {"lower_tail": False, "log_p": True}),
+        "deep_log_pdf": (ft.family_log_pdf, 0.5 + dx, {}),
+    }
+
+
+def _deep_tail(genfit, rec, compositions, n):
+    """Large deep-tail calls, where an element's value once depended on the
+    others in its call (the gamma cdf map's solvers stopped on the slowest)."""
+    for i, (family, base) in enumerate(compositions):
+        params, calls = deep_tail_calls(genfit, family, base, i, n)
+        for name, (fn, pts, kw) in calls.items():
+            rec[(name, family, base, "0")] = _call(fn, family, base, pts, params, **kw)
+
+
 def _starts(genfit, rec, datasets, families, bases):
     mf = genfit.mps_fit
     for name in datasets:
@@ -236,6 +273,8 @@ def run_worker(grid, out):
         _composition_grid(genfit, rec, families, bases, 2)
         _base_grid(genfit, rec, bases, 2)
         _bulk(genfit, rec, BULK_COMPOSITIONS, 100_000)
+        _deep_tail(genfit, rec, [(f, b) for f in families for b in bases if f in GP_FAMILIES or b in GP_BASES],
+                   2**16)
         _starts(genfit, rec, ["bearing", "pollution", "earthquake"], families, bases)
         for name, family, base in REFERENCE_FITS:
             for seed in range(6):  # fit_reference's Nelder-Mead seeds
