@@ -34,19 +34,23 @@ def _gamma_log_pdf(lt, t, a):
 
 def _log_q_cf(x, a):
     """ln of Q(a, x) Gamma(a) e^x x^(1 - a), for x > a + 1, by Legendre's
-    continued fraction (modified Lentz), run until every element's factor
-    is 1 to the last bit (a NaN counts as done) or for 200 terms; 0 at
-    x = +inf.  Where Q < e^-30 that takes at most 25 terms."""
+    continued fraction (modified Lentz); each element stops once its own
+    factor is 1 to the last bit (a NaN counts as done), all of them after
+    200 terms, so an element's value does not depend on the others in the
+    call; 0 at x = +inf.  Where Q < e^-30 that takes at most 25 terms."""
     b = x + 1.0 - a
     c, d = np.inf, 1.0 / b
     h = d
+    live = True
     for i in range(1, 200):
         an = i * (a - i)
         b = b + 2.0
         d = 1.0 / (an * d + b)
         c = b + an / c
-        h = h * (c * d)
-        if not np.any(np.abs(c * d - 1.0) > 2e-16):
+        cd = c * d
+        h = np.where(live, h * cd, h)
+        live = live & (np.abs(cd - 1.0) > 2e-16)
+        if not np.any(live):
             break
     return np.where(x == np.inf, 0.0, np.log(x * h))
 
@@ -61,14 +65,17 @@ def inv_reg_inc_gamma_upper_from_log(l, a):
         out = np.array(sc.gammainccinv(a, np.exp(-np.where(deep, 0.0, l))))
     if deep.any():
         # Newton on -ln Q(a, x) = l only where exp(-l) underflows, from a start
-        # right of the root; the slope of -ln Q is the hazard 1/(x K)
+        # right of the root; the slope of -ln Q is the hazard 1/(x K).  Each
+        # element stops at its own converged step
         ld, ad = l[deep], a[deep]
         x = ad + 1.0 + ld + np.sqrt(2.0 * ad * ld)
+        live = np.ones(x.shape, dtype=bool)
         for _ in range(60):
-            cf = _log_q_cf(x, ad)
-            step = (_gamma_log_pdf(np.log(x), x, ad) + cf + ld) * np.exp(cf)
-            x = np.maximum(x + step, ad + 1.0)
-            if not np.any(np.abs(step) > 1e-15 * x):
+            cf = _log_q_cf(x[live], ad[live])
+            step = (_gamma_log_pdf(np.log(x[live]), x[live], ad[live]) + cf + ld[live]) * np.exp(cf)
+            x[live] = np.maximum(x[live] + step, ad[live] + 1.0)
+            live[live] = np.abs(step) > 1e-15 * x[live]
+            if not live.any():
                 break
         out[deep] = x
     return out if out.ndim else float(out)

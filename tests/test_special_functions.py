@@ -20,8 +20,9 @@ import scipy.special as sc
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from genfit.family_transforms import family_log_pdf, family_quantile
 from genfit.mps_fit import chi_square_cdf, chi_square_quantile
-from genfit.special_functions import inv_reg_inc_gamma_upper_from_log
+from genfit.special_functions import _log_q_cf, inv_reg_inc_gamma_upper_from_log
 
 # frozen oracle values
 P_3_AT_2 = 0.3233235838169366  # quadrature of y^2 e^-y / Gamma(3) over [0, 2]
@@ -172,6 +173,35 @@ class TestInverses:
         x = inv_reg_inc_gamma_upper_from_log(l, 2.5)
         assert np.all(np.isfinite(x))
         assert np.all(np.diff(x) > 0)
+
+
+class TestElementByElement:
+    """The gamma solvers stop each element on its own criterion, so an
+    element of a call equals the same call on that element alone."""
+
+    @staticmethod
+    def _each_alone(fn, *args):
+        got = fn(*args)
+        alone = [fn(*(a[i : i + 1] for a in args))[0] for i in range(got.size)]
+        np.testing.assert_array_equal(got, alone)
+
+    def test_upper_inverse_from_log(self):
+        rng = np.random.default_rng(5)
+        self._each_alone(inv_reg_inc_gamma_upper_from_log, rng.uniform(600.0, 2000.0, 200), rng.uniform(0.3, 2.0, 200))
+
+    def test_continued_fraction(self):
+        rng = np.random.default_rng(6)
+        a = rng.uniform(0.3, 2.0, 200)
+        self._each_alone(_log_q_cf, a + 1.0 + 10.0 ** rng.uniform(0.0, 6.0, 200), a)
+
+    def test_upper_quantile(self):
+        q = 10.0 ** -np.random.default_rng(7).uniform(0.0, 320.0, 100)
+        self._each_alone(lambda p: family_quantile("loggammag1", "gamma", p, (1.13, 1.65, 1.82, 2.8, 0.5),
+                                                   lower_tail=False), q)
+
+    def test_far_log_pdf(self):
+        x = 0.5 + 10.0 ** np.random.default_rng(8).uniform(0.0, 6.0, 100)
+        self._each_alone(lambda x: family_log_pdf("gxlogisticg", "gamma", x, (1.67, 2.85, 2.52, 0.5)), x)
 
 
 class TestNormal:
