@@ -52,11 +52,22 @@ log-density reads it (like a +inf, which only the underflow of an
 intermediate state makes) as a zero density.  A parameter is a float or a
 (B, 1) column, one entry per row of a (B, n) state
 (``mps_fit._spacing_rows``).
+
+Element by element.  Every map, and so every runner, gives each element of
+its input the value it would give that element alone: no loop stops, and no
+branch is taken, on a test over all the elements that changes an element's
+value (a test such as ``np.count_nonzero(deep)`` only skips work whose
+result ``np.where`` would discard).  The runners rely on it: an input of
+``_SPLIT`` elements or more is cut along its last axis into one part per core
+the process may run on, the parts run on threads (scipy's special functions
+release the GIL) and join to the uncut result bit for bit.  A map that
+iterates stops each element on its own criterion (``special_functions``).
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import scipy.special as sc
@@ -498,6 +509,53 @@ def _log_slope(steps, s):
 
 # --- runners from y = x - mu ------------------------------------------------------------
 
+_SPLIT = 2**15  # a runner cuts an input of this many elements or more across the cores
+_pool = None  # the ThreadPoolExecutor that runs all parts but the first, made on first use
+
+
+def _drop_pool():
+    global _pool
+    _pool = None  # a forked child has none of its parent's threads
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_parts(run, steps, x):
+    """``run(steps, x, True)`` with x (an array, or _quantile's triple) cut
+    along its last axis into one part per core the process may run on: the
+    first part on the calling thread, the rest on the pool.  Every map works
+    element by element, so the parts join to the uncut result bit for bit."""
+    global _pool
+    triple = isinstance(x, tuple)
+    if triple:
+        x = tuple(np.broadcast_arrays(*x))
+    n = (x[0] if triple else x).shape[-1]
+    k = min(_cores(), n)
+    if k < 2:
+        return run(steps, x, True)
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # only a large call needs it
+
+        # two threads racing here make two pools; the loser's threads end once it is collected
+        _pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="genfit")
+    cuts = [n * i // k for i in range(k + 1)]
+    parts = [tuple(a[..., i:j] for a in x) if triple else x[..., i:j] for i, j in zip(cuts, cuts[1:])]
+    rest = [_pool.submit(run, steps, part, True) for part in parts[1:]]
+    outs = [run(steps, parts[0], True)] + [f.result() for f in rest]
+    if isinstance(outs[0], tuple):
+        return tuple(np.concatenate(o, axis=-1) for o in zip(*outs))
+    return np.concatenate(outs, axis=-1)
+
+
 def _support(y, vals, outside, top):
     """vals (shaped like y) with ``outside`` where y <= 0 or y is NaN, and
     ``top`` where y = +inf."""
@@ -508,36 +566,44 @@ def _support(y, vals, outside, top):
     return tuple(np.where(inside, v, np.where(at_top, t, o)) for v, o, t in zip(vals, outside, top))
 
 
-def _cdf(steps, y):
+def _cdf(steps, y, part=False):
     """The chain's v at y."""
+    if y.size >= _SPLIT and not part:
+        return _in_parts(_cdf, steps, y)
     with np.errstate(**_QUIET):
         v = _forward_v(steps, (y,))
     (v,) = _support(y, (v,), (0.0,), (1.0,))
     return np.minimum(1.0, np.maximum(0.0, v))
 
 
-def _state(steps, y):
+def _state(steps, y, part=False):
     """The chain's triple ``(v, 1 - v, -ln(1 - v))`` at y."""
+    if y.size >= _SPLIT and not part:
+        return _in_parts(_state, steps, y)
     with np.errstate(**_QUIET):
         v, w, l = _full(_forward(steps, (y,)))
     v, w, l = _support(y, (v, w, l), (0.0, 1.0, 0.0), (1.0, 0.0, np.inf))
     return np.minimum(1.0, np.maximum(0.0, v)), np.minimum(1.0, np.maximum(0.0, w)), np.maximum(l, 0.0)
 
 
-def _log_density(steps, y):
+def _log_density(steps, y, part=False):
     """ln of the chain's slope at y, the log-density of the distribution it is
     the cdf of; -inf outside the support, where a map made NaN, and where an
     intermediate state's underflow made +inf."""
+    if y.size >= _SPLIT and not part:
+        return _in_parts(_log_density, steps, y)
     with np.errstate(**_QUIET):
         out = _log_slope(steps, (y,))
     (out,) = _support(y, (out,), (-np.inf,), (-np.inf,))
     return np.where(np.isnan(out) | (out == np.inf), -np.inf, out)
 
 
-def _quantile(steps, p):
+def _quantile(steps, p, part=False):
     """The y >= 0 at which the chain reaches the triple p, from the chain run
     backwards: 0 where v = 0, +inf where -ln(1 - v) = +inf, and where the
     inverse made NaN the end on v's side of 1/2."""
+    if p[0].size >= _SPLIT and not part:
+        return _in_parts(_quantile, steps, p)
     s = p
     with np.errstate(**_QUIET):
         for m, prm in steps:
