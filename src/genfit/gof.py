@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .family_transforms import family_cdf, family_log_pdf
-from .mps_fit import SpacingContext, moran_chi_square_test, spacing_value
+from .chains import _cdf, _log_density
+from .mps_fit import SpacingContext, _log_spacings, _mean_log_spacing, moran_chi_square_test
 
 __all__ = [
     "GofReport",
@@ -91,20 +91,23 @@ def full_report(data, family, base, params, location=True, sig_level=0.05) -> Go
     """Evaluate every reported measure at a given parameter vector.
 
     The log-likelihood is evaluated at the same (MPS) estimate rather than a
-    separate ML fit, matching the single-fit output structure.
+    separate ML fit, matching the single-fit output structure.  Theta is
+    resolved once, and one cdf and one log-density pass over the sorted data
+    give every measure; Moran's tie terms are that log-density at the ties.
     """
     ctx = SpacingContext(np.asarray(data, dtype=float), family, base, location)
     n, k = ctx.n, ctx.k
-    theta = np.asarray(params, dtype=float)
+    steps, mu = ctx.model.resolve(params)
+    y = ctx.data - mu
+    log_pdf, u = _log_density(steps, y), _cdf(steps, y)
 
-    loglik = float(np.sum(family_log_pdf(family, base, ctx.data, theta, location)))
+    loglik = float(np.sum(log_pdf))
     aic, caic, bic, hqic = information_criteria(loglik, k, n)
 
-    u = np.asarray(family_cdf(family, base, ctx.data, theta, location), dtype=float)
     cm, ad, clamped = edf_statistics(u)
     ks_d, ks_p = ks_test(u)
 
-    moran = -ctx.m * spacing_value(theta, ctx)
+    moran = -ctx.m * _mean_log_spacing(_log_spacings(u, ctx, log_pdf[ctx.tied]), ctx)
     chi = moran_chi_square_test(moran, n, k, sig_level)
 
     return GofReport(

@@ -75,6 +75,7 @@ class SpacingContext:
             raise ValueError("data must exceed the support origin 0 when location is off")
         self.data = data
         self.tie_mask = np.concatenate([[False], np.diff(data) == 0.0])
+        self.tied = np.flatnonzero(self.tie_mask)
         self.model = Model((get_family(self.family), get_base(self.base)), self.location)
         self._maps = _transforms(self)
         self._lo, self._hi = np.array(self.model.domains).T
@@ -148,18 +149,29 @@ def from_free(ctx: SpacingContext, psi):
 
 # --- the objective ---------------------------------------------------------
 
-def _terms(steps, mu, ctx: SpacingContext):
-    """Tie-corrected log-spacings (length m) on the last axis; -inf where infeasible."""
-    y = ctx.data - mu
-    h = _cdf(steps, y)
+def _log_spacings(h, ctx: SpacingContext, tie_terms):
+    """Tie-corrected log-spacings (length m) on the last axis from the cdf h at
+    the sorted data, with ``tie_terms``, the log-density at the tied points,
+    in the tied places; -inf where infeasible."""
     ext = np.concatenate([np.zeros(h.shape[:-1] + (1,)), h, np.ones(h.shape[:-1] + (1,))], axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.log(np.maximum(ext[..., 1:] - ext[..., :-1], 0.0))
-    if ctx.tie_mask.any():
+    if ctx.tied.size:
         # .T indexes the last axis of one row or of a stack at plain indexing's cost
-        tied = np.flatnonzero(ctx.tie_mask)
-        terms.T[tied] = _log_density(steps, y.T[tied].T).T
+        terms.T[ctx.tied] = tie_terms
     return terms
+
+
+def _terms(steps, mu, ctx: SpacingContext):
+    """``_log_spacings`` of the chain at theta's ``(steps, mu)``."""
+    y = ctx.data - mu
+    tie_terms = _log_density(steps, y.T[ctx.tied].T).T if ctx.tied.size else None
+    return _log_spacings(_cdf(steps, y), ctx, tie_terms)
+
+
+def _mean_log_spacing(terms, ctx: SpacingContext) -> float:
+    """S from one row of log-spacings: -inf unless every term is finite."""
+    return float(np.sum(terms) / ctx.m) if np.all(np.isfinite(terms)) else -math.inf
 
 
 def spacing_sum_terms(theta, ctx: SpacingContext):
@@ -174,10 +186,7 @@ def spacing_value(theta, ctx: SpacingContext) -> float:
         steps, mu = ctx.model.resolve(theta)
     except _DomainError:
         return -math.inf
-    terms = _terms(steps, mu, ctx)
-    if not np.all(np.isfinite(terms)):
-        return -math.inf
-    return float(np.sum(terms) / ctx.m)
+    return _mean_log_spacing(_terms(steps, mu, ctx), ctx)
 
 
 def spacing_objective(theta_free, ctx: SpacingContext) -> float:

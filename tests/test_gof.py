@@ -11,7 +11,9 @@ import math
 import numpy as np
 import pytest
 
+from genfit import chains, gof
 from genfit.datasets import load_dataset
+from genfit.family_transforms import family_cdf, family_log_pdf
 from genfit.gof import (
     edf_statistics,
     full_report,
@@ -19,6 +21,7 @@ from genfit.gof import (
     ks_statistic,
     ks_test,
 )
+from genfit.mps_fit import SpacingContext, _start_theta, spacing_value
 
 # frozen reference estimate for the bearing dataset under the
 # Weibull-transformed Weibull model with location
@@ -157,3 +160,31 @@ class TestFullReport:
         assert np.isfinite(rep.moran)
         assert 0.0 <= rep.chi_p <= 1.0
         assert 0.0 <= rep.ks_p <= 1.0
+
+    @pytest.mark.parametrize("name, family, base", [
+        ("bearing", "weibullg", "weibull"),
+        ("earthquake", "kumg", "birnbaum-saunders"),  # ties
+    ])
+    def test_one_resolve_and_one_pass_each(self, monkeypatch, name, family, base):
+        data = load_dataset(name)
+        ctx = SpacingContext(data, family, base)
+        theta = tuple(_start_theta(ctx))
+        # the measures from their public functions, each with its own pass
+        u = family_cdf(family, base, ctx.data, theta)
+        want = (float(np.sum(family_log_pdf(family, base, ctx.data, theta))), *edf_statistics(u), *ks_test(u),
+                -ctx.m * spacing_value(theta, ctx))
+        calls = {"resolve": 0, "cdf": 0, "log_density": 0}
+
+        def counted(key, fn):
+            def run(*args):
+                calls[key] += 1
+                return fn(*args)
+            return run
+
+        monkeypatch.setattr(chains.Model, "resolve", counted("resolve", chains.Model.resolve))
+        monkeypatch.setattr(gof, "_cdf", counted("cdf", chains._cdf))
+        monkeypatch.setattr(gof, "_log_density", counted("log_density", chains._log_density))
+        rep = full_report(data, family, base, theta)
+        assert calls == {"resolve": 1, "cdf": 1, "log_density": 1}
+        got = (rep.loglik, rep.cm, rep.ad, rep.edf_clamped, rep.ks_stat, rep.ks_p, rep.moran)
+        assert got == want and math.isfinite(rep.moran)
