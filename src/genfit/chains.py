@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 
 import numpy as np
 import scipy.special as sc
@@ -511,11 +512,13 @@ def _log_slope(steps, s):
 
 _SPLIT = 2**15  # a runner cuts an input of this many elements or more across the cores
 _pool = None  # the ThreadPoolExecutor that runs all parts but the first, made on first use
+_pool_lock = threading.Lock()
 
 
 def _drop_pool():
-    global _pool
-    _pool = None  # a forked child has none of its parent's threads
+    # a forked child has none of its parent's threads, and may have its lock held
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -529,12 +532,21 @@ def _cores():
         return os.cpu_count() or 1
 
 
+def _executor():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # only a large call needs it
+
+            _pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="genfit")
+        return _pool
+
+
 def _in_parts(run, steps, x):
     """``run(steps, x, True)`` with x (an array, or _quantile's triple) cut
     along its last axis into one part per core the process may run on: the
     first part on the calling thread, the rest on the pool.  Every map works
     element by element, so the parts join to the uncut result bit for bit."""
-    global _pool
     triple = isinstance(x, tuple)
     if triple:
         x = tuple(np.broadcast_arrays(*x))
@@ -542,15 +554,15 @@ def _in_parts(run, steps, x):
     k = min(_cores(), n)
     if k < 2:
         return run(steps, x, True)
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # only a large call needs it
-
-        # two threads racing here make two pools; the loser's threads end once it is collected
-        _pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="genfit")
     cuts = [n * i // k for i in range(k + 1)]
     parts = [tuple(a[..., i:j] for a in x) if triple else x[..., i:j] for i, j in zip(cuts, cuts[1:])]
-    rest = [_pool.submit(run, steps, part, True) for part in parts[1:]]
-    outs = [run(steps, parts[0], True)] + [f.result() for f in rest]
+    pool = _executor()
+    rest = [pool.submit(run, steps, part, True) for part in parts[1:]]
+    try:
+        first = run(steps, parts[0], True)
+    finally:
+        rest = [f.result() for f in rest]  # every part has ended when the call returns or raises
+    outs = [first] + rest
     if isinstance(outs[0], tuple):
         return tuple(np.concatenate(o, axis=-1) for o in zip(*outs))
     return np.concatenate(outs, axis=-1)

@@ -8,6 +8,8 @@ reference here is the same call with the threshold raised past the input.
 """
 
 import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +101,38 @@ def test_fit_path_leaves_the_pool_unstarted(monkeypatch):
     assert rows.shape[0] * ctx.n < chains._SPLIT
     assert np.isfinite(mps_fit._spacing_rows(rows, ctx)).any()
     assert chains._pool is None
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more calling threads than cores race to make the pool and share it
+    monkeypatch.setattr(chains, "_pool", None)
+    monkeypatch.setattr(chains, "_cores", lambda: 3)
+    p = np.random.default_rng(17).uniform(size=N)
+    params = BULK[3][2]
+    split = chains._SPLIT
+    monkeypatch.setattr(chains, "_SPLIT", 2**62)
+    want = family_quantile("betag", "gamma", p, params)
+    monkeypatch.setattr(chains, "_SPLIT", split)
+    got, pools = [None] * 6, set()
+
+    def call(i):
+        got[i] = family_quantile("betag", "gamma", p, params)
+        pools.add(id(chains._pool))
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(pools) == 1
+    for g in got:
+        np.testing.assert_array_equal(g, want)
 
 
 def _large_call(out):
