@@ -543,10 +543,11 @@ def _executor():
 
 
 def _in_parts(run, steps, x):
-    """``run(steps, x, True)`` with x (an array, or _quantile's triple) cut
-    along its last axis into one part per core the process may run on: the
-    first part on the calling thread, the rest on the pool.  Every map works
-    element by element, so the parts join to the uncut result bit for bit."""
+    """``run(steps, x)`` with x (an array, or _quantile's triple) cut along
+    its last axis into one part per core the process may run on, each run
+    uncut (``part=True``): the first on the calling thread, the rest on the
+    pool.  Every map works element by element, so the parts join to the
+    uncut result bit for bit."""
     triple = isinstance(x, tuple)
     if triple:
         x = tuple(np.broadcast_arrays(*x))
@@ -562,10 +563,9 @@ def _in_parts(run, steps, x):
         first = run(steps, parts[0], True)
     finally:
         rest = [f.result() for f in rest]  # every part has ended when the call returns or raises
-    outs = [first] + rest
-    if isinstance(outs[0], tuple):
-        return tuple(np.concatenate(o, axis=-1) for o in zip(*outs))
-    return np.concatenate(outs, axis=-1)
+    if isinstance(first, tuple):
+        return tuple(np.concatenate(o, axis=-1) for o in zip(first, *rest))
+    return np.concatenate([first] + rest, axis=-1)
 
 
 def _support(y, vals, outside, top):
