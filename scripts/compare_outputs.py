@@ -32,13 +32,13 @@ The grids:
   at seeds 11 and 12; a deep-tail group of 2^16-element calls for every
   composition whose chain holds GP (the gamma and chisq bases, the five
   gammag families): upper quantiles at q = 10^-U(0, 320), at ln q down to
-  -2,000, and the log-pdf at x - mu up to 1e6; S at every start of all 1,080 compositions on the three
-  bundled datasets; the three reference fits by Nelder-Mead at the
+  -2,000, and the log-pdf at x - mu up to 1e6; S at every start of all
+  1,080 compositions on the three bundled datasets; the three reference fits by Nelder-Mead at the
   optimizer seeds 0-5 that perfbench's fit_reference uses, and by BFGS and CG
   at seed 0; the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
   reference models by Nelder-Mead and BFGS, ``cdf`` and ``quantile`` of
   eval_bulk's six compositions, and one seeded ``selftest`` of kumg x weibull.
-  About a minute per side.
+  About a minute per side; each side's record is about 200 MB.
 * ``small``: a few compositions and bases of each kind, one short fit, and
   the CLI's ``cdf`` call and the ``selftest`` call.
 """

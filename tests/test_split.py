@@ -140,6 +140,7 @@ def _large_call(out):
     out.put(float(np.sum(family_quantile("kumg", "weibull", p, BULK[0][2]))))
 
 
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
 def test_forked_child_makes_a_large_call(monkeypatch):
     monkeypatch.setattr(chains, "_cores", lambda: 2)
     q = multiprocessing.get_context("fork").Queue()
