@@ -28,8 +28,8 @@ import numpy as np
 
 from .base_distributions import _uniforms, get_base
 from .chains import (
-    _POS, B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, Model, _QUIET, _cdf, _forward_v, _lnv,
-    _log_density, _log_slope, _quantile, _scalar, _state
+    _POS, B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, Model, _QUIET, _cdf, _forward_v, _from_l,
+    _lnv, _log_density, _log_slope, _quantile, _scalar, _state
 )
 
 __all__ = [
@@ -198,11 +198,16 @@ def family_quantile(family, base, p, params, location=True, log_p=False, lower_t
     if np.any((prob < 0) | (prob > 1)):
         raise ValueError("quantile probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        # the upper-tail probability q starts the chain as (1 - q, q, -ln q)
-        if lower_tail:
-            s = (prob, 1.0 - prob, -np.log1p(-prob))
+        # the upper-tail probability q starts the chain as (1 - q, q, -ln q);
+        # from ln p, 1 - e^p is -expm1(p), and -ln(1 - e^p) follows Maechler's
+        # (2012) log1mexp rule, so near ln p = 0 neither is formed by subtraction
+        if not log_p:
+            s = (prob, 1.0 - prob, -np.log1p(-prob)) if lower_tail else (1.0 - prob, prob, -np.log(prob))
+        elif lower_tail:
+            w = -np.expm1(p)
+            s = (prob, w, -np.where(p > -np.log(2.0), np.log(w), np.log1p(-prob)))
         else:
-            s = (1.0 - prob, prob, -(p if log_p else np.log(prob)))
+            s = _from_l(-p)
     return _scalar(mu + _quantile(steps, s))
 
 

@@ -330,6 +330,16 @@ def test_log_p_round_trips_between_cdf_and_quantile(capsys, tail):
     assert json.loads(out)["points"][0]["value"] == pytest.approx(1.1, rel=1e-10)
 
 
+@pytest.mark.parametrize("tail,want", [([], -math.log(-math.expm1(-1e-12))), (["--no-lower-tail"], 1e-12)])
+def test_log_p_quantile_near_zero(capsys, tail, want):
+    # expg x exp at (1, 1) is the unit exponential; at ln p = -1e-12 neither
+    # tail may form 1 - e^(ln p) by subtraction
+    code, out, err = run_cli(capsys, "quantile", "--family", "expg", "--base", "exp", "--params", "1,1",
+                             "--no-location", "--p=-1e-12", "--log-p", *tail, "--output", "json")
+    assert code == 0, err
+    assert json.loads(out)["points"][0]["value"] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_fit_report_carries_edf_clamped(capsys):
     code, out, _ = run_cli(
         capsys, "fit", "--family", "weibullg", "--base", "weibull", "--data", "bearing",

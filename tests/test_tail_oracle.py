@@ -734,3 +734,36 @@ def test_bot_rule_matches_oracle(name, params):
     r, mu = getattr(ft, name).bot(*params)
     want = mp.log(image[0] if isinstance(image, tuple) else image)
     assert r * math.log(1e-100) + mu == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+# --- quantiles from ln p near 0 ------------------------------------------------
+
+def _expg_exp_quantile(s, a, lam):
+    """expg x exp at the survival value s: F = (1 - e^(-lam y))^a."""
+    return -mp.log1p(-((-mp.expm1(mp.log(s))) ** (1 / a))) / lam
+
+
+def _kumg_weibull_quantile(s, a, b, alpha, beta):
+    """kumg x weibull at the survival value s: 1 - F = (1 - G^a)^b."""
+    g = (-mp.expm1(mp.log(s) / b)) ** (1 / a)
+    return beta * (-mp.log1p(-g)) ** (1 / alpha)
+
+
+LOG_P_CASES = [
+    ("expg", "exp", (1.0, 1.0), _expg_exp_quantile),
+    ("expg", "exp", (2.5, 0.7), _expg_exp_quantile),
+    ("kumg", "weibull", (1.7, 0.6, 1.3, 2.0), _kumg_weibull_quantile),
+    ("kumg", "weibull", (0.4, 3.0, 0.8, 1.5), _kumg_weibull_quantile),
+]
+
+
+@pytest.mark.parametrize("log_p", [-1e-12, -1e-6, -0.5, -0.7, -3.0])
+@pytest.mark.parametrize("lower_tail", [True, False])
+@pytest.mark.parametrize("family,base,shape,oracle", LOG_P_CASES, ids=[f"{f}-{b}{s}" for f, b, s, _ in LOG_P_CASES])
+def test_log_p_quantile_matches_oracle(family, base, shape, oracle, lower_tail, log_p):
+    # e^(ln p) rounds to 1 - 1e-12 with a relative error of 1e-4 in its
+    # complement, so neither tail may form 1 - e^(ln p) by subtraction
+    lp = mp.mpf(log_p)
+    want = oracle(-mp.expm1(lp) if lower_tail else mp.exp(lp), *[mp.mpf(v) for v in shape])
+    got = family_quantile(family, base, log_p, shape, location=False, log_p=True, lower_tail=lower_tail)
+    assert got == pytest.approx(float(want), rel=5e-14, abs=0.0)
