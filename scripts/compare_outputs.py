@@ -27,9 +27,9 @@ The grids:
   NaN and mu - 1 through the cdf (both tails, plain and log), the log-pdf
   and, on a p grid, the quantile (both tails, plain and log); per base at two
   seeded theta (mu = 0.5), the public ``base_*`` functions on the same x and
-  p grids, ``base_isf_log`` at l = -ln p, keyed ``base_cdf:-:<base>``; ``h_forward``,
-  ``log_h_prime`` and ``h_inverse`` per family; eval_bulk's six compositions
-  at seeds 11 and 12; a deep-tail group of 2^16-element calls for every
+  p grids, keyed ``base_cdf:-:<base>``; ``h_forward``, ``log_h_prime`` and
+  ``h_inverse`` per family; eval_bulk's six compositions at seeds 11 and 12;
+  a deep-tail group of 2^16-element calls for every
   composition whose chain holds GP (the gamma and chisq bases, the five
   gammag families): upper quantiles at q = 10^-U(0, 320), at ln q down to
   -2,000, and the log-pdf at x - mu up to 1e6; S at every start of all
@@ -136,7 +136,7 @@ def _composition_grid(genfit, rec, families, bases, n_theta):
                             rec[(name, family, base, f"{j}:{location}:scalar{i}")] = _call(
                                 fn, family, base, float(pts[i]), params, location, **kw)
         for j in range(n_theta):
-            induced = _theta(genfit, fi, 0, j, family, all_b[0])[: ft.get_family(family).n_induced]
+            induced = _theta(genfit, fi, 0, j, family, all_b[0])[: len(ft.get_family(family).param_names)]
             rec[("h_forward", family, "-", str(j))] = _call(ft.h_forward, family, U_GRID, induced)
             rec[("log_h_prime", family, "-", str(j))] = _call(ft.log_h_prime, family, U_GRID, induced)
             rec[("h_inverse", family, "-", str(j))] = _call(ft.h_inverse, family, P_GRID, induced)
@@ -144,11 +144,9 @@ def _composition_grid(genfit, rec, families, bases, n_theta):
 
 def _base_grid(genfit, rec, bases, n_theta):
     """The public base functions per base, on the x grid (cdf, sf, ln sf, ln pdf,
-    ln hazard) and the p grid (quantile, isf, and isf_log at l = -ln p)."""
+    ln hazard) and the p grid (quantile)."""
     bd = genfit.base_distributions
     all_b = sorted(bd.BASE_DISTRIBUTIONS)
-    with np.errstate(divide="ignore"):
-        l_grid = -np.log(P_GRID)
     for base in bases:
         bi = all_b.index(base)
         for j in range(n_theta):
@@ -156,8 +154,7 @@ def _base_grid(genfit, rec, bases, n_theta):
             x = np.concatenate([0.5 + X_OFFSETS, [np.nan, -0.5]])
             calls = [(fn, x, SCALAR_X) for fn in (bd.base_cdf, bd.base_sf, bd.base_log_sf, bd.base_log_pdf,
                                                   bd.base_log_hazard)]
-            calls += [(bd.base_quantile, P_GRID, SCALAR_P), (bd.base_isf, P_GRID, SCALAR_P),
-                      (bd.base_isf_log, l_grid, SCALAR_P)]
+            calls += [(bd.base_quantile, P_GRID, SCALAR_P)]
             for fn, pts, scalars in calls:
                 rec[(fn.__name__, "-", base, f"{j}:array")] = _call(fn, base, pts, params)
                 for i in scalars:

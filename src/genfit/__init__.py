@@ -5,7 +5,6 @@ reporting."""
 from .base_distributions import (
     BASE_DISTRIBUTIONS,
     base_cdf,
-    base_isf,
     base_log_hazard,
     base_log_pdf,
     base_log_sf,
@@ -50,7 +49,6 @@ __all__ = [
     "OptimizerConfig",
     "SpacingContext",
     "base_cdf",
-    "base_isf",
     "base_log_hazard",
     "base_log_pdf",
     "base_log_sf",

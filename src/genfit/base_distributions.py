@@ -16,10 +16,12 @@ ln t or the Birnbaum-Saunders link (log-normal, Birnbaum-Saunders).
 The public functions read everything from the chain and its runners (see
 ``chains``): the cdf, survival value and its log from the chain's triple,
 the log-pdf as ln of its slope, the log-hazard as that of L1 o G (for a
-hazard-form base the slope of H alone), and the quantile and inverse
-survival from the chain run backwards.  Each looks the name up and resolves
-its parameter vector once through ``chains.Model((base,))``, which checks the
-count and every domain in ``BaseDist.domains``.
+hazard-form base the slope of H alone), and the quantile from the chain run
+backwards; the quantile at a survival value is ``family_quantile`` over
+expg at a = 1, the identity family, with ``lower_tail`` off.  Each looks the
+name up and resolves its parameter vector once through
+``chains.Model((base,))``, which checks the count and every domain in
+``BaseDist.domains``.
 """
 
 from __future__ import annotations
@@ -31,21 +33,18 @@ from typing import Callable
 import numpy as np
 
 from .chains import (
-    _POS, _REAL, Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, Model, N, ODI, Pw, Q, Sc, X, _cdf, _from_l, _join,
+    _POS, _REAL, Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, Model, N, ODI, Pw, Q, Sc, X, _cdf, _join,
     _log_density, _quantile, _scalar, _state
 )
 
 __all__ = [
     "BASE_DISTRIBUTIONS",
-    "BaseDist",
     "base_log_pdf",
     "base_pdf",
     "base_cdf",
     "base_sf",
     "base_log_sf",
     "base_quantile",
-    "base_isf",
-    "base_isf_log",
     "base_sample",
     "get_base",
 ]
@@ -239,24 +238,6 @@ def base_quantile(name, q, params):
         raise ValueError("quantile probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
         return _scalar(mu + _quantile(steps, (q, 1.0 - q, -np.log1p(-q))))
-
-
-def base_isf(name, q, params):
-    """Quantile expressed through the survival value: the x with sf(x) = q."""
-    q = np.asarray(q, dtype=float)
-    if np.any((q < 0) | (q > 1)):
-        raise ValueError("survival probabilities must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        return base_isf_log(name, -np.log(q), params)
-
-
-def base_isf_log(name, l, params):
-    """Quantile at survival value exp(-l); l may exceed the underflow range."""
-    steps, mu = Model((get_base(name),)).resolve(params)
-    l = np.asarray(l, dtype=float)
-    if np.any(l < 0):
-        raise ValueError("base_isf_log requires l >= 0")
-    return _scalar(mu + _quantile(steps, _from_l(l)))
 
 
 def _uniforms(n, seed, rng):

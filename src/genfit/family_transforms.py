@@ -34,7 +34,6 @@ from .chains import (
 
 __all__ = [
     "FAMILIES",
-    "FamilySpec",
     "get_family",
     "h_forward",
     "log_h_prime",
@@ -44,7 +43,6 @@ __all__ = [
     "family_cdf",
     "family_quantile",
     "family_sample",
-    "n_total_params",
 ]
 
 
@@ -57,10 +55,6 @@ class FamilySpec:
     # open interval per induced parameter
     domains: tuple[tuple[float, float], ...]
     chain: Callable  # chain(*induced) -> [map(*params), ...], outermost first
-
-    @property
-    def n_induced(self) -> int:
-        return len(self.param_names)
 
 
 def _family(name, params, chain, domains=None):
@@ -107,37 +101,23 @@ def get_family(name: str) -> FamilySpec:
         ) from None
 
 
-def _complements(u, one_minus_u, neg_log_sf):
-    """The (1 - u, -ln(1 - u)) pair a transform receives; whichever the
-    caller leaves out is derived from the one it gave, else from u."""
-    omu = 1.0 - u if one_minus_u is None else np.asarray(one_minus_u, dtype=float)
-    if neg_log_sf is not None:
-        return omu, np.asarray(neg_log_sf, dtype=float)
-    with np.errstate(divide="ignore"):
-        return omu, -np.log1p(-u) if one_minus_u is None else -np.log(omu)
-
-
-def h_forward(name, u, induced, one_minus_u=None, neg_log_sf=None):
-    """Transform value h(u); h(0) = 0, h(1) = 1, nondecreasing.
-
-    ``one_minus_u`` and ``neg_log_sf`` optionally supply 1-u and -ln(1-u) at
-    full precision when the caller knows them better than 1-u can express.
-    """
+def h_forward(name, u, induced):
+    """Transform value h(u); h(0) = 0, h(1) = 1, nondecreasing."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u > 1)):
         raise ValueError("h_forward requires u in [0, 1]")
     with np.errstate(**_QUIET):
-        v = _forward_v(steps, (u, *_complements(u, one_minus_u, neg_log_sf)))
+        v = _forward_v(steps, (u, 1.0 - u, -np.log1p(-u)))
     return _scalar(np.minimum(1.0, np.maximum(0.0, v)))
 
 
-def log_h_prime(name, u, induced, one_minus_u=None, neg_log_sf=None):
+def log_h_prime(name, u, induced):
     """log dh/du; may be +-inf at the endpoints, never NaN."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
     u = np.asarray(u, dtype=float)
     with np.errstate(**_QUIET):
-        out = _log_slope(steps, (u, *_complements(u, one_minus_u, neg_log_sf)))
+        out = _log_slope(steps, (u, 1.0 - u, -np.log1p(-u)))
     return _scalar(np.where(np.isnan(out), -np.inf, out))
 
 
@@ -156,10 +136,6 @@ def _h_inverse(name, p, induced):
 def h_inverse(name, p, induced):
     """The u with h(u) = p."""
     return _scalar(_h_inverse(name, p, induced)[0])
-
-
-def n_total_params(family, base, location=True):
-    return Model((get_family(family), get_base(base)), location).k
 
 
 def family_log_pdf(family, base, x, params, location=True):

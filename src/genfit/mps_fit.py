@@ -74,8 +74,7 @@ class SpacingContext:
         if not self.location and data[0] <= 0:
             raise ValueError("data must exceed the support origin 0 when location is off")
         self.data = data
-        self.tie_mask = np.concatenate([[False], np.diff(data) == 0.0])
-        self.tied = np.flatnonzero(self.tie_mask)
+        self.tied = np.flatnonzero(np.diff(data) == 0.0) + 1
         self.model = Model((get_family(self.family), get_base(self.base)), self.location)
         self._maps = _transforms(self)
         self._lo, self._hi = np.array(self.model.domains).T
@@ -172,11 +171,6 @@ def _terms(steps, mu, ctx: SpacingContext):
 def _mean_log_spacing(terms, ctx: SpacingContext) -> float:
     """S from one row of log-spacings: -inf unless every term is finite."""
     return float(np.sum(terms) / ctx.m) if np.all(np.isfinite(terms)) else -math.inf
-
-
-def spacing_sum_terms(theta, ctx: SpacingContext):
-    """Per-spacing log terms (length m), tie-corrected; -inf where infeasible."""
-    return _terms(*ctx.model.resolve(theta), ctx)
 
 
 def spacing_value(theta, ctx: SpacingContext) -> float:
@@ -292,13 +286,8 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
 
 # --- Moran's statistic and its chi-square approximation --------------------
 
-def chi_square_cdf(x, df):
-    """Chi-square cdf with df degrees of freedom, x >= 0."""
-    return sc.gammainc(df / 2.0, x / 2.0)
-
-
 def chi_square_quantile(p, df):
-    """Chi-square quantile: the x with chi_square_cdf(x, df) = p."""
+    """Chi-square quantile: the x with P(df/2, x/2) = p."""
     return 2.0 * sc.gammaincinv(df / 2.0, p)
 
 

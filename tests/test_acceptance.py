@@ -32,7 +32,7 @@ from genfit.family_transforms import (
     log_h_prime,
 )
 from genfit.gof import full_report
-from genfit.mps_fit import SpacingContext, chi_square_quantile, fit, spacing_sum_terms, spacing_value
+from genfit.mps_fit import SpacingContext, _terms, chi_square_quantile, fit, spacing_value
 from genfit.optimizers import OptimizerConfig
 from genfit.selftest import selftest
 
@@ -58,6 +58,15 @@ IDENTITY_POINTS = {
     "ologlogg": (1.0, 1.0, 1.0),
     "weibullg": (1.0, 1.0),
 }
+
+
+def h_at(family, u, one_minus_u, induced):
+    """h at (u, 1 - u) at full precision: the family over the unit exponential
+    at y = -ln(1 - u), taken from the side that holds it, is h at the triple
+    (1 - e^-y, e^-y, y)."""
+    with np.errstate(divide="ignore"):
+        y = np.where(u < 0.5, -np.log1p(-u), -np.log(one_minus_u))
+    return family_cdf(family, "exp", y, (*induced, 1.0), location=False)
 
 
 def draw_induced(family, rng):
@@ -316,10 +325,11 @@ def test_criterion_9_objective_bound():
         if x.size < 2:
             continue
         ctx = SpacingContext(x, family, base)
-        terms = spacing_sum_terms(params, ctx)
+        terms = _terms(*ctx.model.resolve(params), ctx)
         if not np.all(np.isfinite(terms)):
             continue  # saturated cdf for this draw; redraw
         s = float(np.sum(terms) / ctx.m)
+        assert spacing_value(params, ctx) == s
         assert s <= -math.log(ctx.m) + 1e-12
         assert np.sum(np.exp(terms)) == pytest.approx(1.0, abs=1e-12)
         done += 1
@@ -343,8 +353,8 @@ def test_criterion_10_derivative_consistency():
                 continue  # below finite-difference resolution
             step = 1e-6 * min(ui, 1.0 - ui)
             omu = 1.0 - ui
-            hi = h_forward(family, ui + step, induced, one_minus_u=omu - step)
-            lo = h_forward(family, ui - step, induced, one_minus_u=omu + step)
+            hi = h_at(family, ui + step, omu - step, induced)
+            lo = h_at(family, ui - step, omu + step, induced)
             fd = (hi - lo) / (2.0 * step)
             assert fd == pytest.approx(ana, rel=1e-5), (family, ui)
     # base pdf against finite differences of the base cdf

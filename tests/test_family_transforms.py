@@ -2,7 +2,7 @@
 
 Covers the identity reductions (every family collapses to h(u) = u at its
 pinned parameter values), finite-difference consistency of log_h_prime with
-h_forward, inverse round trips, boundary behavior, and the composed
+h, inverse round trips, boundary behavior, and the composed
 pdf/cdf/quantile/sample front ends.
 """
 
@@ -14,6 +14,7 @@ import scipy.stats
 from scipy.stats import kstest
 
 from genfit.base_distributions import BASE_DISTRIBUTIONS, base_quantile, get_base
+from genfit.chains import Model
 from genfit.family_transforms import (
     FAMILIES,
     _h_inverse,
@@ -26,7 +27,6 @@ from genfit.family_transforms import (
     h_forward,
     h_inverse,
     log_h_prime,
-    n_total_params,
 )
 
 ALL_FAMILIES = sorted(FAMILIES)
@@ -54,6 +54,15 @@ IDENTITY_POINTS = {
 }
 
 
+def h_at(name, u, one_minus_u, induced):
+    """h at the triple (u, 1 - u, -ln(1 - u)), each from the side that holds
+    it: the family over the unit exponential at y = -ln(1 - u) is fed the
+    triple (1 - e^-y, e^-y, y)."""
+    with np.errstate(divide="ignore"):
+        y = np.where(u < 0.5, -np.log1p(-u), -np.log(one_minus_u))
+    return family_cdf(name, "exp", y, (*induced, 1.0), location=False)
+
+
 def default_induced(name):
     """Moderate in-domain parameter values for a family."""
     fam = get_family(name)
@@ -76,8 +85,8 @@ class TestRegistry:
     def test_metadata(self, name):
         fam = get_family(name)
         assert fam.name == name
-        assert fam.n_induced == len(fam.param_names) == len(fam.domains)
-        assert 1 <= fam.n_induced <= 3
+        assert len(fam.param_names) == len(fam.domains)
+        assert 1 <= len(fam.param_names) <= 3
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -90,8 +99,9 @@ class TestRegistry:
             h_forward("gexppg", 0.5, (1.0, 1.5))  # b must be in (0, 1)
 
     def test_param_count_helpers(self):
-        assert n_total_params("kumg", "weibull", location=True) == 5
-        assert n_total_params("kumg", "weibull", location=False) == 4
+        specs = (get_family("kumg"), get_base("weibull"))
+        assert Model(specs, location=True).k == 5
+        assert Model(specs, location=False).k == 4
 
 
 class TestIdentityReductions:
@@ -150,8 +160,8 @@ class TestTransformShape:
             # perturb whichever of u, 1-u is smaller so neither side of the
             # difference loses precision to cancellation
             omu = 1.0 - ui
-            hi = h_forward(name, ui + step, induced, one_minus_u=omu - step)
-            lo = h_forward(name, ui - step, induced, one_minus_u=omu + step)
+            hi = h_at(name, ui + step, omu - step, induced)
+            lo = h_at(name, ui - step, omu + step, induced)
             fd = (hi - lo) / (2.0 * step)
             assert fd == pytest.approx(ana, rel=2e-5), f"{name} at u={ui}"
 
@@ -162,10 +172,11 @@ class TestInverses:
         induced = default_induced(name)
         rng = np.random.default_rng(5)
         p = rng.uniform(1e-3, 1.0 - 1e-3, size=1000)
-        # supply 1-u and -ln(1-u) at full precision: for steep transforms u
-        # itself saturates at 1.0 in double precision well inside (0, 1)
+        # feed 1-u and -ln(1-u) at full precision, through the unit
+        # exponential at -ln(1-u): for steep transforms u itself saturates at
+        # 1.0 in double precision well inside (0, 1)
         u, lsf = _h_inverse(name, p, induced)
-        back = h_forward(name, u, induced, one_minus_u=np.exp(-lsf), neg_log_sf=lsf)
+        back = family_cdf(name, "exp", lsf, (*induced, 1.0), location=False)
         np.testing.assert_allclose(back, p, atol=1e-9)
 
     @pytest.mark.parametrize("name", ALL_FAMILIES)
@@ -316,17 +327,21 @@ class TestDeepTailDensity:
     PARAMS = (0.7, 1.2, 1.1, 0.5)  # gxlogisticg a, bs alpha, bs beta, mu
 
     def test_matches_generic_product_at_moderate_x(self):
-        from genfit.base_distributions import base_cdf, base_log_pdf, base_sf
+        from genfit.base_distributions import base_log_pdf, base_sf
 
         # x kept moderate: the generic product itself loses the tail once
         # the base survival underflows, which is what the hazard path fixes
         x = np.array([0.8, 1.5, 4.0, 50.0, 500.0])
         bp = self.PARAMS[1:]
-        u = base_cdf("birnbaum-saunders", x, bp)
         omu = base_sf("birnbaum-saunders", x, bp)
-        generic = log_h_prime(
-            "gxlogisticg", u, (self.PARAMS[0],), one_minus_u=omu
-        ) + base_log_pdf("birnbaum-saunders", x, bp)
+        # h' at (u, 1 - u) is the log-density of the family over the unit
+        # exponential at y = -ln(1 - u), plus y
+        y = -np.log(omu)
+        generic = (
+            family_log_pdf("gxlogisticg", "exp", y, (self.PARAMS[0], 1.0), location=False)
+            + y
+            + base_log_pdf("birnbaum-saunders", x, bp)
+        )
         ours = family_log_pdf("gxlogisticg", "birnbaum-saunders", x, self.PARAMS)
         np.testing.assert_allclose(ours, generic, rtol=1e-10)
 
