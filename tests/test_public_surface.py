@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["base_distributions", "datasets", "family_transforms", "gof", "mps_fit", "optimizers", "selftest",
            "special_functions"]
 
-# each name and the public path that gives its numbers:
+# the deleted names, each with the public path that gives its numbers:
 # base_isf(_log): family_quantile("expg", base, ln q, (1, *theta), log_p=True, lower_tail=False);
 # one_minus_u/neg_log_sf: family_cdf(family, "exp", -ln(1 - u), (*induced, 1), location=False);
 # chi_square_cdf: scipy.special.gammainc(df/2, x/2); spacing_sum_terms: _terms(*model.resolve(theta), ctx);
