@@ -33,13 +33,17 @@ The grids:
   composition whose chain holds GP (the gamma and chisq bases, the five
   gammag families): upper quantiles at q = 10^-U(0, 320), at ln q down to
   -2,000, and the log-pdf at x - mu up to 1e6; S at every start of all
-  1,080 compositions on the three bundled datasets; the three reference fits by Nelder-Mead at the
+  1,080 compositions on the three bundled datasets, through ``spacing_value``
+  at the natural start and through the fit's own objective at its free
+  coordinates; the fit's stack objective at each reference composition's
+  start and 16 seeded jittered rows; the three reference fits by Nelder-Mead at the
   optimizer seeds 0-5 that perfbench's fit_reference uses, and by BFGS and CG
   at seed 0; the 24 fit_survey layout fits; and the CLI grid: ``fit`` of the three
   reference models by Nelder-Mead and BFGS, ``cdf`` and ``quantile`` of
   eval_bulk's six compositions, and one seeded ``selftest`` of kumg x weibull.
   About a minute per side; each side's record is about 200 MB.
-* ``small``: a few compositions and bases of each kind, one short fit, and
+* ``small``: a few compositions and bases of each kind, the stack objective
+  of the pollution reference composition, one short fit, and
   the CLI's ``cdf`` call and the ``selftest`` call.
 """
 
@@ -205,6 +209,8 @@ def _deep_tail(genfit, rec, compositions, n):
 
 
 def _starts(genfit, rec, datasets, families, bases):
+    """S at every start, natural (``S_starts``) and through the fit's objective
+    at the start's free coordinates (``S_free_starts``)."""
     mf = genfit.mps_fit
     for name in datasets:
         data = genfit.datasets.load_dataset(name)
@@ -212,10 +218,24 @@ def _starts(genfit, rec, datasets, families, bases):
             for base in bases:
                 try:
                     ctx = mf.SpacingContext(data, family, base, True)
-                    s = [mf.spacing_value(theta, ctx) for theta in mf._starts(ctx)]
+                    starts = list(mf._starts(ctx))
+                    s = [mf.spacing_value(theta, ctx) for theta in starts]
                     rec[("S_starts", family, base, name)] = np.array(s, dtype=float)
+                    s = [mf.spacing_objective(mf.to_free(ctx, theta), ctx) for theta in starts]
+                    rec[("S_free_starts", family, base, name)] = np.array(s, dtype=float)
                 except Exception as exc:  # noqa: BLE001
                     rec[("S_starts", family, base, name)] = f"{type(exc).__name__}: {exc}"
+
+
+def _stack(genfit, rec, fits):
+    """The fit's stack objective at a reference composition's free start and
+    16 seeded rows jittered from it as a restart's are."""
+    mf = genfit.mps_fit
+    for i, (name, family, base) in enumerate(fits):
+        ctx = mf.SpacingContext(genfit.datasets.load_dataset(name), family, base, True)
+        x = mf.to_free(ctx, mf._start_theta(ctx))
+        rows = np.vstack([x, x + np.random.default_rng([17, i]).normal(scale=0.3, size=(16, x.size))])
+        rec[("S_stack", family, base, name)] = _call(mf._spacing_rows, rows, ctx)
 
 
 def _fit(genfit, rec, label, name, family, base, **config):
@@ -263,6 +283,7 @@ def run_worker(grid, out):
         _base_grid(genfit, rec, ["weibull", "gamma"], 1)
         _bulk(genfit, rec, BULK_COMPOSITIONS[:2], 1000)
         _starts(genfit, rec, ["bearing"], ["kumg", "mog", "betag"], ["weibull", "gamma"])
+        _stack(genfit, rec, REFERENCE_FITS[1:2])
         _fit(genfit, rec, "fit_reference", "pollution", "mog", "exp", method="nelder-mead", max_iter=50, seed=0)
         _cli(rec, ("cli_cdf", "mog", "exp", "-"), "cdf", "--family", "mog", "--base", "exp",
              "--params", "2,0.5,0", "--x", CLI_X, "--output", "json")
@@ -273,6 +294,7 @@ def run_worker(grid, out):
         _deep_tail(genfit, rec, [(f, b) for f in families for b in bases if f in GP_FAMILIES or b in GP_BASES],
                    2**16)
         _starts(genfit, rec, ["bearing", "pollution", "earthquake"], families, bases)
+        _stack(genfit, rec, REFERENCE_FITS)
         for name, family, base in REFERENCE_FITS:
             for seed in range(6):  # fit_reference's Nelder-Mead seeds
                 _fit(genfit, rec, "fit_nelder-mead", name, family, base, method="nelder-mead", restarts=3, seed=seed)
