@@ -184,8 +184,10 @@ def _pow_fwd(v, w, l, a):
 
 
 def _pow_inv(v, w, l, a):
-    u, omu = v ** (1.0 / a), -np.expm1(_lnv(v, w) / a)
-    return u, omu, _l(u, omu)
+    # at a = 1, the identity, the state itself: 1 - u through ln v would round
+    one = a == 1.0
+    u, omu = v ** (1.0 / a), np.where(one, w, -np.expm1(_lnv(v, w) / a))
+    return u, omu, np.where(one, l, _l(u, omu))
 
 
 def _mo_fwd(v, w, l, c):

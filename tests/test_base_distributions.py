@@ -207,6 +207,13 @@ class TestInternalConsistency:
             rtol=1e-9,
         )
 
+    def test_identity_family_gives_the_base_quantile(self, name):
+        # expg at a = 1 hands the base's inverse the state it was given, bit for bit
+        params = default_params(name, mu=0.5)
+        p = np.concatenate([[0.0, 1e-300, 1e-20], np.linspace(0.01, 0.99, 99), [1.0 - 1e-10, 1.0]])
+        np.testing.assert_array_equal(family_quantile("expg", name, p, (1.0, *params)),
+                                      base_quantile(name, p, params))
+
     def test_isf_log_deep_tail_round_trip(self, name):
         params = default_params(name)
         for l in (5.0, 50.0, 300.0):
