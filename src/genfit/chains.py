@@ -51,7 +51,8 @@ stays NaN: the spacing objective reads it as an infeasible point, and the
 log-density reads it (like a +inf, which only the underflow of an
 intermediate state makes) as a zero density.  A parameter is a float or a
 (B, 1) column, one entry per row of a (B, n) state
-(``mps_fit._spacing_rows``).
+(``mps_fit._spacing_rows``); the maps apply numpy's functions to either, so
+neither has a route of its own.
 
 Element by element.  Every map, and so every runner, gives each element of
 its input the value it would give that element alone: no loop stops, and no
@@ -85,29 +86,6 @@ _POS, _REAL = (0.0, math.inf), (-math.inf, math.inf)  # the open domains of a pa
 def _scalar(out):
     """0-d results as Python floats, arrays unchanged."""
     return out if out.ndim else float(out)
-
-
-def _per_entry(fn, np_fn):
-    """fn, a ``math`` function, on a float or a (B, 1) column entry by entry:
-    numpy's log, log1p and expm1 differ from Python's in the last bit at some
-    arguments.  Where fn raises, np_fn's -inf, NaN or inf stands in."""
-
-    def one(x):
-        try:
-            return fn(x)
-        except (ValueError, OverflowError):
-            with np.errstate(**_QUIET):
-                return float(np_fn(x))
-
-    def lifted(x):
-        if isinstance(x, float):
-            return one(x)
-        return np.array([one(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-    return lifted
-
-
-_ln, _ln1p, _em1 = (_per_entry(getattr(math, f), getattr(np, f)) for f in ("log", "log1p", "expm1"))
 
 
 # --- states ----------------------------------------------------------------------
@@ -197,14 +175,14 @@ def _mo_fwd(v, w, l, c):
 
 
 def _te_fwd(v, w, l, c):
-    em = _em1(-c)
+    em = np.expm1(-c)
     return np.expm1(-c * v) / em, np.exp(-c * v) * np.expm1(-c * w) / em, None
 
 
 def _te_inv(v, w, l, c):
     # u = -ln(1 + v (e^-c - 1))/c, or where that argument nears 0 its form
     # -ln(1 - v + v e^-c)/c from ln(1 - v) and ln v
-    x, lnv = v * _em1(-c), _lnv(v, w)
+    x, lnv = v * np.expm1(-c), _lnv(v, w)
     u = np.where(x > -0.5, -np.log1p(x), -np.logaddexp(-l, lnv - c)) / c
     omu = np.logaddexp(lnv, c - l) / c
     return u, omu, _l(u, omu)
@@ -228,7 +206,7 @@ def _beta_fwd(v, w, l, p, q):
     if not np.count_nonzero(deep):
         return i, j, None
     # past the underflow of 1 - B(v) its ln from the behaviour at 1
-    return i, j, np.where(deep, q * _l(v, w) + _ln(q) + sc.betaln(p, q), _l(i, j))
+    return i, j, np.where(deep, q * _l(v, w) + np.log(q) + sc.betaln(p, q), _l(i, j))
 
 
 def _beta_inv(v, w, l, p, q):
@@ -238,7 +216,7 @@ def _beta_inv(v, w, l, p, q):
     # the normal doubles reads as the smallest of them, as in scipy's own
     x, y = _beta_sides(v > sc.betainc(p, q, 0.5), p, q, v, w, sc.betaincinv)
     lb = sc.betaln(p, q)
-    ln_x, l_out = (_lnv(v, w) + _ln(p) + lb) / p, (l - _ln(q) - lb) / q
+    ln_x, l_out = (_lnv(v, w) + np.log(p) + lb) / p, (l - np.log(q) - lb) / q
     lo, hi = ln_x < -46.0, l_out > 46.0
     if not np.count_nonzero(lo | hi):
         return x, y, None
@@ -341,61 +319,61 @@ def _rev(v, w, l):
     return w, v, None
 
 
-P = _Map(_pow_fwd, lambda lv, v, w, l, a: _ln(a) + _xl(a - 1.0, lv), _pow_inv,
-         bot=lambda a: (a, 0.0), top=lambda a: (1.0, _ln(a)), v=lambda v, w, l, a: v**a)
-RP = _Map(lambda v, w, l, b: _from_l(b * l), lambda lv, v, w, l, b: _ln(b) - (b - 1.0) * l,
-          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, _ln(b)), reads_l=True)
-MO = _Map(_mo_fwd, lambda lv, v, w, l, c: _ln(c) - 2.0 * np.log(v + c * w),
+P = _Map(_pow_fwd, lambda lv, v, w, l, a: np.log(a) + _xl(a - 1.0, lv), _pow_inv,
+         bot=lambda a: (a, 0.0), top=lambda a: (1.0, np.log(a)), v=lambda v, w, l, a: v**a)
+RP = _Map(lambda v, w, l, b: _from_l(b * l), lambda lv, v, w, l, b: np.log(b) - (b - 1.0) * l,
+          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, np.log(b)), reads_l=True)
+MO = _Map(_mo_fwd, lambda lv, v, w, l, c: np.log(c) - 2.0 * np.log(v + c * w),
           lambda v, w, l, c: _mo_fwd(v, w, l, 1.0 / c),
-          bot=lambda c: (1.0, -_ln(c)), top=lambda c: (1.0, _ln(c)))
+          bot=lambda c: (1.0, -np.log(c)), top=lambda c: (1.0, np.log(c)))
 OP = _Map(lambda v, w, l, d: _logistic(d * (np.log(v) + l)),
-          lambda lv, v, w, l, d: (_ln(d) - np.logaddexp(0.0, -d * (lv + l))
+          lambda lv, v, w, l, d: (np.log(d) - np.logaddexp(0.0, -d * (lv + l))
                                   - np.logaddexp(0.0, d * (lv + l)) - lv + l),
           lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True,
           v=lambda v, w, l, d: sc.expit(d * (np.log(v) + l)))
 B = _Map(_beta_fwd,
          lambda lv, v, w, l, p, q: _xl(p - 1.0, lv) - (q - 1.0) * l - sc.betaln(p, q),
          _beta_inv,
-         bot=lambda p, q: (p, -_ln(p) - sc.betaln(p, q)),
-         top=lambda p, q: (q, -_ln(q) - sc.betaln(p, q)))
-TE = _Map(_te_fwd, lambda lv, v, w, l, c: _ln(c) - c * v - _ln(-_em1(-c)), _te_inv,
-          bot=lambda c: (1.0, _ln(c) - _ln(-_em1(-c))),
-          top=lambda c: (1.0, _ln(c) - c - _ln(-_em1(-c))),
-          v=lambda v, w, l, c: np.expm1(-c * v) / _em1(-c))
+         bot=lambda p, q: (p, -np.log(p) - sc.betaln(p, q)),
+         top=lambda p, q: (q, -np.log(q) - sc.betaln(p, q)))
+TE = _Map(_te_fwd, lambda lv, v, w, l, c: np.log(c) - c * v - np.log(-np.expm1(-c)), _te_inv,
+          bot=lambda c: (1.0, np.log(c) - np.log(-np.expm1(-c))),
+          top=lambda c: (1.0, np.log(c) - c - np.log(-np.expm1(-c))),
+          v=lambda v, w, l, c: np.expm1(-c * v) / np.expm1(-c))
 QT = _Map(_qt_fwd, lambda lv, v, w, l, b: np.log1p(b * (w - v)), _qt_inv,
-          bot=lambda b: (1.0, _ln1p(b)), top=lambda b: (1.0, _ln1p(-b)),
+          bot=lambda b: (1.0, np.log1p(b)), top=lambda b: (1.0, np.log1p(-b)),
           v=lambda v, w, l, b: v * (1.0 + b * w))
 R = _Map(_rev, lambda lv, v, w, l: 0.0, _rev, bot=None)
 L1 = _Map(lambda v, w, l: (l,), lambda lv, v, w, l: l, _from_l, reads_l=True)
 OD = _Map(lambda v, w, l: (v / w,), lambda lv, v, w, l: 2.0 * l, _odds_inv)
 E = _Map(lambda t: _from_l(t), lambda lt, t: -t, lambda v, w, l: (l,), v=lambda t: -np.expm1(-t))
 ODI = _Map(_odds_inv, lambda lt, t: -2.0 * np.log1p(t), OD.fwd)
-Sc = _Map(lambda t, c: (c * t,), lambda lt, t, c: _ln(c), lambda t, c: (t / c,),
-          bot=lambda c: (1.0, _ln(c)))
-Pw = _Map(lambda t, a: (t**a,), lambda lt, t, a: _ln(a) + _xl(a - 1.0, lt), lambda t, a: (t ** (1.0 / a),),
+Sc = _Map(lambda t, c: (c * t,), lambda lt, t, c: np.log(c), lambda t, c: (t / c,),
+          bot=lambda c: (1.0, np.log(c)))
+Pw = _Map(lambda t, a: (t**a,), lambda lt, t, a: np.log(a) + _xl(a - 1.0, lt), lambda t, a: (t ** (1.0 / a),),
           bot=lambda a: (a, 0.0))
 X = _Map(lambda t: (np.expm1(t),), lambda lt, t: t, lambda t: (np.log1p(t),))
-Lp = _Map(_lp_fwd, lambda lt, t, a: _ln(a) + _xl(a - 1.0, lt) - np.logaddexp(0.0, a * lt),
+Lp = _Map(_lp_fwd, lambda lt, t, a: np.log(a) + _xl(a - 1.0, lt) - np.logaddexp(0.0, a * lt),
           lambda t, a: (np.exp((t + np.log(-np.expm1(-t))) / a),), bot=lambda a: (a, 0.0))
 Q = _Map(lambda t, a, b: (t * (a + b * t / 2.0),), lambda lt, t, a, b: np.log(a + b * t),
-         lambda t, a, b: (2.0 * t / (a + np.sqrt(a * a + 2.0 * b * t)),), bot=lambda a, b: (1.0, _ln(a)))
+         lambda t, a, b: (2.0 * t / (a + np.sqrt(a * a + 2.0 * b * t)),), bot=lambda a, b: (1.0, np.log(a)))
 GP = _Map(_gamma_fwd, _gamma_log_pdf,
           lambda v, w, l, a: _two_sided(v, l, lambda x: sc.gammaincinv(a, x),
                                         lambda x: inv_reg_inc_gamma_upper_from_log(x, a)),
           bot=lambda a: (a, -sc.gammaln(a + 1.0)), v=lambda t, a: sc.gammainc(a, t),
           w=lambda t, a: sc.gammaincc(a, t), lhz=_gamma_lhz)
 LL = _Map(lambda t, a: _logistic(a * np.log(t)),
-          lambda lt, t, a: _ln(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
+          lambda lt, t, a: np.log(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
           lambda v, w, l, a: (np.exp((np.log(v) + l) / a),), bot=lambda a: (a, 0.0),
           v=lambda t, a: sc.expit(a * np.log(t)),
-          lhz=lambda lt, l, t, a: _ln(a) - lt - np.logaddexp(0.0, -a * lt))
+          lhz=lambda lt, l, t, a: np.log(a) - lt - np.logaddexp(0.0, -a * lt))
 # Fr's inverse (-ln v)^(-1/k) is e^(l/k) once -ln v = -ln(1 - e^-l) is e^-l
-Fr = _Map(_frechet_fwd, lambda lt, t, k: _ln(k) - _xl(k + 1.0, lt) - t**-k,
+Fr = _Map(_frechet_fwd, lambda lt, t, k: np.log(k) - _xl(k + 1.0, lt) - t**-k,
           lambda v, w, l, k: (np.where(l > 36.0, np.exp(l / k), (-_lnv(v, w)) ** (-1.0 / k)),), bot=None)
 N = _Map(_normal_fwd, _normal_lpd, lambda v, w, l: _two_sided(v, l, sc.ndtri, lambda x: -sc.ndtri_exp(-x)),
          bot=None, v=sc.ndtr, w=lambda z: sc.ndtr(-z), lhz=_normal_lhz)
 LN = _Map(lambda t: (np.log(t),), lambda lt, t: -lt, lambda z: (np.exp(z),), bot=None)
-Af = _Map(lambda z, a, b: ((z - a) / b,), lambda lz, z, a, b: -_ln(b), lambda z, a, b: (a + b * z,), bot=None)
+Af = _Map(lambda z, a, b: ((z - a) / b,), lambda lz, z, a, b: -np.log(b), lambda z, a, b: (a + b * z,), bot=None)
 BSL = _Map(lambda t: (np.sqrt(t) - 1.0 / np.sqrt(t),),
            lambda lt, t: np.log1p(t) - math.log(2.0) - 1.5 * lt, _bsl_inv, bot=None)
 

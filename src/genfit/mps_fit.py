@@ -11,17 +11,16 @@ removed by smooth reparameterization so every optimizer in the menu runs
 unconstrained; in particular the location satisfies mu < x_(1) by
 construction.
 
-``SpacingContext`` builds the composition's ``chains.Model`` and the free <->
-natural maps once.  Each evaluation runs the one chain from y = x - mu, for
-the cdf and, at tied points, the log-density.  A single theta stays Python
-floats: ``spacing_objective`` resolves it through ``Model.resolve``, whose
-domain error reads as -inf.  A stack goes through ``_spacing_rows`` in one
-pass, masked on ``Model.domains``, its chain built by ``Model.steps`` on
-(B, 1) columns: each step's points of all the runs in lockstep (a simplex, a
+``SpacingContext`` builds the composition's ``chains.Model`` once.  A fit
+evaluates S only through ``_spacing_rows``, on a (B, k) stack of free
+parameters: each step's points of all the runs in lockstep (a simplex, a
 shrink or one point per Nelder-Mead run; a point and its gradient's 2k
-points under BFGS and CG).  The float path stays: as a one-row stack a lone
-point costs 17-67 % more (median 30 %) over fit_survey's 24 compositions and
-the three reference fits at their moment starts, on a 2-core Xeon.
+points under BFGS and CG; one point under simulated annealing).  The stack
+maps to natural parameters in one pass, is masked on ``Model.domains``, and
+its chain, built by ``Model.steps``, runs from y = x - mu for the cdf and, at
+tied points, the log-density.  The public ``spacing_value`` takes a natural
+theta through ``Model.resolve``, whose count error raises and whose domain
+error reads as -inf.
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
@@ -76,8 +75,11 @@ class SpacingContext:
         self.data = data
         self.tied = np.flatnonzero(np.diff(data) == 0.0) + 1
         self.model = Model((get_family(self.family), get_base(self.base)), self.location)
-        self._maps = _transforms(self)
         self._lo, self._hi = np.array(self.model.domains).T
+        # the columns of each domain with a map of its own; mu's is x_(1) - e^psi
+        shape = self.model.domains[: self.k - self.location]
+        self._maps = [(np.flatnonzero([d == dom for d in shape]), fn) for dom, (_, fn, _) in _DOMAINS.items()
+                      if fn and dom in shape]
 
     @property
     def n(self) -> int:
@@ -111,39 +113,41 @@ class MoranTest:
 
 # --- parameter reparameterization -----------------------------------------
 
-_CLIP = 700.0
+_CLIP = 700.0  # e^psi is clipped to e^+-700, so that it neither overflows nor reaches 0
 
-
-def _exp(psi):
-    return math.exp(min(max(psi, -_CLIP), _CLIP))
-
-
-# per open domain: natural -> free and free -> natural maps, and an induced
-# parameter's start value (for (0, inf), the reduction-identity point)
+# per open domain: the natural -> free map, the free -> natural map on its
+# columns of a stack (None for (0, inf), whose e^psi every column takes
+# first), and an induced parameter's start value (for (0, inf), the
+# reduction-identity point)
 _DOMAINS = {
-    _POS: (math.log, _exp, 1.0),
-    (0.0, 1.0): (sc.logit, lambda psi: float(sc.expit(psi)), 0.5),
-    (-1.0, 1.0): (math.atanh, lambda psi: math.tanh(min(max(psi, -20), 20)), 0.0),
-    _REAL: (lambda v: v, lambda psi: psi, 0.0),
+    _POS: (math.log, None, 1.0),
+    (0.0, 1.0): (sc.logit, sc.expit, 0.5),
+    (-1.0, 1.0): (math.atanh, np.tanh, 0.0),
+    _REAL: (float, lambda psi: psi, 0.0),
 }
 
 
-def _transforms(ctx: SpacingContext):
-    """Per-coordinate (natural -> free, free -> natural); mu's keeps it below x_(1)."""
-    maps = [_DOMAINS[d][:2] for d in ctx.model.domains]
-    if ctx.location:
-        x1 = float(ctx.data[0])
-        maps[-1] = (lambda mu: math.log(x1 - mu), lambda psi: x1 - _exp(psi))
-    return maps
-
-
 def to_free(ctx: SpacingContext, theta):
-    return np.array([t[0](float(v)) for t, v in zip(ctx._maps, theta)])
+    psi = [_DOMAINS[d][0](float(v)) for d, v in zip(ctx.model.domains, theta)]
+    if ctx.location:  # mu = x_(1) - e^psi
+        psi[-1] = math.log(float(ctx.data[0]) - float(theta[-1]))
+    return np.array(psi)
+
+
+def _natural(psi, ctx: SpacingContext):
+    """The natural parameters of each row of a (B, k) stack of free ones; e^psi
+    is clipped, so no map overflows or raises, and a NaN stays NaN."""
+    theta = np.exp(np.minimum(np.maximum(psi, -_CLIP), _CLIP))
+    for cols, fn in ctx._maps:
+        theta[:, cols] = fn(psi[:, cols])
+    if ctx.location:
+        theta[:, -1] = ctx.data[0] - theta[:, -1]
+    return theta
 
 
 def from_free(ctx: SpacingContext, psi):
-    """Natural parameters; every map is clipped, so this never raises."""
-    return np.array([t[1](float(v)) for t, v in zip(ctx._maps, psi)])
+    """Natural parameters: one row of ``_natural``."""
+    return _natural(np.asarray(psi, dtype=float)[None], ctx)[0]
 
 
 # --- the objective ---------------------------------------------------------
@@ -168,9 +172,12 @@ def _terms(steps, mu, ctx: SpacingContext):
     return _log_spacings(_cdf(steps, y), ctx, tie_terms)
 
 
-def _mean_log_spacing(terms, ctx: SpacingContext) -> float:
-    """S from one row of log-spacings: -inf unless every term is finite."""
-    return float(np.sum(terms) / ctx.m) if np.all(np.isfinite(terms)) else -math.inf
+def _mean_log_spacing(terms, ctx: SpacingContext, feasible=True):
+    """S from the log-spacings on the last axis, of one row or of each row of
+    a stack: -inf unless the row is ``feasible`` and every term is finite,
+    that is, unless their sum is."""
+    s = terms.sum(axis=-1) / ctx.m
+    return np.where(feasible & (s < np.inf), s, -np.inf)
 
 
 def spacing_value(theta, ctx: SpacingContext) -> float:
@@ -180,29 +187,33 @@ def spacing_value(theta, ctx: SpacingContext) -> float:
         steps, mu = ctx.model.resolve(theta)
     except _DomainError:
         return -math.inf
-    return _mean_log_spacing(_terms(steps, mu, ctx), ctx)
-
-
-def spacing_objective(theta_free, ctx: SpacingContext) -> float:
-    """S(theta) over the unconstrained parameterization; -inf when invalid."""
-    return spacing_value(from_free(ctx, theta_free), ctx)
+    return float(_mean_log_spacing(_terms(steps, mu, ctx), ctx))
 
 
 def _spacing_rows(psi_rows, ctx: SpacingContext):
-    """``spacing_objective`` at each row of a (B, k) stack, bit for bit, in one
-    pass: the rows with every coordinate in its domain become (B, 1)
-    parameter columns, and the chain and the tie terms run on (B, n)."""
-    thetas = np.array([from_free(ctx, psi) for psi in psi_rows])
-    ok = ((ctx._lo < thetas) & (thetas < ctx._hi)).all(axis=1)
-    out = np.full(len(thetas), -math.inf)
-    cols = tuple(np.ascontiguousarray(thetas[ok].T)[:, :, None])
-    with np.errstate(**_QUIET):  # a chain's parameters, such as a/b, may overflow
+    """S at each row of a (B, k) stack of free parameters, in one pass, and
+    -inf where a coordinate is out of its domain.  The chain takes the
+    parameters as (B, 1) columns and runs on (B, n), or, for one row, as
+    floats on (n,), which cost less; a row out of its domain runs too (no map
+    raises) and is masked at the end."""
+    theta = _natural(np.asarray(psi_rows, dtype=float), ctx)
+    ok = np.logical_and.reduce((ctx._lo < theta) & (theta < ctx._hi), axis=1)
+    if len(theta) == 1:
+        cols, zero = theta[0].tolist(), 0.0
         steps = ctx.model.steps(cols)
-    # mu = 0 as a column, so y has a row per theta also where no map broadcasts
-    terms = _terms(steps, cols[-1] if ctx.location else np.zeros_like(cols[0]), ctx)
-    with np.errstate(invalid="ignore"):
-        out[ok] = np.where(np.isfinite(terms).all(axis=1), np.sum(terms, axis=1) / ctx.m, -math.inf)
-    return out
+    else:
+        cols = list(np.ascontiguousarray(theta.T)[:, :, None])
+        # mu = 0 as a column, so y has a row per theta also where no map broadcasts
+        zero = np.zeros_like(cols[0])
+        with np.errstate(**_QUIET):  # a parameter column, such as a/b, may overflow
+            steps = ctx.model.steps(cols)
+    return _mean_log_spacing(_terms(steps, cols[-1] if ctx.location else zero, ctx), ctx, ok)
+
+
+def spacing_objective(theta_free, ctx: SpacingContext) -> float:
+    """S(theta) over the unconstrained parameterization, -inf when invalid:
+    one row of ``_spacing_rows``."""
+    return float(_spacing_rows(np.asarray(theta_free, dtype=float)[None], ctx)[0])
 
 
 # --- starting values -------------------------------------------------------
@@ -262,8 +273,7 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
     # adds those probes
     for tried, theta0 in enumerate(_starts(ctx), 1):
         try:
-            res = maximize(lambda psi: spacing_objective(psi, ctx), to_free(ctx, theta0), config,
-                           rows=lambda psi_rows: _spacing_rows(psi_rows, ctx))
+            res = maximize(lambda psi_rows: _spacing_rows(psi_rows, ctx), to_free(ctx, theta0), config)
             break
         except _InfeasibleStart:
             pass

@@ -1,9 +1,11 @@
 """Derivative-free and gradient-based maximizers for the spacing objective.
 
 The objective convention is maximization; infeasible points are signalled by
--inf, never by exceptions.  Every method but simulated annealing runs as a
-generator that yields the stacks of points it needs, so that a fit's main run
-and its jittered restarts advance in lockstep, one stack evaluation per step.
+-inf, never by exceptions.  The objective takes a (B, k) stack of points and
+returns their B values; a lone point is a one-row stack.  Every method but
+simulated annealing runs as a generator that yields the stacks of points it
+needs, so that a fit's main run and its jittered restarts advance in
+lockstep, one stack evaluation per step.
 Nelder-Mead is a port of scipy's and reaches the points scipy's run would,
 bit for bit.  BFGS and CG are ``scipy.optimize`` itself, run in a worker
 thread that hands each stack over and waits for its values; a point's value
@@ -16,7 +18,6 @@ reparameterization.
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -80,21 +81,22 @@ def _central_diff_grad(rows, x):
     return (f[: x.size] - f[x.size :]) / (2.0 * h)
 
 
-def _sann(objective, x0, config, rng):
-    """One simulated-annealing run from x0: (x, f, converged, message), f maximized."""
+def _sann(neg, x0, config, rng):
+    """One simulated-annealing run from x0, each point a one-row stack through
+    ``neg``: (x, f, converged, message), f maximized."""
     x = x0.copy()
-    fx = _neg_one(objective(x))
+    (fx,) = neg(x[None])
     best_x, best_f = x.copy(), fx
     temp = 1.0
     for _ in range(config.max_iter):
         cand = x + rng.normal(scale=0.1 + 0.4 * temp, size=x.size)
-        fc = _neg_one(objective(cand))
+        (fc,) = neg(cand[None])
         if fc < fx or rng.uniform() < np.exp(-(fc - fx) / max(temp, 1e-12)):
             x, fx = cand, fc
             if fx < best_f:
                 best_x, best_f = x.copy(), fx
         temp *= 0.995
-    return best_x, -best_f, True, "sann schedule completed"
+    return best_x, -float(best_f), True, "sann schedule completed"
 
 
 def _order(sim, fsim):
@@ -227,16 +229,16 @@ def _scipy_run(x0, config):
     return np.asarray(out.x, dtype=float), out.fun, bool(out.success), str(out.message)
 
 
-def _lockstep(neg_rows, runs):
+def _lockstep(neg, runs):
     """Advances the runs (generators like ``_nelder_mead``) together: each
-    step evaluates every point the unfinished runs wait for in one
-    ``neg_rows`` call.  Returns each run's (x, f, converged, message), f
+    step evaluates every point the unfinished runs wait for in one ``neg``
+    call.  Returns each run's (x, f, converged, message), f
     maximized.  Every run is closed on the way out, also when one raises."""
     try:
         waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
         results = [None] * len(runs)
         while waiting:
-            values = neg_rows(waiting[0][2] if len(waiting) == 1 else np.concatenate([w[2] for w in waiting]))
+            values = neg(waiting[0][2] if len(waiting) == 1 else np.concatenate([w[2] for w in waiting]))
             still, pos = [], 0
             for i, run, points in waiting:
                 try:
@@ -257,61 +259,48 @@ def _neg(values):
     return np.where(np.isfinite(values), -values, _BIG)
 
 
-def _neg_one(v):
-    """``_neg`` of one value, at a Python float's cost."""
-    return _BIG if not math.isfinite(v) else -float(v)
+def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
+    """Maximize ``objective``, which maps a (B, k) stack of points to their B
+    values, from x0 with jittered restarts; returns the best point found, the
+    first in restart order among equals.  Raises if the starting point itself
+    is infeasible.
 
-
-def maximize(objective, x0, config: OptimizerConfig, rows=None) -> OptResult:
-    """Maximize ``objective`` from x0 with jittered restarts; returns the best
-    point found, the first in restart order among equals.  Raises if the
-    starting point itself is infeasible.
-
-    ``rows`` maps a (B, k) stack of points to their B values, by default by
-    ``objective`` row by row; a stack of one row goes to ``objective``.  Under
-    Nelder-Mead, BFGS and CG, which draw nothing from the generator during a
-    run, the restarts' jitters are drawn up front and probed as one stack,
-    and the feasible runs advance in lockstep, one stack per step.  SANN runs
-    draw from the generator, so they run one after another.  ``n_evals``
-    counts every point evaluated; ``runs`` holds every run's outcome."""
+    Under Nelder-Mead, BFGS and CG, which draw nothing from the generator
+    during a run, the restarts' jitters are drawn up front and probed as one
+    stack, and the feasible runs advance in lockstep, one stack per step.
+    SANN runs draw from the generator, so they run one after another, each
+    point a one-row stack.  ``n_evals`` counts every point evaluated; ``runs``
+    holds every run's outcome."""
     n_evals = 0
 
-    def counted(x):
-        nonlocal n_evals
-        n_evals += 1
-        return objective(x)
-
-    def counted_rows(xs):
+    def counted(xs):
         nonlocal n_evals
         n_evals += len(xs)
-        if len(xs) == 1 or rows is None:
-            return np.array([objective(x) for x in xs])
-        return rows(xs)
+        return objective(xs)
 
-    def neg_rows(xs):
-        # a lone point skips the array round trip: most Nelder-Mead steps are one
-        return [_neg_one(counted(xs[0]))] if len(xs) == 1 else _neg(counted_rows(xs))
+    def neg(xs):
+        return _neg(counted(xs))
 
     x0 = np.asarray(x0, dtype=float)
-    f0 = float(counted(x0))
+    f0 = float(counted(x0[None])[0])
     if not np.isfinite(f0):
         raise _InfeasibleStart("infeasible start")
     rng = np.random.default_rng(config.seed)
     restarts = max(config.restarts, 0)
     method = resolve_method(config.method)
     if method == "sann":
-        runs = [_sann(counted, x0, config, rng)]
+        runs = [_sann(neg, x0, config, rng)]
         for _ in range(restarts):
             jittered = x0 + rng.normal(scale=0.3, size=x0.size)
-            if np.isfinite(counted(jittered)):
-                runs.append(_sann(counted, jittered, config, rng))
+            if np.isfinite(counted(jittered[None])[0]):
+                runs.append(_sann(neg, jittered, config, rng))
     else:
         starts = [x0]
         if restarts:
             jitters = np.array([x0 + rng.normal(scale=0.3, size=x0.size) for _ in range(restarts)])
-            starts += list(jitters[np.isfinite(counted_rows(jitters))])
+            starts += list(jitters[np.isfinite(counted(jitters))])
         run = _nelder_mead if method == "nelder-mead" else _scipy_run
-        runs = _lockstep(neg_rows, [run(x, config) for x in starts])
+        runs = _lockstep(neg, [run(x, config) for x in starts])
     best = max(runs, key=lambda run: run[1])
     # never report a point worse than where we started
     if best[1] < f0:

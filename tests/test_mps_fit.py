@@ -123,14 +123,20 @@ class TestSpacingValue:
     @pytest.mark.parametrize("i", [0, 1, 3], ids=["a", "alpha", "mu"])
     def test_bad_coordinate_is_minus_inf(self, monkeypatch, i, value):
         # a NaN, an infinite or an out-of-domain coordinate (for mu, one above
-        # x_(1)) reads -inf as a single point and as a row of a stack, whose
-        # rows are theta itself once from_free is the identity
+        # x_(1)) reads -inf as a single point and as a row of a stack.  The
+        # free-to-natural map carries a NaN free coordinate to a NaN natural
+        # one, and clips the rest into their domains; a stack whose rows are
+        # theta itself, once that map is the identity, reaches them all
         ctx = SpacingContext(load_dataset("bearing"), "expg", "weibull")
         theta = _start_theta(ctx)
         bad = theta.copy()
         bad[i] = (ctx.data[0] + 1.0 if i == 3 else -1.0) if value == "out" else float(value)
         assert spacing_value(bad, ctx) == -math.inf
-        monkeypatch.setattr(mps_fit, "from_free", lambda ctx, psi: np.asarray(psi, dtype=float))
+        if value == "nan":
+            psi = to_free(ctx, theta)
+            psi[i] = math.nan
+            assert mps_fit._spacing_rows(psi[None], ctx)[0] == -math.inf
+        monkeypatch.setattr(mps_fit, "_natural", lambda psi, ctx: psi)
         got = mps_fit._spacing_rows(np.vstack([theta, bad]), ctx)
         assert got[0] == spacing_value(theta, ctx) > -math.inf
         assert got[1] == -math.inf
@@ -253,20 +259,15 @@ class TestFit:
 
     @pytest.mark.parametrize("method", ["nelder-mead", "bfgs", "cg"])
     def test_one_objective_call_per_counted_evaluation(self, monkeypatch, method):
-        # single points through spacing_objective, gradient stacks through
-        # _spacing_rows; n_evals counts each row
+        # every point, a lone one too, goes through _spacing_rows; n_evals
+        # counts each row
         calls = []
-        objective, rows = mps_fit.spacing_objective, mps_fit._spacing_rows
-
-        def counted(psi, ctx):
-            calls.append(1)
-            return objective(psi, ctx)
+        rows = mps_fit._spacing_rows
 
         def counted_rows(psi_rows, ctx):
             calls.extend([1] * len(psi_rows))
             return rows(psi_rows, ctx)
 
-        monkeypatch.setattr(mps_fit, "spacing_objective", counted)
         monkeypatch.setattr(mps_fit, "_spacing_rows", counted_rows)
         ctx = SpacingContext(load_dataset("bearing"), "weibullg", "weibull")
         res = fit(ctx, OptimizerConfig(method=method, seed=0, restarts=1))
@@ -292,17 +293,12 @@ class TestFit:
         # S is -inf at the moment start; a start with mu0 further below x_(1)
         # is finite, and its probes count as evaluations
         calls = []
-        objective, rows = mps_fit.spacing_objective, mps_fit._spacing_rows
-
-        def counted(psi, ctx):
-            calls.append(1)
-            return objective(psi, ctx)
+        rows = mps_fit._spacing_rows
 
         def counted_rows(psi_rows, ctx):
             calls.extend([1] * len(psi_rows))
             return rows(psi_rows, ctx)
 
-        monkeypatch.setattr(mps_fit, "spacing_objective", counted)
         monkeypatch.setattr(mps_fit, "_spacing_rows", counted_rows)
         ctx = SpacingContext(load_dataset("bearing"), family, base)
         assert spacing_value(_start_theta(ctx), ctx) == -math.inf
