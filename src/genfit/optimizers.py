@@ -232,8 +232,8 @@ def _scipy_run(x0, config):
 def _lockstep(neg, runs):
     """Advances the runs (generators like ``_nelder_mead``) together: each
     step evaluates every point the unfinished runs wait for in one ``neg``
-    call.  Returns each run's (x, f, converged, message), f
-    maximized.  Every run is closed on the way out, also when one raises."""
+    call.  Returns each run's (x, f, converged, message), f maximized.  Every
+    run is closed on the way out, also when one raises."""
     try:
         waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
         results = [None] * len(runs)
