@@ -8,8 +8,9 @@
 The ref is checked out with ``git worktree add --detach`` into a temporary
 directory (local only) and removed again afterwards.  This file's worker half
 then runs twice, each time in a fresh interpreter with one side's ``src`` on
-``PYTHONPATH``, so both sides evaluate the very same grid.  It calls only
-names both sides have; a missing name is recorded as a difference.
+``PYTHONPATH``, so both sides evaluate the very same grid.  It looks each
+function up as it calls it, so a name one side lacks is recorded as that
+side's output, an ``AttributeError``, and its groups are listed as moved.
 
 For every (function, family, base) it reports how many outputs are
 bit-identical, the largest change in ulps and the largest relative change;
@@ -99,6 +100,15 @@ def _call(fn, *args, **kw):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _lazy(module, name):
+    """module.name, looked up only when called: a name this side lacks raises
+    inside ``_call``."""
+    def fn(*args, **kw):
+        return getattr(module, name)(*args, **kw)
+    fn.__name__ = name
+    return fn
+
+
 def _theta(genfit, fi, bi, j, family, base):
     """Seeded in-domain parameters for one composition (location excluded), or
     for the base alone when ``family`` is None."""
@@ -113,6 +123,7 @@ def _theta(genfit, fi, bi, j, family, base):
 
 def _composition_grid(genfit, rec, families, bases, n_theta):
     ft = genfit.family_transforms
+    cdf, log_pdf, quantile = (_lazy(ft, f"family_{name}") for name in ("cdf", "log_pdf", "quantile"))
     all_f, all_b = sorted(ft.FAMILIES), sorted(genfit.base_distributions.BASE_DISTRIBUTIONS)
     for family in families:
         fi = all_f.index(family)
@@ -124,26 +135,25 @@ def _composition_grid(genfit, rec, families, bases, n_theta):
                     params = shape + ((mu,) if location else ())
                     x = np.concatenate([mu + X_OFFSETS, [np.nan, mu - 1.0]])
                     calls = {
-                        "cdf": (ft.family_cdf, x, {}),
-                        "cdf_log": (ft.family_cdf, x, {"log_p": True}),
-                        "cdf_upper": (ft.family_cdf, x, {"lower_tail": False}),
-                        "cdf_upper_log": (ft.family_cdf, x, {"lower_tail": False, "log_p": True}),
-                        "log_pdf": (ft.family_log_pdf, x, {}),
-                        "quantile": (ft.family_quantile, P_GRID, {}),
-                        "quantile_upper": (ft.family_quantile, P_GRID, {"lower_tail": False}),
-                        "quantile_log": (ft.family_quantile, np.log(P_GRID[1:]), {"log_p": True}),
+                        "cdf": (cdf, x, {}),
+                        "cdf_log": (cdf, x, {"log_p": True}),
+                        "cdf_upper": (cdf, x, {"lower_tail": False}),
+                        "cdf_upper_log": (cdf, x, {"lower_tail": False, "log_p": True}),
+                        "log_pdf": (log_pdf, x, {}),
+                        "quantile": (quantile, P_GRID, {}),
+                        "quantile_upper": (quantile, P_GRID, {"lower_tail": False}),
+                        "quantile_log": (quantile, np.log(P_GRID[1:]), {"log_p": True}),
                     }
                     for name, (fn, pts, kw) in calls.items():
                         rec[(name, family, base, f"{j}:{location}:array")] = _call(
                             fn, family, base, pts, params, location, **kw)
-                        for i in SCALAR_P if fn is ft.family_quantile else SCALAR_X:
+                        for i in SCALAR_P if fn is quantile else SCALAR_X:
                             rec[(name, family, base, f"{j}:{location}:scalar{i}")] = _call(
                                 fn, family, base, float(pts[i]), params, location, **kw)
         for j in range(n_theta):
             induced = _theta(genfit, fi, 0, j, family, all_b[0])[: len(ft.get_family(family).param_names)]
-            rec[("h_forward", family, "-", str(j))] = _call(ft.h_forward, family, U_GRID, induced)
-            rec[("log_h_prime", family, "-", str(j))] = _call(ft.log_h_prime, family, U_GRID, induced)
-            rec[("h_inverse", family, "-", str(j))] = _call(ft.h_inverse, family, P_GRID, induced)
+            for name, pts in (("h_forward", U_GRID), ("log_h_prime", U_GRID), ("h_inverse", P_GRID)):
+                rec[(name, family, "-", str(j))] = _call(_lazy(ft, name), family, pts, induced)
 
 
 def _base_grid(genfit, rec, bases, n_theta):
@@ -156,10 +166,10 @@ def _base_grid(genfit, rec, bases, n_theta):
         for j in range(n_theta):
             params = _theta(genfit, 0, bi, j, None, base) + (0.5,)
             x = np.concatenate([0.5 + X_OFFSETS, [np.nan, -0.5]])
-            calls = [(fn, x, SCALAR_X) for fn in (bd.base_cdf, bd.base_sf, bd.base_log_sf, bd.base_log_pdf,
-                                                  bd.base_log_hazard)]
-            calls += [(bd.base_quantile, P_GRID, SCALAR_P)]
-            for fn, pts, scalars in calls:
+            calls = [(name, x, SCALAR_X) for name in ("cdf", "sf", "log_sf", "log_pdf", "log_hazard")]
+            calls += [("quantile", P_GRID, SCALAR_P)]
+            for name, pts, scalars in calls:
+                fn = _lazy(bd, f"base_{name}")
                 rec[(fn.__name__, "-", base, f"{j}:array")] = _call(fn, base, pts, params)
                 for i in scalars:
                     rec[(fn.__name__, "-", base, f"{j}:scalar{i}")] = _call(fn, base, float(pts[i]), params)
@@ -170,12 +180,13 @@ def _bulk(genfit, rec, compositions, n):
     for seed in (11, 12):
         for i, (family, base, params) in enumerate(compositions):
             p = np.random.default_rng([seed, i]).uniform(size=n)
-            x = _call(ft.family_quantile, family, base, p, params)
+            x = _call(_lazy(ft, "family_quantile"), family, base, p, params)
             rec[("bulk_quantile", family, base, str(seed))] = x
             if isinstance(x, str):
                 continue
-            rec[("bulk_cdf", family, base, str(seed))] = _call(ft.family_cdf, family, base, x, params)
-            rec[("bulk_pdf", family, base, str(seed))] = _call(ft.family_pdf, family, base, x, params)
+            for name in ("cdf", "pdf"):
+                fn = _lazy(ft, f"family_{name}")
+                rec[(f"bulk_{name}", family, base, str(seed))] = _call(fn, family, base, x, params)
 
 
 def deep_tail_inputs(i, n):
@@ -192,10 +203,11 @@ def deep_tail_calls(genfit, family, base, i, n):
     all_f, all_b = sorted(ft.FAMILIES), sorted(genfit.base_distributions.BASE_DISTRIBUTIONS)
     params = _theta(genfit, all_f.index(family), all_b.index(base), 0, family, base) + (0.5,)
     q, log_q, dx = deep_tail_inputs(i, n)
+    quantile = _lazy(ft, "family_quantile")
     return params, {
-        "deep_quantile_upper": (ft.family_quantile, q, {"lower_tail": False}),
-        "deep_quantile_log": (ft.family_quantile, log_q, {"lower_tail": False, "log_p": True}),
-        "deep_log_pdf": (ft.family_log_pdf, 0.5 + dx, {}),
+        "deep_quantile_upper": (quantile, q, {"lower_tail": False}),
+        "deep_quantile_log": (quantile, log_q, {"lower_tail": False, "log_p": True}),
+        "deep_log_pdf": (_lazy(ft, "family_log_pdf"), 0.5 + dx, {}),
     }
 
 
@@ -212,30 +224,38 @@ def _starts(genfit, rec, datasets, families, bases):
     """S at every start, natural (``S_starts``) and through the fit's objective
     at the start's free coordinates (``S_free_starts``)."""
     mf = genfit.mps_fit
+
+    def at_starts(s, data, family, base):
+        ctx = mf.SpacingContext(data, family, base, True)
+        return [s(ctx, theta) for theta in mf._starts(ctx)]
+
+    def natural(ctx, theta):
+        return mf.spacing_value(theta, ctx)
+
+    def free(ctx, theta):
+        return mf.spacing_objective(mf.to_free(ctx, theta), ctx)
+
     for name in datasets:
         data = genfit.datasets.load_dataset(name)
         for family in families:
             for base in bases:
-                try:
-                    ctx = mf.SpacingContext(data, family, base, True)
-                    starts = list(mf._starts(ctx))
-                    s = [mf.spacing_value(theta, ctx) for theta in starts]
-                    rec[("S_starts", family, base, name)] = np.array(s, dtype=float)
-                    s = [mf.spacing_objective(mf.to_free(ctx, theta), ctx) for theta in starts]
-                    rec[("S_free_starts", family, base, name)] = np.array(s, dtype=float)
-                except Exception as exc:  # noqa: BLE001
-                    rec[("S_starts", family, base, name)] = f"{type(exc).__name__}: {exc}"
+                for label, s in (("S_starts", natural), ("S_free_starts", free)):
+                    rec[(label, family, base, name)] = _call(at_starts, s, data, family, base)
 
 
 def _stack(genfit, rec, fits):
     """The fit's stack objective at a reference composition's free start and
     16 seeded rows jittered from it as a restart's are."""
     mf = genfit.mps_fit
-    for i, (name, family, base) in enumerate(fits):
+
+    def at_start(i, name, family, base):
         ctx = mf.SpacingContext(genfit.datasets.load_dataset(name), family, base, True)
         x = mf.to_free(ctx, mf._start_theta(ctx))
         rows = np.vstack([x, x + np.random.default_rng([17, i]).normal(scale=0.3, size=(16, x.size))])
-        rec[("S_stack", family, base, name)] = _call(mf._spacing_rows, rows, ctx)
+        return mf._spacing_rows(rows, ctx)
+
+    for i, (name, family, base) in enumerate(fits):
+        rec[("S_stack", family, base, name)] = _call(at_start, i, name, family, base)
 
 
 def _fit(genfit, rec, label, name, family, base, **config):

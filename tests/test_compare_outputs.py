@@ -72,3 +72,17 @@ def test_a_moved_output_fails_unless_expected(unchanged_repo):
     assert all(name == "base_sf:-:gamma" or "cdf" in name.split(":")[0] and ":mog:" in name for name in flagged)
     proc = _compare(unchanged_repo, "--expect", "*cdf*:mog:*", "--expect", "base_sf:-:gamma")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_deleted_name_is_listed_as_moved(unchanged_repo):
+    # the working tree drops the public base_log_hazard; the grid still asks
+    # for it, and the working tree's answer is an AttributeError
+    genfit = unchanged_repo / "src" / "genfit"
+    init = genfit / "__init__.py"
+    init.write_text(init.read_text().replace('    base_log_hazard,\n', '').replace('    "base_log_hazard",\n', ''))
+    bd = genfit / "base_distributions.py"
+    bd.write_text(bd.read_text() + "\ndel base_log_hazard\n")
+    proc = _compare(unchanged_repo)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    flagged = [line.split()[0] for line in proc.stdout.splitlines() if line.endswith("UNEXPECTED")]
+    assert flagged == ["base_log_hazard:-:gamma", "base_log_hazard:-:weibull"]
