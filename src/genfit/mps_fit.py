@@ -13,9 +13,10 @@ construction.
 
 ``SpacingContext`` builds the composition's ``chains.Model`` once.  A fit
 evaluates S only through ``_spacing_rows``, on a (B, k) stack of free
-parameters: each step's points of all the runs in lockstep (a simplex, a
-shrink or one point per Nelder-Mead run; a point and its gradient's 2k
-points under BFGS and CG; one point under simulated annealing).  The stack
+parameters: under Nelder-Mead, each step's points of all the runs in
+lockstep (a simplex, a shrink or one point per run); under BFGS and CG, a
+point and its gradient's 2k points, the runs called in turn on the calling
+thread; under simulated annealing, one point.  The stack
 maps to natural parameters in one pass, is masked on ``Model.domains``, and
 its chain, built by ``Model.steps``, runs from y = x - mu for the cdf and, at
 tied points, the log-density.  The public ``spacing_value`` takes a natural

@@ -2,24 +2,21 @@
 
 The objective convention is maximization; infeasible points are signalled by
 -inf, never by exceptions.  The objective takes a (B, k) stack of points and
-returns their B values; a lone point is a one-row stack.  Every method but
-simulated annealing runs as a generator that yields the stacks of points it
-needs, so that a fit's main run and its jittered restarts advance in
-lockstep, one stack evaluation per step.
+returns their B values; a lone point is a one-row stack.
 Nelder-Mead is a port of scipy's and reaches the points scipy's run would,
-bit for bit.  BFGS and CG are ``scipy.optimize`` itself, run in a worker
-thread that hands each stack over and waits for its values; a point's value
-and its central-difference gradient are one stack.  They are the only
-methods that import scipy.optimize.  Simulated annealing is implemented here
-and runs its restarts one after another.  "L-BFGS-B" is accepted as an alias
-of BFGS because all box constraints are removed upstream by smooth
-reparameterization.
+bit for bit.  It runs as a generator that yields the stacks of points it
+needs, so that a fit's main run and its jittered restarts advance in
+lockstep, one stack evaluation per step.  BFGS and CG are
+``scipy.optimize.minimize`` itself, called on the calling thread, each run in
+turn; a point's value and its central-difference gradient are one stack.
+They are the only methods that import scipy.optimize.  Simulated annealing
+is implemented here and runs its restarts one after another.  "L-BFGS-B" is
+accepted as an alias of BFGS because all box constraints are removed
+upstream by smooth reparameterization.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,11 +71,12 @@ class _InfeasibleStart(ValueError):
     """The objective is not finite at the starting point."""
 
 
-def _central_diff_grad(rows, x):
-    """Central differences from one ``rows`` call on the 2k points x +- h_i e_i."""
+def _value_and_grad(neg, x):
+    """The value at x and its central-difference gradient, from one ``neg``
+    call on the 2k + 1 points x, x + h_i e_i and x - h_i e_i."""
     h = np.maximum(1e-7, 1e-7 * np.abs(x))
-    f = rows(np.concatenate([x + np.diag(h), x - np.diag(h)]))
-    return (f[: x.size] - f[x.size :]) / (2.0 * h)
+    f = neg(np.concatenate([x[None], x + np.diag(h), x - np.diag(h)]))
+    return float(f[0]), (f[1 : x.size + 1] - f[x.size + 1 :]) / (2.0 * h)
 
 
 def _sann(neg, x0, config, rng):
@@ -161,97 +159,38 @@ def _nelder_mead(x0, config):
     return sim[0], np.min(fsim), True, "Optimization terminated successfully."
 
 
-class _Abandoned(BaseException):
-    """Unwinds a scipy run's worker thread when its generator is closed."""
-
-
-def _scipy_run(x0, config):
-    """A BFGS or CG minimization from x0 by ``scipy.optimize.minimize``, as a
-    generator like ``_nelder_mead``.
-
-    scipy runs in a worker thread.  Its callbacks hand each stack of points to
-    the generator, which yields it, and block until the values are sent back,
-    so only one of the two threads runs at a time.  ``fun(x)`` asks for x and
-    its 2k central-difference points in one stack and keeps the gradient for
-    the ``jac(x)`` that scipy asks for next; a ``jac`` at another point asks
-    for its 2k points alone.  Closing the generator unwinds and joins the
-    thread."""
+def _scipy_run(neg, x0, config):
+    """One BFGS or CG minimization of ``neg`` from x0 by
+    ``scipy.optimize.minimize``: (x, f, converged, message), f maximized.
+    Each value scipy asks for comes with its gradient, from one stack of
+    2k + 1 points."""
     # imported here so that evaluation and Nelder-Mead never pay for scipy.optimize
     from scipy.optimize import minimize
 
     method = {"bfgs": "BFGS", "cg": "CG"}[resolve_method(config.method)]
-    asks, answers = queue.SimpleQueue(), queue.SimpleQueue()
-    grad_at = {}
-
-    def values(points):
-        asks.put((points, None))
-        got = answers.get()
-        if got is None:
-            raise _Abandoned
-        return got
-
-    def fun(x):
-        fx = []
-
-        def with_x(points):  # x rides at the head of its gradient's stack
-            f = values(np.concatenate([x[None], points]))
-            fx.append(float(f[0]))
-            return f[1:]
-
-        grad_at.clear()
-        grad_at[x.tobytes()] = _central_diff_grad(with_x, x)
-        return fx[0]
-
-    def jac(x):
-        g = grad_at.get(x.tobytes())
-        return _central_diff_grad(values, x) if g is None else g
-
-    def work():
-        try:
-            asks.put((None, minimize(fun, x0, method=method, jac=jac, options={"maxiter": config.max_iter})))
-        except _Abandoned:
-            pass
-        except BaseException as exc:  # raised again in the driving thread
-            asks.put((None, exc))
-
-    worker = threading.Thread(target=work, name="genfit-scipy-run", daemon=True)
-    worker.start()
-    try:
-        points, out = asks.get()
-        while points is not None:
-            answers.put((yield points))
-            points, out = asks.get()
-    finally:
-        answers.put(None)  # unblocks a worker still waiting for values
-        worker.join()
-    if isinstance(out, BaseException):
-        raise out
-    return np.asarray(out.x, dtype=float), out.fun, bool(out.success), str(out.message)
+    out = minimize(lambda x: _value_and_grad(neg, x), x0, method=method, jac=True,
+                   options={"maxiter": config.max_iter})
+    return np.asarray(out.x, dtype=float), -float(out.fun), bool(out.success), str(out.message)
 
 
 def _lockstep(neg, runs):
     """Advances the runs (generators like ``_nelder_mead``) together: each
     step evaluates every point the unfinished runs wait for in one ``neg``
-    call.  Returns each run's (x, f, converged, message), f maximized.  Every
-    run is closed on the way out, also when one raises."""
-    try:
-        waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
-        results = [None] * len(runs)
-        while waiting:
-            values = neg(waiting[0][2] if len(waiting) == 1 else np.concatenate([w[2] for w in waiting]))
-            still, pos = [], 0
-            for i, run, points in waiting:
-                try:
-                    still.append((i, run, run.send(values[pos : pos + len(points)])))
-                except StopIteration as done:
-                    x, f, converged, message = done.value
-                    results[i] = (x, -float(f), converged, message)
-                pos += len(points)
-            waiting = still
-        return results
-    finally:
-        for run in runs:
-            run.close()
+    call.  Returns each run's (x, f, converged, message), f maximized."""
+    waiting = [(i, run, next(run)) for i, run in enumerate(runs)]
+    results = [None] * len(runs)
+    while waiting:
+        values = neg(waiting[0][2] if len(waiting) == 1 else np.concatenate([w[2] for w in waiting]))
+        still, pos = [], 0
+        for i, run, points in waiting:
+            try:
+                still.append((i, run, run.send(values[pos : pos + len(points)])))
+            except StopIteration as done:
+                x, f, converged, message = done.value
+                results[i] = (x, -float(f), converged, message)
+            pos += len(points)
+        waiting = still
+    return results
 
 
 def _neg(values):
@@ -267,10 +206,12 @@ def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
 
     Under Nelder-Mead, BFGS and CG, which draw nothing from the generator
     during a run, the restarts' jitters are drawn up front and probed as one
-    stack, and the feasible runs advance in lockstep, one stack per step.
-    SANN runs draw from the generator, so they run one after another, each
-    point a one-row stack.  ``n_evals`` counts every point evaluated; ``runs``
-    holds every run's outcome."""
+    stack.  The feasible Nelder-Mead runs advance in lockstep, one stack per
+    step; BFGS and CG runs are called on the calling thread one after
+    another, each value a stack with its gradient's 2k points.  SANN runs
+    draw from the generator, so they run one after another, each point a
+    one-row stack.  ``n_evals`` counts every point evaluated; ``runs`` holds
+    every run's outcome."""
     n_evals = 0
 
     def counted(xs):
@@ -299,8 +240,10 @@ def maximize(objective, x0, config: OptimizerConfig) -> OptResult:
         if restarts:
             jitters = np.array([x0 + rng.normal(scale=0.3, size=x0.size) for _ in range(restarts)])
             starts += list(jitters[np.isfinite(counted(jitters))])
-        run = _nelder_mead if method == "nelder-mead" else _scipy_run
-        runs = _lockstep(neg, [run(x, config) for x in starts])
+        if method == "nelder-mead":
+            runs = _lockstep(neg, [_nelder_mead(x, config) for x in starts])
+        else:
+            runs = [_scipy_run(neg, x, config) for x in starts]
     best = max(runs, key=lambda run: run[1])
     # never report a point worse than where we started
     if best[1] < f0:

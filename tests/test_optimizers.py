@@ -1,13 +1,12 @@
 """Checks for the maximization front end shared by all fitting code."""
 
-import sys
 import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from genfit.optimizers import _BIG, OptimizerConfig, _central_diff_grad, _nelder_mead, maximize, resolve_method
+from genfit.optimizers import _BIG, OptimizerConfig, _nelder_mead, _value_and_grad, maximize, resolve_method
 
 
 def stack(f):
@@ -123,7 +122,7 @@ class TestMaximize:
 
 class TestGradient:
     def test_one_rows_call_per_gradient(self):
-        # the 2k points x +- h_i e_i go to the objective as one stack
+        # x and the 2k points x +- h_i e_i go to the objective as one stack, x first
         stacks = []
 
         def rows(xs):
@@ -131,8 +130,9 @@ class TestGradient:
             return np.array([neg_rosenbrock(x) for x in xs])
 
         x = np.array([0.3, -0.7])
-        g = _central_diff_grad(rows, x)
-        assert len(stacks) == 1 and stacks[0].shape == (4, 2)
+        f, g = _value_and_grad(rows, x)
+        assert len(stacks) == 1 and stacks[0].shape == (5, 2)
+        assert stacks[0][0].tobytes() == x.tobytes() and f == neg_rosenbrock(x)
         x0, x1 = x
         np.testing.assert_allclose(g, [400 * x0 * (x1 - x0**2) + 2 * (1 - x0), -200 * (x1 - x0**2)], rtol=1e-6)
 
@@ -212,6 +212,12 @@ class TestNelderMeadPort:
         assert sorted(walled_bowl(np.array(x)) for x in ([1.05, 1, 1], [1, 1.05, 1], [1, 1, 1.05])) == [_BIG] * 3
 
 
+def central_diff(f, y):
+    """f's central-difference gradient at y, one point at a time."""
+    h = np.maximum(1e-7, 1e-7 * np.abs(y))
+    return np.array([(f(y + d) - f(y - d)) / (2.0 * h_i) for h_i, d in zip(h, np.diag(h))])
+
+
 def _sequential(objective, x0, cfg):
     """The restart loop as it ran before lockstep: scipy runs one after
     another, each point a single objective call.  Returns every run's
@@ -228,7 +234,7 @@ def _sequential(objective, x0, cfg):
             res = minimize(neg_f, x, method="Nelder-Mead", options=_scipy_options(cfg))
         else:
             res = minimize(neg_f, x, method=cfg.method.upper(), options={"maxiter": cfg.max_iter},
-                           jac=lambda y: _central_diff_grad(lambda ys: np.array([neg_f(v) for v in ys]), y))
+                           jac=lambda y: central_diff(neg_f, y))
         return np.asarray(res.x, dtype=float), -float(res.fun), bool(res.success), str(res.message)
 
     x0 = np.asarray(x0, dtype=float)
@@ -296,14 +302,19 @@ class TestLockstep:
     def test_gradient_methods_match_the_sequential_loop(self, method, restarts, batched):
         self._check_against_sequential(method, restarts, batched)
 
-    def test_bit_identical_under_a_short_switch_interval(self):
-        # the scipy runs' threads may only take turns with the driver at a hand-off
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self._check_against_sequential("bfgs", 3, True)
-        finally:
-            sys.setswitchinterval(interval)
+    @pytest.mark.parametrize("method", ["bfgs", "cg"])
+    def test_gradient_methods_start_no_thread(self, method):
+        # every run, restarts included, calls the objective on the calling thread
+        seen = []
+
+        def objective(xs):
+            seen.append((threading.current_thread(), threading.enumerate()))
+            return neg_rosenbrock_rows(xs)
+
+        before = threading.enumerate()
+        res = maximize(objective, [0.5, 0.5], OptimizerConfig(method=method, max_iter=200, restarts=3, seed=0))
+        assert len(res.runs) == 4
+        assert seen and all(seen_at == (threading.current_thread(), before) for seen_at in seen)
 
     @pytest.mark.parametrize("method,seed", [("bfgs", 1), ("cg", 3)])
     def test_runs_keep_every_restart(self, method, seed):
