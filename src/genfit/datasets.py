@@ -34,8 +34,8 @@ def parse_data_text(text: str) -> np.ndarray:
         try:
             parsed = [float(token) for token in tokens]
         except ValueError:
-            if first_content_line:
-                # a single leading non-numeric line is treated as a header
+            if first_content_line and not _is_number(tokens[0]):
+                # a single leading line that starts with a word is a header
                 first_content_line = False
                 continue
             bad = next(t for t in tokens if not _is_number(t))

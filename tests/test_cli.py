@@ -178,6 +178,16 @@ class TestFit:
         )
         assert code == EXIT_DATA
 
+    def test_partly_numeric_first_line(self, capsys, tmp_path):
+        # not a header: the fit does not run on the points after it
+        p = tmp_path / "bad.txt"
+        p.write_text("1.0 2.0 oops\n3.0 4.0 5.0\n")
+        code, _, err = run_cli(
+            capsys, "fit", "--family", "expg", "--base", "exp", "--data", str(p),
+        )
+        assert code == EXIT_DATA
+        assert "'oops' on line 1" in err
+
     def test_nonpositive_data_without_location(self, capsys, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("1 -2 3 4\n")

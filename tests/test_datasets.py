@@ -55,6 +55,12 @@ class TestParser:
         text = "value\n1.5\n2.5\n"
         np.testing.assert_array_equal(parse_data_text(text), [1.5, 2.5])
 
+    def test_partly_numeric_first_line_is_not_a_header(self):
+        # a first line that starts with a number is data, so its bad token is an error
+        with pytest.raises(DataParseError) as err:
+            parse_data_text("1.0 2.0 oops\n3.0")
+        assert (err.value.token, err.value.line) == ("oops", 1)
+
     def test_scientific_notation(self):
         np.testing.assert_allclose(parse_data_text("1e-3 2.5E2"), [0.001, 250.0])
 
