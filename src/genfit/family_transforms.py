@@ -101,12 +101,18 @@ def get_family(name: str) -> FamilySpec:
         ) from None
 
 
+def _unit(u, requires):
+    """u as a float array, checked to lie in [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    if np.any((u < 0) | (u > 1)):
+        raise ValueError(f"{requires} in [0, 1]")
+    return u
+
+
 def h_forward(name, u, induced):
     """Transform value h(u); h(0) = 0, h(1) = 1, nondecreasing."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u > 1)):
-        raise ValueError("h_forward requires u in [0, 1]")
+    u = _unit(u, "h_forward requires u")
     with np.errstate(**_QUIET):
         v = _forward_v(steps, (u, 1.0 - u, -np.log1p(-u)))
     return _scalar(np.minimum(1.0, np.maximum(0.0, v)))
@@ -115,7 +121,7 @@ def h_forward(name, u, induced):
 def log_h_prime(name, u, induced):
     """log dh/du; may be +-inf at the endpoints, never NaN."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
-    u = np.asarray(u, dtype=float)
+    u = _unit(u, "log_h_prime requires u")
     with np.errstate(**_QUIET):
         out = _log_slope(steps, (u, 1.0 - u, -np.log1p(-u)))
     return _scalar(np.where(np.isnan(out), -np.inf, out))
@@ -124,9 +130,7 @@ def log_h_prime(name, u, induced):
 def _h_inverse(name, p, induced):
     """``(u, -ln(1 - u))`` at the u with h(u) = p."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
-    p = np.asarray(p, dtype=float)
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("h_inverse requires p in [0, 1]")
+    p = _unit(p, "h_inverse requires p")
     # -ln(1 - u) is the quantile of h over the base E, t -> 1 - e^-t
     with np.errstate(divide="ignore"):
         lsf = _quantile(steps + [E()], (p, 1.0 - p, -np.log1p(-p)))

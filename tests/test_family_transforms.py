@@ -98,6 +98,13 @@ class TestRegistry:
         with pytest.raises(ValueError):
             h_forward("gexppg", 0.5, (1.0, 1.5))  # b must be in (0, 1)
 
+    @pytest.mark.parametrize("u", [-0.5, 1.5, [0.5, 1.5]])
+    def test_out_of_range_u(self, u):
+        # log_h_prime checks u as h_forward does
+        for fn in (h_forward, log_h_prime):
+            with pytest.raises(ValueError, match=r"requires u in \[0, 1\]"):
+                fn("mog", u, (2.0,))
+
     def test_param_count_helpers(self):
         specs = (get_family("kumg"), get_base("weibull"))
         assert Model(specs, location=True).k == 5
