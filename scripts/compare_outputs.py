@@ -103,10 +103,7 @@ def _call(fn, *args, **kw):
 def _lazy(module, name):
     """module.name, looked up only when called: a name this side lacks raises
     inside ``_call``."""
-    def fn(*args, **kw):
-        return getattr(module, name)(*args, **kw)
-    fn.__name__ = name
-    return fn
+    return lambda *args, **kw: getattr(module, name)(*args, **kw)
 
 
 def _theta(genfit, fi, bi, j, family, base):
@@ -169,10 +166,11 @@ def _base_grid(genfit, rec, bases, n_theta):
             calls = [(name, x, SCALAR_X) for name in ("cdf", "sf", "log_sf", "log_pdf", "log_hazard")]
             calls += [("quantile", P_GRID, SCALAR_P)]
             for name, pts, scalars in calls:
-                fn = _lazy(bd, f"base_{name}")
-                rec[(fn.__name__, "-", base, f"{j}:array")] = _call(fn, base, pts, params)
+                name = f"base_{name}"
+                fn = _lazy(bd, name)
+                rec[(name, "-", base, f"{j}:array")] = _call(fn, base, pts, params)
                 for i in scalars:
-                    rec[(fn.__name__, "-", base, f"{j}:scalar{i}")] = _call(fn, base, float(pts[i]), params)
+                    rec[(name, "-", base, f"{j}:scalar{i}")] = _call(fn, base, float(pts[i]), params)
 
 
 def _bulk(genfit, rec, compositions, n):
