@@ -114,7 +114,7 @@ def _theta(genfit, fi, bi, j, family, base):
     for lo, hi in genfit.family_transforms.get_family(family).domains if family else ():
         out.append(rng.uniform(0.5, 3.0) if math.isinf(hi) else rng.uniform(0.8 * lo + 0.2 * hi, 0.2 * lo + 0.8 * hi))
     dist = genfit.base_distributions.get_base(base)
-    out += [rng.uniform(-1.0, 1.0) if i in dist.real_params else rng.uniform(0.5, 3.0) for i in range(dist.n_params)]
+    out += [rng.uniform(-1.0, 1.0) if math.isinf(lo) else rng.uniform(0.5, 3.0) for lo, _ in dist.domains]
     return tuple(out)
 
 
@@ -231,7 +231,7 @@ def _starts(genfit, rec, datasets, families, bases):
         return mf.spacing_value(theta, ctx)
 
     def free(ctx, theta):
-        return mf.spacing_objective(mf.to_free(ctx, theta), ctx)
+        return mf._spacing_rows(mf.to_free(ctx, theta)[None], ctx)[0]
 
     for name in datasets:
         data = genfit.datasets.load_dataset(name)

@@ -5,13 +5,13 @@ Parameter vectors are ``(shape/scale..., mu)``; every non-location parameter
 lives on (0, inf) except the log-normal's first parameter, which is the
 log-scale mean and may be any real.
 
-A base is its name, its parameter names, its cdf G as a chain of the maps of
-``chains`` from the state ``(y,)``, written outermost first, and a cheap
-moment-based starting-value rule used by the fitter.  The hazard-form bases
-end in E, t -> 1 - e^-t, after their cumulative hazard H: weibull is
-``[E(), Pw(alpha), Sc(1/beta)]``.  The others end in a cdf map: GP (gamma,
-chisq), LL (log-logistic), Fr (Frechet), B after t/(1 + t) (F), and N after
-ln t or the Birnbaum-Saunders link (log-normal, Birnbaum-Saunders).
+A base is a ``chains.Spec``: its name, its parameter names, its cdf G as a
+chain of the maps of ``chains`` from the state ``(y,)``, written outermost
+first, and a cheap moment-based starting-value rule used by the fitter.  The
+hazard-form bases end in E, t -> 1 - e^-t, after their cumulative hazard H:
+weibull is ``[E(), Pw(alpha), Sc(1/beta)]``.  The others end in a cdf map: GP
+(gamma, chisq), LL (log-logistic), Fr (Frechet), B after t/(1 + t) (F), and N
+after ln t or the Birnbaum-Saunders link (log-normal, Birnbaum-Saunders).
 
 The public functions read everything from the chain and its runners (see
 ``chains``): the cdf, survival value and its log from the chain's triple,
@@ -19,22 +19,20 @@ the log-pdf as ln of its slope, the log-hazard as that of L1 o G (for a
 hazard-form base the slope of H alone), and the quantile from the chain run
 backwards; the quantile at a survival value is ``family_quantile`` over
 expg at a = 1, the identity family, with ``lower_tail`` off.  Each looks the
-name up and resolves its parameter vector once through
-``chains.Model((base,))``, which checks the count and every domain in
-``BaseDist.domains``.
+name up and builds its inputs once through ``chains.Model((base,))`` (see
+"The model boundary" and "The inputs" there), which checks the count and
+every domain.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .chains import (
-    _POS, _REAL, Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, Model, N, ODI, Pw, Q, Sc, X, _cdf, _join,
-    _log_density, _quantile, _scalar, _state
+    _POS, _REAL, Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, Model, N, ODI, Pw, Q, Sc, Spec, X, _cdf, _from_p,
+    _join, _log_density, _quantile, _scalar, _state, _unit
 )
 
 __all__ = [
@@ -48,28 +46,6 @@ __all__ = [
     "base_sample",
     "get_base",
 ]
-
-
-@dataclass(frozen=True)
-class BaseDist:
-    """One shifted base distribution, parameterized by its unshifted y = x - mu."""
-
-    name: str
-    param_names: tuple[str, ...]
-    chain: Callable  # chain(*shape) -> [map(*params), ...], outermost first
-    start: Callable  # start(y) -> shape, a moment-type starting value
-    # indices of parameters allowed to range over all reals (log-normal alpha)
-    real_params: tuple[int, ...] = field(default=())
-    # open interval per parameter: the real line for real_params, else (0, inf)
-    domains: tuple[tuple[float, float], ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "domains", tuple(_REAL if i in self.real_params else _POS
-                                                  for i in range(self.n_params)))
-
-    @property
-    def n_params(self) -> int:
-        return len(self.param_names)
 
 
 # --- starting values on y = x - mu -------------------------------------------
@@ -159,31 +135,30 @@ def _weibull_start(y):
     return alpha, m / math.gamma(1.0 + 1.0 / alpha)
 
 
-BASE_DISTRIBUTIONS: dict[str, BaseDist] = {
+BASE_DISTRIBUTIONS: dict[str, Spec] = {
     d.name: d
     for d in [
-        BaseDist("birnbaum-saunders", ("alpha", "beta"), lambda a, b: [N(), Af(0.0, a), BSL(), Sc(1.0 / b)],
-                 _bs_start),
-        BaseDist("burrxii", ("alpha", "beta"), lambda a, b: [E(), Sc(a), Lp(b)], _burrxii_start),
-        BaseDist("chen", ("alpha", "beta"), lambda a, b: [E(), Sc(b), X(), Pw(a)], _chen_start),
-        BaseDist("chisq", ("alpha",), lambda a: [GP(a / 2.0), Sc(0.5)], _chisq_start),
-        BaseDist("exp", ("alpha",), lambda a: [E(), Sc(a)], _exp_start),
-        BaseDist("f", ("alpha", "beta"), lambda a, b: [B(a / 2.0, b / 2.0), ODI(), Sc(a / b)], _f_start),
-        BaseDist("frechet", ("alpha", "beta"), lambda a, b: [Fr(a), Sc(1.0 / b)], _frechet_start),
-        BaseDist("gamma", ("alpha", "beta"), lambda a, b: [GP(a), Sc(1.0 / b)], _gamma_start),
-        BaseDist("gompertz", ("alpha", "beta"), lambda a, b: [E(), Sc(a / b), X(), Sc(b)], _gompertz_start),
-        BaseDist("lfr", ("alpha", "beta"), lambda a, b: [E(), Q(a, b)], _lfr_start),
-        BaseDist("log-logistic", ("alpha", "beta"), lambda a, b: [LL(a), Sc(1.0 / b)], _loglogistic_start),
-        BaseDist("log-normal", ("alpha", "beta"), lambda a, b: [N(), Af(a, b), LN()], _lognormal_start,
-                 real_params=(0,)),
-        BaseDist("lomax", ("alpha", "beta"), lambda a, b: [E(), Sc(a), Lp(1.0), Sc(b)], _lomax_start),
-        BaseDist("rayleigh", ("beta",), lambda b: [E(), Pw(2.0), Sc(1.0 / b)], _rayleigh_start),
-        BaseDist("weibull", ("alpha", "beta"), lambda a, b: [E(), Pw(a), Sc(1.0 / b)], _weibull_start),
+        Spec("birnbaum-saunders", ("alpha", "beta"), lambda a, b: [N(), Af(0.0, a), BSL(), Sc(1.0 / b)],
+             start=_bs_start),
+        Spec("burrxii", ("alpha", "beta"), lambda a, b: [E(), Sc(a), Lp(b)], start=_burrxii_start),
+        Spec("chen", ("alpha", "beta"), lambda a, b: [E(), Sc(b), X(), Pw(a)], start=_chen_start),
+        Spec("chisq", ("alpha",), lambda a: [GP(a / 2.0), Sc(0.5)], start=_chisq_start),
+        Spec("exp", ("alpha",), lambda a: [E(), Sc(a)], start=_exp_start),
+        Spec("f", ("alpha", "beta"), lambda a, b: [B(a / 2.0, b / 2.0), ODI(), Sc(a / b)], start=_f_start),
+        Spec("frechet", ("alpha", "beta"), lambda a, b: [Fr(a), Sc(1.0 / b)], start=_frechet_start),
+        Spec("gamma", ("alpha", "beta"), lambda a, b: [GP(a), Sc(1.0 / b)], start=_gamma_start),
+        Spec("gompertz", ("alpha", "beta"), lambda a, b: [E(), Sc(a / b), X(), Sc(b)], start=_gompertz_start),
+        Spec("lfr", ("alpha", "beta"), lambda a, b: [E(), Q(a, b)], start=_lfr_start),
+        Spec("log-logistic", ("alpha", "beta"), lambda a, b: [LL(a), Sc(1.0 / b)], start=_loglogistic_start),
+        Spec("log-normal", ("alpha", "beta"), lambda a, b: [N(), Af(a, b), LN()], (_REAL, _POS), _lognormal_start),
+        Spec("lomax", ("alpha", "beta"), lambda a, b: [E(), Sc(a), Lp(1.0), Sc(b)], start=_lomax_start),
+        Spec("rayleigh", ("beta",), lambda b: [E(), Pw(2.0), Sc(1.0 / b)], start=_rayleigh_start),
+        Spec("weibull", ("alpha", "beta"), lambda a, b: [E(), Pw(a), Sc(1.0 / b)], start=_weibull_start),
     ]
 }
 
 
-def get_base(name: str) -> BaseDist:
+def get_base(name: str) -> Spec:
     try:
         return BASE_DISTRIBUTIONS[name]
     except KeyError:
@@ -192,15 +167,9 @@ def get_base(name: str) -> BaseDist:
         ) from None
 
 
-def _base(name, params, x):
-    """``(chain, y)`` for a base and its parameters at the points x."""
-    steps, mu = Model((get_base(name),)).resolve(params)
-    return steps, np.asarray(x, dtype=float) - mu
-
-
 def base_log_pdf(name, x, params):
     """log g(x, theta*); -inf outside the support x > mu."""
-    return _scalar(_log_density(*_base(name, params, x)))
+    return _scalar(_log_density(*Model((get_base(name),)).at(params, x)))
 
 
 def base_pdf(name, x, params):
@@ -213,31 +182,28 @@ def base_log_hazard(name, x, params):
     Unlike ``base_log_pdf(...) - log(base_sf(...))`` this stays accurate deep
     in the right tail, where both of those terms are huge and of opposite sign.
     """
-    steps, y = _base(name, params, x)
+    steps, y = Model((get_base(name),)).at(params, x)
     return _scalar(_log_density(_join([L1()], steps), y))
 
 
 def base_cdf(name, x, params):
-    return _scalar(_cdf(*_base(name, params, x)))
+    return _scalar(_cdf(*Model((get_base(name),)).at(params, x)))
 
 
 def base_sf(name, x, params):
     """Survival function 1 - cdf, at full precision in both tails."""
-    return _scalar(_state(*_base(name, params, x))[1])
+    return _scalar(_state(*Model((get_base(name),)).at(params, x))[1])
 
 
 def base_log_sf(name, x, params):
     """ln of the survival function; stays finite far past sf underflow."""
-    return _scalar(-_state(*_base(name, params, x))[2])
+    return _scalar(-_state(*Model((get_base(name),)).at(params, x))[2])
 
 
 def base_quantile(name, q, params):
     steps, mu = Model((get_base(name),)).resolve(params)
-    q = np.asarray(q, dtype=float)
-    if np.any((q < 0) | (q > 1)):
-        raise ValueError("quantile probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        return _scalar(mu + _quantile(steps, (q, 1.0 - q, -np.log1p(-q))))
+        return _scalar(mu + _quantile(steps, _from_p(_unit(q, "quantile probabilities must lie"))))
 
 
 def _uniforms(n, seed, rng):

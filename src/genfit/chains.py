@@ -36,11 +36,18 @@ reads a hazard-form base's cumulative hazard H itself and the two terms +-H
 of ln h' and ln g never form.  Where L1 sits right outside a map with its own
 log-hazard (``lhz``: GP, LL and N), ``_log_slope`` takes the pair as that.
 
-The model boundary.  A ``Model`` is a composition's specs, outermost first,
+The model boundary.  A ``Spec`` is one family or base: its name, its
+parameter names, its chain, their open intervals (``domains``) and, for a
+base, its start rule.  A ``Model`` is a composition's specs, outermost first,
 and the location flag; it alone knows theta's layout (each spec's parameters,
 then mu) and each coordinate's open interval (``domains``).  ``resolve``
 checks a theta's count and every domain but mu's and returns the joined chain
 and mu; ``steps`` joins it unchecked, for a stack masked on ``domains``.
+
+The inputs.  A public function's inputs become states here, once:
+``Model.at`` takes the points x to y = x - mu, the state ``(y,)``;
+``_from_p`` takes a probability p, which ``_unit`` checks, to the triple
+``(p, 1 - p, -ln(1 - p))``.
 
 The support and the non-finite rule.  The runners from y (``_cdf``,
 ``_state``, ``_log_density``) and back (``_quantile``) run the maps inside
@@ -70,6 +77,8 @@ from __future__ import annotations
 import math
 import os
 import threading
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.special as sc
@@ -89,6 +98,19 @@ def _scalar(out):
 
 
 # --- states ----------------------------------------------------------------------
+
+def _unit(u, requires):
+    """u as a float array, checked to lie in [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    if np.any((u < 0) | (u > 1)):
+        raise ValueError(f"{requires} in [0, 1]")
+    return u
+
+
+def _from_p(p):
+    """The triple at v = p, for a caller that silences the divide warning of -ln 0 at p = 1."""
+    return p, 1.0 - p, -np.log1p(-p)
+
 
 def _l(v, w):
     """-ln w for w = 1 - v, taken from v below 1/2."""
@@ -391,11 +413,30 @@ class _DomainError(ValueError):
     """A coordinate of theta outside its open interval."""
 
 
+@dataclass(frozen=True)
+class Spec:
+    """One family or base: ``chain(*params)`` gives its maps, outermost first;
+    ``start(y)``, a base's only, a moment-type start from y = x - mu."""
+
+    name: str
+    param_names: tuple[str, ...]
+    chain: Callable
+    domains: tuple[tuple[float, float], ...] = None  # one open interval per parameter, (0, inf) by default
+    start: Callable = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "param_names", tuple(self.param_names))
+        object.__setattr__(self, "domains", self.domains or (_POS,) * self.n_params)
+
+    @property
+    def n_params(self) -> int:
+        return len(self.param_names)
+
+
 class Model:
-    """A composition: its specs (each with ``name``, ``param_names``,
-    ``domains`` and ``chain``), outermost first, and whether mu comes last.
-    Theta is each spec's parameters in turn, then mu; ``domains`` holds one
-    open interval per coordinate, mu's the real line."""
+    """A composition: its ``Spec``s, outermost first, and whether mu comes
+    last.  Theta is each spec's parameters in turn, then mu; ``domains`` holds
+    one open interval per coordinate, mu's the real line."""
 
     def __init__(self, specs, location=True):
         self.specs, self.location = specs, location
@@ -423,6 +464,11 @@ class Model:
             if not lo < v < hi:
                 raise _DomainError(f"{name}={v} outside ({lo}, {hi})")
         return self.steps(theta), theta[-1] if self.location else 0.0
+
+    def at(self, params, x):
+        """``(steps, y)``: theta checked as by ``resolve``, and y = x - mu."""
+        steps, mu = self.resolve(params)
+        return steps, np.asarray(x, dtype=float) - mu
 
 
 def _apply(m, p, s, inverse=False):

@@ -141,11 +141,12 @@ def _cmd_sample(args):
 
 
 def _load_context(args):
-    """The fit's ``SpacingContext``; what it rejects about the data is a data
-    error (exit 3)."""
+    """The fit's ``SpacingContext``; a data file that cannot be read (missing,
+    a directory) and what the context rejects about the data are data errors
+    (exit 3)."""
     try:
         return SpacingContext(load_dataset(args.data), args.family, args.base, args.location)
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc), EXIT_DATA) from None
 
 

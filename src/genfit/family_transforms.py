@@ -4,32 +4,31 @@ Each family is a cdf-valued transform h: [0,1] -> [0,1] with one to three
 induced shape parameters.  A composed distribution has cdf h(G(x)) where G is
 a shifted base cdf, pdf h'(G(x)) g(x), and quantile G^{-1}(h^{-1}(p)).
 
-A family is its name, its parameter names, their domains and its chain of
-the maps of ``chains``, the maps the bases are written in, outermost first:
-kumg is ``[RP(b), P(a)]`` for h = RP(b) o P(a).  Every composed function
-runs one chain from y = x - mu, the family's joined outside the base's: the
-cdf and its upper tail from the chain's triple, the log-density as ln of its
-slope, the quantile from the chain run backwards on the triple of p, or on
-``(1 - q, q, -ln q)`` for an upper-tail q.  ``h_forward``, ``log_h_prime``
-and ``h_inverse`` run the family's chain alone on a triple of u or p.
+A family is a ``chains.Spec``: its name, its parameter names, their domains
+and its chain of the maps of ``chains``, the maps the bases are written in,
+outermost first: kumg is ``[RP(b), P(a)]`` for h = RP(b) o P(a).  Every
+composed function runs one chain from y = x - mu, the family's joined
+outside the base's: the cdf and its upper tail from the chain's triple, the
+log-density as ln of its slope, the quantile from the chain run backwards on
+the triple of p, or on ``(1 - q, q, -ln q)`` for an upper-tail q.
+``h_forward``, ``log_h_prime`` and ``h_inverse`` run the family's chain alone
+on a triple of u or p.
 
-A public function looks its names up and resolves theta once through
-``chains.Model``: ``Model((family, base), location)``, or
-``Model((family,), False)`` for the ``h_*`` functions.  That checks the count
-and every domain and builds the chain; the chains never check again.
+A public function looks its names up and builds its inputs once through
+``chains.Model`` (see "The model boundary" and "The inputs" there):
+``Model((family, base), location)``, or ``Model((family,), False)`` for the
+``h_*`` functions.  That checks the count and every domain and builds the
+chain; the chains never check again.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .base_distributions import _uniforms, get_base
 from .chains import (
-    _POS, B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, TE, Model, _QUIET, _cdf, _forward_v, _from_l,
-    _lnv, _log_density, _log_slope, _quantile, _scalar, _state
+    _POS, B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, Spec, TE, Model, _QUIET, _cdf, _forward_v,
+    _from_l, _from_p, _lnv, _log_density, _log_slope, _quantile, _scalar, _state, _unit
 )
 
 __all__ = [
@@ -46,53 +45,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One generator transform: its induced parameters and its chain."""
-
-    name: str
-    param_names: tuple[str, ...]
-    # open interval per induced parameter
-    domains: tuple[tuple[float, float], ...]
-    chain: Callable  # chain(*induced) -> [map(*params), ...], outermost first
-
-
-def _family(name, params, chain, domains=None):
-    return FamilySpec(name, tuple(params), domains or (_POS,) * len(params), chain)
-
-
-FAMILIES: dict[str, FamilySpec] = {
+FAMILIES: dict[str, Spec] = {
     f.name: f
     for f in [
-        _family("betaexpg", "abd", lambda a, b, d: [B(b, a), RP(d)]),
-        _family("betag", "ab", lambda a, b: [B(a, b)]),
-        _family("expexppg", "ab", lambda a, b: [TE(b), P(a)]),
-        _family("expg", "a", lambda a: [P(a)]),
-        _family("expgg", "ab", lambda a, b: [P(b), RP(a)]),
-        _family("expkumg", "abd", lambda a, b, d: [P(d), RP(b), P(a)]),
-        _family("gammag", "a", lambda a: [GP(a), L1()]),
-        _family("gammag1", "a", lambda a: [R(), GP(a), L1(), R()]),
-        _family("gammag2", "a", lambda a: [GP(a), OD()]),
-        _family("gbetag", "abd", lambda a, b, d: [B(a, b), P(d)]),
-        _family("gexppg", "ab", lambda a, b: [MO(1.0 - b), R(), TE(a), R()], (_POS, (0.0, 1.0))),
-        _family("gmbetaexpg", "ab", lambda a, b: [P(a), E(), Sc(b), OD()]),
-        _family("gtransg", "ab", lambda a, b: [P(a), QT(b)], (_POS, (-1.0, 1.0))),
-        _family("gxlogisticg", "a", lambda a: [LL(a), L1()]),
-        _family("kumg", "ab", lambda a, b: [RP(b), P(a)]),
-        _family("loggammag1", "ab", lambda a, b: [GP(a), Sc(b), L1()]),
-        _family("loggammag2", "ab", lambda a, b: [R(), GP(a), Sc(b), L1(), R()]),
-        _family("mbetag", "abd", lambda a, b, d: [B(a, b), MO(1.0 / d)]),
-        _family("mog", "a", lambda a: [MO(a)]),
-        _family("mokumg", "abd", lambda a, b, d: [MO(d), RP(b), P(a)]),
-        _family("ologlogg", "abd", lambda a, b, d: [RP(b), P(a), OP(d)]),
-        _family("texpsg", "a", lambda a: [TE(a)]),
-        _family("weibullextg", "ab", lambda a, b: [E(), Sc(a), Pw(1.0 / b), OD()]),
-        _family("weibullg", "ab", lambda a, b: [E(), Pw(a), Sc(1.0 / b), L1()]),
+        Spec("betaexpg", "abd", lambda a, b, d: [B(b, a), RP(d)]),
+        Spec("betag", "ab", lambda a, b: [B(a, b)]),
+        Spec("expexppg", "ab", lambda a, b: [TE(b), P(a)]),
+        Spec("expg", "a", lambda a: [P(a)]),
+        Spec("expgg", "ab", lambda a, b: [P(b), RP(a)]),
+        Spec("expkumg", "abd", lambda a, b, d: [P(d), RP(b), P(a)]),
+        Spec("gammag", "a", lambda a: [GP(a), L1()]),
+        Spec("gammag1", "a", lambda a: [R(), GP(a), L1(), R()]),
+        Spec("gammag2", "a", lambda a: [GP(a), OD()]),
+        Spec("gbetag", "abd", lambda a, b, d: [B(a, b), P(d)]),
+        Spec("gexppg", "ab", lambda a, b: [MO(1.0 - b), R(), TE(a), R()], (_POS, (0.0, 1.0))),
+        Spec("gmbetaexpg", "ab", lambda a, b: [P(a), E(), Sc(b), OD()]),
+        Spec("gtransg", "ab", lambda a, b: [P(a), QT(b)], (_POS, (-1.0, 1.0))),
+        Spec("gxlogisticg", "a", lambda a: [LL(a), L1()]),
+        Spec("kumg", "ab", lambda a, b: [RP(b), P(a)]),
+        Spec("loggammag1", "ab", lambda a, b: [GP(a), Sc(b), L1()]),
+        Spec("loggammag2", "ab", lambda a, b: [R(), GP(a), Sc(b), L1(), R()]),
+        Spec("mbetag", "abd", lambda a, b, d: [B(a, b), MO(1.0 / d)]),
+        Spec("mog", "a", lambda a: [MO(a)]),
+        Spec("mokumg", "abd", lambda a, b, d: [MO(d), RP(b), P(a)]),
+        Spec("ologlogg", "abd", lambda a, b, d: [RP(b), P(a), OP(d)]),
+        Spec("texpsg", "a", lambda a: [TE(a)]),
+        Spec("weibullextg", "ab", lambda a, b: [E(), Sc(a), Pw(1.0 / b), OD()]),
+        Spec("weibullg", "ab", lambda a, b: [E(), Pw(a), Sc(1.0 / b), L1()]),
     ]
 }
 
 
-def get_family(name: str) -> FamilySpec:
+def get_family(name: str) -> Spec:
     try:
         return FAMILIES[name]
     except KeyError:
@@ -101,39 +85,28 @@ def get_family(name: str) -> FamilySpec:
         ) from None
 
 
-def _unit(u, requires):
-    """u as a float array, checked to lie in [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u > 1)):
-        raise ValueError(f"{requires} in [0, 1]")
-    return u
-
-
 def h_forward(name, u, induced):
     """Transform value h(u); h(0) = 0, h(1) = 1, nondecreasing."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
-    u = _unit(u, "h_forward requires u")
     with np.errstate(**_QUIET):
-        v = _forward_v(steps, (u, 1.0 - u, -np.log1p(-u)))
+        v = _forward_v(steps, _from_p(_unit(u, "h_forward requires u")))
     return _scalar(np.minimum(1.0, np.maximum(0.0, v)))
 
 
 def log_h_prime(name, u, induced):
     """log dh/du; may be +-inf at the endpoints, never NaN."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
-    u = _unit(u, "log_h_prime requires u")
     with np.errstate(**_QUIET):
-        out = _log_slope(steps, (u, 1.0 - u, -np.log1p(-u)))
+        out = _log_slope(steps, _from_p(_unit(u, "log_h_prime requires u")))
     return _scalar(np.where(np.isnan(out), -np.inf, out))
 
 
 def _h_inverse(name, p, induced):
     """``(u, -ln(1 - u))`` at the u with h(u) = p."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
-    p = _unit(p, "h_inverse requires p")
     # -ln(1 - u) is the quantile of h over the base E, t -> 1 - e^-t
     with np.errstate(divide="ignore"):
-        lsf = _quantile(steps + [E()], (p, 1.0 - p, -np.log1p(-p)))
+        lsf = _quantile(steps + [E()], _from_p(_unit(p, "h_inverse requires p")))
     return -np.expm1(-lsf), lsf
 
 
@@ -143,8 +116,7 @@ def h_inverse(name, p, induced):
 
 
 def family_log_pdf(family, base, x, params, location=True):
-    steps, mu = Model((get_family(family), get_base(base)), location).resolve(params)
-    return _scalar(_log_density(steps, np.asarray(x, dtype=float) - mu))
+    return _scalar(_log_density(*Model((get_family(family), get_base(base)), location).at(params, x)))
 
 
 def family_pdf(family, base, x, params, location=True, log=False):
@@ -160,8 +132,7 @@ def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=T
     """h(G(x)); with ``lower_tail`` off the chain's own 1 - h and, with
     ``log_p``, its own ln(1 - h), never 1 - h by subtraction; ln h from 1 - h
     where h > 1/2."""
-    steps, mu = Model((get_family(family), get_base(base)), location).resolve(params)
-    y = np.asarray(x, dtype=float) - mu
+    steps, y = Model((get_family(family), get_base(base)), location).at(params, x)
     if lower_tail and not log_p:
         return _scalar(_cdf(steps, y))
     v, w, l = _state(steps, y)
@@ -182,7 +153,7 @@ def family_quantile(family, base, p, params, location=True, log_p=False, lower_t
         # from ln p, 1 - e^p is -expm1(p), and -ln(1 - e^p) follows Maechler's
         # (2012) log1mexp rule, so near ln p = 0 neither is formed by subtraction
         if not log_p:
-            s = (prob, 1.0 - prob, -np.log1p(-prob)) if lower_tail else (1.0 - prob, prob, -np.log(prob))
+            s = _from_p(prob) if lower_tail else (1.0 - prob, prob, -np.log(prob))
         elif lower_tail:
             w = -np.expm1(p)
             s = (prob, w, -np.where(p > -np.log(2.0), np.log(w), np.log1p(-prob)))

@@ -47,7 +47,6 @@ __all__ = [
     "FitResult",
     "MoranTest",
     "spacing_value",
-    "spacing_objective",
     "fit",
     "moran_moments",
     "moran_chi_square_test",
@@ -73,6 +72,8 @@ class SpacingContext:
             raise ValueError("observations must be finite")
         if not self.location and data[0] <= 0:
             raise ValueError("data must exceed the support origin 0 when location is off")
+        if self.location and data[0] == data[-1]:
+            raise ValueError(f"data must not all be equal when location is on (every one is {float(data[0])!r})")
         self.data = data
         self.tied = np.flatnonzero(np.diff(data) == 0.0) + 1
         self.model = Model((get_family(self.family), get_base(self.base)), self.location)
@@ -146,11 +147,6 @@ def _natural(psi, ctx: SpacingContext):
     return theta
 
 
-def from_free(ctx: SpacingContext, psi):
-    """Natural parameters: one row of ``_natural``."""
-    return _natural(np.asarray(psi, dtype=float)[None], ctx)[0]
-
-
 # --- the objective ---------------------------------------------------------
 
 def _log_spacings(h, ctx: SpacingContext, tie_terms):
@@ -211,12 +207,6 @@ def _spacing_rows(psi_rows, ctx: SpacingContext):
     return _mean_log_spacing(_terms(steps, cols[-1] if ctx.location else zero, ctx), ctx, ok)
 
 
-def spacing_objective(theta_free, ctx: SpacingContext) -> float:
-    """S(theta) over the unconstrained parameterization, -inf when invalid:
-    one row of ``_spacing_rows``."""
-    return float(_spacing_rows(np.asarray(theta_free, dtype=float)[None], ctx)[0])
-
-
 # --- starting values -------------------------------------------------------
 
 # u/(1 - u) families without an identity point (at 1.0, F(x_(n)) = 1) start at
@@ -242,7 +232,7 @@ def _start_theta(ctx: SpacingContext, mu0=None):
         mu0 = float(ctx.data[0]) - float(np.std(ctx.data)) / ctx.n if ctx.location else 0.0
     y = ctx.data - mu0
     if np.any(y <= 0):
-        # location on, but the data have no spread to put mu0 below x_(1)
+        # location on, but sd/n is too small to put mu0 below x_(1)
         raise ValueError("data must exceed the support origin")
     base_start = list(dist.start(y))
     theta = induced + base_start + ([mu0] if ctx.location else [])
@@ -284,7 +274,7 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
             f"the spacing objective is -inf at every start tried ({tried})"
         )
     res.n_evals += tried - 1
-    theta_hat = from_free(ctx, res.x_opt)
+    theta_hat = _natural(res.x_opt[None], ctx)[0]
     s_opt = res.f_opt
     return FitResult(
         theta_hat=theta_hat,

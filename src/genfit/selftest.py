@@ -21,6 +21,7 @@ from .gof import ks_test
 __all__ = ["SelfTestRow", "selftest", "default_n_grid"]
 
 _DRAW_LO, _DRAW_HI = 0.5, 5.0
+_MAX_REDRAWS = 50  # theta draws per replication before a composition counts as unsampleable
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def default_n_grid():
     return list(range(5, 101, 5))
 
 
-def selftest(family, base, n_grid=None, reps=100, seed=None, max_redraws=50):
+def selftest(family, base, n_grid=None, reps=100, seed=None):
     """Run the replication study; returns one SelfTestRow per sample size."""
     if n_grid is None:
         n_grid = default_n_grid()
@@ -68,7 +69,7 @@ def selftest(family, base, n_grid=None, reps=100, seed=None, max_redraws=50):
         p_values = np.empty(reps)
         redraws = 0
         for r in range(reps):
-            for _ in range(max_redraws):
+            for _ in range(_MAX_REDRAWS):
                 theta = np.array([rng.uniform(min(a, b), max(a, b)) for a, b in ranges])
                 x = family_sample(family, base, n, theta, location=True, rng=rng)
                 if np.all(np.isfinite(x)):

@@ -4,6 +4,7 @@ Runs ``main`` in-process and captures stdout/stderr, so these are fast and
 don't depend on the console script being installed.
 """
 
+import io
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import genfit
-from genfit.cli import EXIT_DATA, EXIT_USAGE, main
+from genfit.cli import EXIT_DATA, EXIT_FIT, EXIT_USAGE, main
 from genfit.datasets import load_dataset
 from genfit.gof import full_report
 
@@ -169,6 +170,38 @@ class TestFit:
             "--data", "/no/such/file.txt",
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("where", ["directory", "empty"])
+    def test_unreadable_data_path(self, capsys, tmp_path, monkeypatch, where):
+        # a directory, and "", which names the working directory, are data
+        # errors: one message line, no traceback
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "fit", "--family", "mog", "--base", "exp",
+            "--data", str(tmp_path) if where == "directory" else "",
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("genfit: ") and err.count("\n") == 1
+
+    def test_constant_sample_with_location(self, capsys, tmp_path):
+        # no spread for the location to sit below: a data error, not a fit
+        # failure; with the location off the same data still fit
+        p = tmp_path / "d.txt"
+        p.write_text("2\n2\n2\n")
+        code, out, err = run_cli(capsys, "fit", "--family", "mog", "--base", "exp", "--data", str(p))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == "genfit: data must not all be equal when location is on (every one is 2.0)\n"
+        code, _, err = run_cli(capsys, "fit", "--family", "mog", "--base", "exp", "--no-location", "--data", str(p))
+        assert code == 0, err
+
+    def test_infeasible_at_every_start_is_a_fit_failure(self, capsys):
+        code, out, err = run_cli(capsys, "fit", "--family", "gammag2", "--base", "f", "--data", "pollution")
+        assert code == EXIT_FIT
+        assert out == ""
+        assert err == ("genfit: fit failed: infeasible starting point for gammag2 x f; "
+                       "the spacing objective is -inf at every start tried (4)\n")
 
     def test_bad_data_file(self, capsys, tmp_path):
         p = tmp_path / "bad.txt"
@@ -348,6 +381,33 @@ def test_log_p_quantile_near_zero(capsys, tail, want):
                              "--no-location", "--p=-1e-12", "--log-p", *tail, "--output", "json")
     assert code == 0, err
     assert json.loads(out)["points"][0]["value"] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--family", "mog", "--base", "exp", "--data", "pollution", "--sig-level", "1.5"],
+    ["cdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--x", "1:2"],
+    ["cdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--x", "1:2:0"],
+    ["quantile", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--p", "1.5"],
+], ids=["sig-level", "grid-two-fields", "grid-zero-step", "quantile-p"])
+def test_bad_argument_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("genfit: ") and err.count("\n") == 1
+
+
+def test_points_on_stdin(capsys, monkeypatch):
+    argv = ["cdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--output", "json"]
+    _, want, _ = run_cli(capsys, *argv, "--x", "0.5,1,1.5,2")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.5 1\n1.5, 2\n"))
+    code, got, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert got == want
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.5 oops\n"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_DATA
+    assert out == ""
+    assert err.startswith("genfit: bad point on stdin")
 
 
 def test_fit_report_carries_edf_clamped(capsys):

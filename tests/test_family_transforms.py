@@ -323,6 +323,15 @@ class TestComposedDistribution:
         with pytest.raises(ValueError):
             family_cdf("kumg", "weibull", 1.0, (1.0, 1.0, 1.0, 1.0))  # missing mu
 
+    @pytest.mark.parametrize("call", [
+        lambda: base_quantile("weibull", 1.5, (1.0, 1.0, 0.0)),
+        lambda: family_quantile("kumg", "weibull", 1.5, (1.0, 1.0, 1.0, 1.0, 0.0)),
+        lambda: family_quantile("kumg", "weibull", 0.1, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True),
+    ], ids=["base", "family", "family-log-p"])
+    def test_quantile_probability_out_of_range(self, call):
+        with pytest.raises(ValueError, match=r"^quantile probabilities must lie in \[0, 1\]$"):
+            call()
+
 
 class TestDeepTailDensity:
     # the log-scale transform's h' grows like 1/(1-u), so its composite

@@ -22,10 +22,8 @@ from genfit.mps_fit import (
     _starts,
     _terms,
     fit,
-    from_free,
     moran_chi_square_test,
     moran_moments,
-    spacing_objective,
     spacing_value,
     to_free,
 )
@@ -53,6 +51,14 @@ class TestSpacingContext:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SpacingContext(np.array([1.0, np.nan]), "expg", "weibull")
+
+    def test_rejects_constant_sample_with_location(self):
+        # no spread for mu to sit below x_(1): the cause is named up front
+        with pytest.raises(ValueError, match="must not all be equal when location is on"):
+            SpacingContext(np.array([2.0, 2.0, 2.0]), "mog", "exp")
+        # with the location off the same data still fit
+        res = fit(SpacingContext(np.array([2.0, 2.0, 2.0]), "mog", "exp", location=False), OptimizerConfig(seed=0))
+        assert np.isfinite(res.s_opt)
 
     def test_tie_mask(self):
         ctx = SpacingContext(np.array([1.0, 2.0, 2.0, 3.0]), "expg", "weibull")
@@ -201,7 +207,7 @@ class TestSpacingRows:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = mps_fit._spacing_rows(psi_rows, ctx)
-                want = [spacing_objective(psi, ctx) for psi in psi_rows]
+                want = [mps_fit._spacing_rows(psi[None], ctx)[0] for psi in psi_rows]
                 np.testing.assert_array_equal(got, want, err_msg=f"{family} x {base}")
 
     def test_weibullextg_row_at_a_tiny_a(self):
@@ -213,7 +219,7 @@ class TestSpacingRows:
         x, row = to_free(ctx, start), to_free(ctx, (1e-3, 200.0, *start[2:]))
         psi_rows = np.vstack([x, row, x + 0.1])
         got = mps_fit._spacing_rows(psi_rows, ctx)
-        assert got.tobytes() == np.array([spacing_objective(psi, ctx) for psi in psi_rows]).tobytes()
+        assert got.tobytes() == np.array([mps_fit._spacing_rows(psi[None], ctx)[0] for psi in psi_rows]).tobytes()
         assert np.isfinite(got[1])
 
 
@@ -228,20 +234,20 @@ class TestReparameterization:
     )
     def test_round_trip(self, family, base, theta):
         ctx = SpacingContext(np.array([0.5, 1.0, 2.0]), family, base)
-        back = from_free(ctx, to_free(ctx, theta))
+        back = mps_fit._natural(to_free(ctx, theta)[None], ctx)[0]
         np.testing.assert_allclose(back, theta, rtol=1e-12)
 
     def test_location_constraint(self):
         # any free value maps to mu strictly below the smallest observation
         ctx = SpacingContext(np.array([1.0, 2.0]), "expg", "weibull")
         for psi in (-5.0, 0.0, 5.0):
-            theta = from_free(ctx, [0.0, 0.0, 0.0, psi])
+            theta = mps_fit._natural(np.array([0.0, 0.0, 0.0, psi])[None], ctx)[0]
             assert theta[-1] < 1.0
 
     def test_objective_matches_value(self):
         ctx = SpacingContext(np.array([0.5, 1.0, 2.0]), "expg", "weibull")
         theta = (1.3, 1.1, 0.9, 0.2)
-        assert spacing_objective(to_free(ctx, theta), ctx) == pytest.approx(
+        assert mps_fit._spacing_rows(to_free(ctx, theta)[None], ctx)[0] == pytest.approx(
             spacing_value(theta, ctx), rel=1e-12
         )
 

@@ -17,11 +17,12 @@ MODULES = ["base_distributions", "datasets", "family_transforms", "gof", "mps_fi
 # base_isf(_log): family_quantile("expg", base, ln q, (1, *theta), log_p=True, lower_tail=False);
 # one_minus_u/neg_log_sf: family_cdf(family, "exp", -ln(1 - u), (*induced, 1), location=False);
 # chi_square_cdf: scipy.special.gammainc(df/2, x/2); spacing_sum_terms: _terms(*model.resolve(theta), ctx);
-# n_total_params: chains.Model(...).k
+# n_total_params: chains.Model(...).k; BaseDist, FamilySpec: chains.Spec;
+# spacing_objective(psi, ctx): _spacing_rows(psi[None], ctx)[0]; from_free(ctx, psi): _natural(psi[None], ctx)[0]
 GONE = {
-    "base_distributions": ["base_isf", "base_isf_log"],
-    "family_transforms": ["_complements", "n_total_params"],
-    "mps_fit": ["chi_square_cdf", "spacing_sum_terms"],
+    "base_distributions": ["base_isf", "base_isf_log", "BaseDist"],
+    "family_transforms": ["_complements", "n_total_params", "FamilySpec"],
+    "mps_fit": ["chi_square_cdf", "spacing_sum_terms", "spacing_objective", "from_free"],
 }
 
 
@@ -42,19 +43,17 @@ def test_deleted_names_are_gone(module):
 
 
 def test_internal_types_are_not_exported():
-    from genfit import base_distributions, family_transforms
-
-    assert "BaseDist" not in base_distributions.__all__
-    assert "FamilySpec" not in family_transforms.__all__
+    for mod in [genfit] + [importlib.import_module(f"genfit.{module}") for module in MODULES]:
+        assert "Spec" not in mod.__all__, mod.__name__
 
 
 def test_deleted_arguments_and_attributes_are_gone():
-    from genfit.family_transforms import FamilySpec
+    from genfit.chains import Spec
     from genfit.mps_fit import SpacingContext
 
     for fn in (genfit.h_forward, genfit.log_h_prime):
         assert list(inspect.signature(fn).parameters) == ["name", "u", "induced"]
-    assert not hasattr(FamilySpec, "n_induced")
+    assert not hasattr(Spec, "n_induced")
     assert not hasattr(SpacingContext([1.0, 2.0, 2.0], "expg", "exp"), "tie_mask")
 
 
