@@ -20,8 +20,8 @@ hazard-form base the slope of H alone), and the quantile from the chain run
 backwards; the quantile at a survival value is ``family_quantile`` over
 expg at a = 1, the identity family, with ``lower_tail`` off.  Each looks the
 name up and builds its inputs once through ``chains.Model((base,))`` (see
-"The model boundary" and "The inputs" there), which checks the count and
-every domain.
+"The model boundary" and "The inputs and the outputs" there), which checks
+the count and every domain.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .chains import (
     _POS, _REAL, Af, B, BSL, E, Fr, GP, L1, LL, LN, Lp, Model, N, ODI, Pw, Q, Sc, Spec, X, _cdf, _from_p,
-    _join, _log_density, _quantile, _scalar, _state, _unit
+    _join, _log_density, _quantile, _scalar, _state, _to_p
 )
 
 __all__ = [
@@ -192,18 +192,18 @@ def base_cdf(name, x, params):
 
 def base_sf(name, x, params):
     """Survival function 1 - cdf, at full precision in both tails."""
-    return _scalar(_state(*Model((get_base(name),)).at(params, x))[1])
+    return _scalar(_to_p(_state(*Model((get_base(name),)).at(params, x)), lower_tail=False))
 
 
 def base_log_sf(name, x, params):
     """ln of the survival function; stays finite far past sf underflow."""
-    return _scalar(-_state(*Model((get_base(name),)).at(params, x))[2])
+    return _scalar(_to_p(_state(*Model((get_base(name),)).at(params, x)), log_p=True, lower_tail=False))
 
 
 def base_quantile(name, q, params):
     steps, mu = Model((get_base(name),)).resolve(params)
     with np.errstate(divide="ignore"):
-        return _scalar(mu + _quantile(steps, _from_p(_unit(q, "quantile probabilities must lie"))))
+        return _scalar(mu + _quantile(steps, _from_p(q)))
 
 
 def _uniforms(n, seed, rng):

@@ -44,10 +44,10 @@ then mu) and each coordinate's open interval (``domains``).  ``resolve``
 checks a theta's count and every domain but mu's and returns the joined chain
 and mu; ``steps`` joins it unchecked, for a stack masked on ``domains``.
 
-The inputs.  A public function's inputs become states here, once:
-``Model.at`` takes the points x to y = x - mu, the state ``(y,)``;
-``_from_p`` takes a probability p, which ``_unit`` checks, to the triple
-``(p, 1 - p, -ln(1 - p))``.
+The inputs and the outputs.  Inputs become states here, once: ``Model.at``
+takes the points x to y = x - mu, the state ``(y,)``; ``_from_p`` checks a
+probability and builds its triple in any of R's four tails (``lower.tail``,
+``log.p``), which ``_to_p`` reads back: v, 1 - v, ln v and -ln(1 - v).
 
 The support and the non-finite rule.  The runners from y (``_cdf``,
 ``_state``, ``_log_density``) and back (``_quantile``) run the maps inside
@@ -99,19 +99,6 @@ def _scalar(out):
 
 # --- states ----------------------------------------------------------------------
 
-def _unit(u, requires):
-    """u as a float array, checked to lie in [0, 1]."""
-    u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u > 1)):
-        raise ValueError(f"{requires} in [0, 1]")
-    return u
-
-
-def _from_p(p):
-    """The triple at v = p, for a caller that silences the divide warning of -ln 0 at p = 1."""
-    return p, 1.0 - p, -np.log1p(-p)
-
-
 def _l(v, w):
     """-ln w for w = 1 - v, taken from v below 1/2."""
     return -np.where(v < 0.5, np.log1p(-v), np.log(w))
@@ -150,6 +137,32 @@ def _from_l(l):
 def _logistic(z):
     """The triple at logit(v) = z."""
     return sc.expit(z), sc.expit(-z), np.logaddexp(0.0, z)
+
+
+def _from_p(p, requires="quantile probabilities must lie", log_p=False, lower_tail=True):
+    """The triple of a probability p, checked to lie in [0, 1], in the tail
+    its flags name: p, or ln p with ``log_p``, and an upper-tail q, as
+    ``(1 - q, q, -ln q)``, with ``lower_tail`` off.  The caller silences ln 0."""
+    p = np.asarray(p, dtype=float)
+    prob = np.exp(p) if log_p else p  # from a 0-d p a numpy scalar: as a 0-d array P's v**a rounds otherwise
+    if np.any((prob < 0) | (prob > 1)):
+        raise ValueError(f"{requires} in [0, 1]")
+    if log_p and not lower_tail:
+        return _from_l(-p)
+    if log_p:  # 1 - e^p as -expm1(p), and -ln(1 - e^p) by Maechler's (2012) log1mexp rule
+        w = -np.expm1(p)
+        return prob, w, -np.where(p > -np.log(2.0), np.log(w), np.log1p(-prob))
+    return (prob, 1.0 - prob, -np.log1p(-prob)) if lower_tail else (1.0 - prob, prob, -np.log(prob))
+
+
+def _to_p(s, log_p=False, lower_tail=True):
+    """The probability of the triple s in the tail ``_from_p`` takes: v, 1 - v,
+    ln v (from 1 - v above 1/2) or -l; 1 - v is never formed by subtraction."""
+    v, w, l = s
+    if not lower_tail:
+        return -l if log_p else w
+    with np.errstate(divide="ignore"):  # ln 0 at v = 0
+        return _lnv(v, w) if log_p else v
 
 
 def _beta_sides(right, p, q, v, w, fn):
@@ -351,8 +364,7 @@ MO = _Map(_mo_fwd, lambda lv, v, w, l, c: np.log(c) - 2.0 * np.log(v + c * w),
 OP = _Map(lambda v, w, l, d: _logistic(d * (np.log(v) + l)),
           lambda lv, v, w, l, d: (np.log(d) - np.logaddexp(0.0, -d * (lv + l))
                                   - np.logaddexp(0.0, d * (lv + l)) - lv + l),
-          lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True,
-          v=lambda v, w, l, d: sc.expit(d * (np.log(v) + l)))
+          lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True)
 B = _Map(_beta_fwd,
          lambda lv, v, w, l, p, q: _xl(p - 1.0, lv) - (q - 1.0) * l - sc.betaln(p, q),
          _beta_inv,
@@ -363,8 +375,7 @@ TE = _Map(_te_fwd, lambda lv, v, w, l, c: np.log(c) - c * v - np.log(-np.expm1(-
           top=lambda c: (1.0, np.log(c) - c - np.log(-np.expm1(-c))),
           v=lambda v, w, l, c: np.expm1(-c * v) / np.expm1(-c))
 QT = _Map(_qt_fwd, lambda lv, v, w, l, b: np.log1p(b * (w - v)), _qt_inv,
-          bot=lambda b: (1.0, np.log1p(b)), top=lambda b: (1.0, np.log1p(-b)),
-          v=lambda v, w, l, b: v * (1.0 + b * w))
+          bot=lambda b: (1.0, np.log1p(b)), top=lambda b: (1.0, np.log1p(-b)))
 R = _Map(_rev, lambda lv, v, w, l: 0.0, _rev, bot=None)
 L1 = _Map(lambda v, w, l: (l,), lambda lv, v, w, l: l, _from_l, reads_l=True)
 OD = _Map(lambda v, w, l: (v / w,), lambda lv, v, w, l: 2.0 * l, _odds_inv)
@@ -393,7 +404,7 @@ LL = _Map(lambda t, a: _logistic(a * np.log(t)),
 Fr = _Map(_frechet_fwd, lambda lt, t, k: np.log(k) - _xl(k + 1.0, lt) - t**-k,
           lambda v, w, l, k: (np.where(l > 36.0, np.exp(l / k), (-_lnv(v, w)) ** (-1.0 / k)),), bot=None)
 N = _Map(_normal_fwd, _normal_lpd, lambda v, w, l: _two_sided(v, l, sc.ndtri, lambda x: -sc.ndtri_exp(-x)),
-         bot=None, v=sc.ndtr, w=lambda z: sc.ndtr(-z), lhz=_normal_lhz)
+         bot=None, v=sc.ndtr, lhz=_normal_lhz)
 LN = _Map(lambda t: (np.log(t),), lambda lt, t: -lt, lambda z: (np.exp(z),), bot=None)
 Af = _Map(lambda z, a, b: ((z - a) / b,), lambda lz, z, a, b: -np.log(b), lambda z, a, b: (a + b * z,), bot=None)
 BSL = _Map(lambda t: (np.sqrt(t) - 1.0 / np.sqrt(t),),

@@ -9,13 +9,13 @@ and its chain of the maps of ``chains``, the maps the bases are written in,
 outermost first: kumg is ``[RP(b), P(a)]`` for h = RP(b) o P(a).  Every
 composed function runs one chain from y = x - mu, the family's joined
 outside the base's: the cdf and its upper tail from the chain's triple, the
-log-density as ln of its slope, the quantile from the chain run backwards on
-the triple of p, or on ``(1 - q, q, -ln q)`` for an upper-tail q.
+log-density as ln of its slope, the quantile from the chain run backwards.
 ``h_forward``, ``log_h_prime`` and ``h_inverse`` run the family's chain alone
 on a triple of u or p.
 
 A public function looks its names up and builds its inputs once through
-``chains.Model`` (see "The model boundary" and "The inputs" there):
+``chains.Model`` and ``_from_p``, which with ``_to_p`` hold the four tails
+(see "The model boundary" and "The inputs and the outputs" there):
 ``Model((family, base), location)``, or ``Model((family,), False)`` for the
 ``h_*`` functions.  That checks the count and every domain and builds the
 chain; the chains never check again.
@@ -28,7 +28,7 @@ import numpy as np
 from .base_distributions import _uniforms, get_base
 from .chains import (
     _POS, B, E, GP, L1, LL, MO, OD, OP, P, Pw, QT, R, RP, Sc, Spec, TE, Model, _QUIET, _cdf, _forward_v,
-    _from_l, _from_p, _lnv, _log_density, _log_slope, _quantile, _scalar, _state, _unit
+    _from_p, _log_density, _log_slope, _quantile, _scalar, _state, _to_p
 )
 
 __all__ = [
@@ -89,7 +89,7 @@ def h_forward(name, u, induced):
     """Transform value h(u); h(0) = 0, h(1) = 1, nondecreasing."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
     with np.errstate(**_QUIET):
-        v = _forward_v(steps, _from_p(_unit(u, "h_forward requires u")))
+        v = _forward_v(steps, _from_p(u, "h_forward requires u"))
     return _scalar(np.minimum(1.0, np.maximum(0.0, v)))
 
 
@@ -97,7 +97,7 @@ def log_h_prime(name, u, induced):
     """log dh/du; may be +-inf at the endpoints, never NaN."""
     steps, _ = Model((get_family(name),), False).resolve(induced)
     with np.errstate(**_QUIET):
-        out = _log_slope(steps, _from_p(_unit(u, "log_h_prime requires u")))
+        out = _log_slope(steps, _from_p(u, "log_h_prime requires u"))
     return _scalar(np.where(np.isnan(out), -np.inf, out))
 
 
@@ -106,7 +106,7 @@ def _h_inverse(name, p, induced):
     steps, _ = Model((get_family(name),), False).resolve(induced)
     # -ln(1 - u) is the quantile of h over the base E, t -> 1 - e^-t
     with np.errstate(divide="ignore"):
-        lsf = _quantile(steps + [E()], _from_p(_unit(p, "h_inverse requires p")))
+        lsf = _quantile(steps + [E()], _from_p(p, "h_inverse requires p"))
     return -np.expm1(-lsf), lsf
 
 
@@ -129,36 +129,17 @@ def family_pdf(family, base, x, params, location=True, log=False):
 
 
 def family_cdf(family, base, x, params, location=True, log_p=False, lower_tail=True):
-    """h(G(x)); with ``lower_tail`` off the chain's own 1 - h and, with
-    ``log_p``, its own ln(1 - h), never 1 - h by subtraction; ln h from 1 - h
-    where h > 1/2."""
+    """h(G(x)) in the tail ``_to_p`` reads from the chain's triple."""
     steps, y = Model((get_family(family), get_base(base)), location).at(params, x)
     if lower_tail and not log_p:
         return _scalar(_cdf(steps, y))
-    v, w, l = _state(steps, y)
-    if lower_tail:
-        with np.errstate(divide="ignore"):
-            return _scalar(_lnv(v, w))
-    return _scalar(-l if log_p else w)
+    return _scalar(_to_p(_state(steps, y), log_p, lower_tail))
 
 
 def family_quantile(family, base, p, params, location=True, log_p=False, lower_tail=True):
     steps, mu = Model((get_family(family), get_base(base)), location).resolve(params)
-    p = np.asarray(p, dtype=float)
-    prob = np.exp(p) if log_p else p
-    if np.any((prob < 0) | (prob > 1)):
-        raise ValueError("quantile probabilities must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        # the upper-tail probability q starts the chain as (1 - q, q, -ln q);
-        # from ln p, 1 - e^p is -expm1(p), and -ln(1 - e^p) follows Maechler's
-        # (2012) log1mexp rule, so near ln p = 0 neither is formed by subtraction
-        if not log_p:
-            s = _from_p(prob) if lower_tail else (1.0 - prob, prob, -np.log(prob))
-        elif lower_tail:
-            w = -np.expm1(p)
-            s = (prob, w, -np.where(p > -np.log(2.0), np.log(w), np.log1p(-prob)))
-        else:
-            s = _from_l(-p)
+        s = _from_p(p, log_p=log_p, lower_tail=lower_tail)
     return _scalar(mu + _quantile(steps, s))
 
 

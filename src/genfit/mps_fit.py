@@ -72,8 +72,10 @@ class SpacingContext:
             raise ValueError("observations must be finite")
         if not self.location and data[0] <= 0:
             raise ValueError("data must exceed the support origin 0 when location is off")
-        if self.location and data[0] == data[-1]:
-            raise ValueError(f"data must not all be equal when location is on (every one is {float(data[0])!r})")
+        if data[0] == data[-1]:
+            # no room for mu below x_(1), and with the location off no maximum of S: the
+            # ties' log-density grows without bound as the density spikes there
+            raise ValueError(f"data must not all be equal (every one is {float(data[0])!r})")
         self.data = data
         self.tied = np.flatnonzero(np.diff(data) == 0.0) + 1
         self.model = Model((get_family(self.family), get_base(self.base)), self.location)
@@ -230,29 +232,28 @@ def _start_theta(ctx: SpacingContext, mu0=None):
     induced = list(_ODDS_STARTS.get(ctx.family, (_DOMAINS[d][2] for d in fam.domains)))
     if mu0 is None:
         mu0 = float(ctx.data[0]) - float(np.std(ctx.data)) / ctx.n if ctx.location else 0.0
-    y = ctx.data - mu0
-    if np.any(y <= 0):
-        # location on, but sd/n is too small to put mu0 below x_(1)
-        raise ValueError("data must exceed the support origin")
-    base_start = list(dist.start(y))
+    if not mu0 < ctx.data[0]:
+        raise ValueError(f"mu0 = {mu0!r} is not below x_(1)")
+    base_start = list(dist.start(ctx.data - mu0))
     theta = induced + base_start + ([mu0] if ctx.location else [])
     return np.asarray(theta, dtype=float)
 
 
 def _starts(ctx: SpacingContext):
-    """The moment start, then (location on) the fallback starts, in order;
-    for the chisq base the last one matches the mean and the variance: a
-    chisq_k has mean k and variance 2k, so mu0 = mean - var/2 and the base's
-    start rule, k = mean(y), gives k = var/2."""
-    yield _start_theta(ctx)
-    if ctx.location:
-        sd = float(np.std(ctx.data))
-        for c in _FALLBACK_SDS:
-            yield _start_theta(ctx, float(ctx.data[0]) - c * sd)
-        if ctx.base == "chisq":
-            mu0 = float(np.mean(ctx.data)) - float(np.var(ctx.data)) / 2.0
-            if mu0 < ctx.data[0]:
-                yield _start_theta(ctx, mu0)
+    """The moment start, then (location on) the fallback starts, in order,
+    each only where its mu0 is below x_(1): where the spread is small against
+    the spacing of the doubles at x_(1), mu0 may round onto it.  For the chisq
+    base the last one matches the mean and the variance: a chisq_k has mean k
+    and variance 2k, so mu0 = mean - var/2 and the base's start rule,
+    k = mean(y), gives k = var/2."""
+    if not ctx.location:
+        yield _start_theta(ctx)
+        return
+    x1, sd = float(ctx.data[0]), float(np.std(ctx.data))
+    mu0s = [x1 - sd / ctx.n] + [x1 - c * sd for c in _FALLBACK_SDS]
+    if ctx.base == "chisq":
+        mu0s.append(float(np.mean(ctx.data)) - float(np.var(ctx.data)) / 2.0)
+    yield from (_start_theta(ctx, mu0) for mu0 in mu0s if mu0 < x1)
 
 
 def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult:
@@ -262,6 +263,7 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
         config = OptimizerConfig()
     # maximize gives up after one evaluation at an infeasible start; n_evals
     # adds those probes
+    tried = 0
     for tried, theta0 in enumerate(_starts(ctx), 1):
         try:
             res = maximize(lambda psi_rows: _spacing_rows(psi_rows, ctx), to_free(ctx, theta0), config)
@@ -269,6 +271,9 @@ def fit(ctx: SpacingContext, config: OptimizerConfig | None = None) -> FitResult
         except _InfeasibleStart:
             pass
     else:
+        if not tried:
+            raise ValueError(f"no start for {ctx.family} x {ctx.base}: the data's spread is too small to put mu0 "
+                             f"below x_(1) = {float(ctx.data[0])!r}")
         raise ValueError(
             f"infeasible starting point for {ctx.family} x {ctx.base}; "
             f"the spacing objective is -inf at every start tried ({tried})"

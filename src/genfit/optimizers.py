@@ -24,6 +24,7 @@ import numpy as np
 __all__ = ["OptimizerConfig", "OptResult", "maximize", "resolve_method"]
 
 _BIG = 1e300
+_F_TOL, _X_TOL = 1e-10, 1e-8  # Nelder-Mead stops once the simplex spans no more in f and in x
 
 _ALIASES = {
     "nelder-mead": "nelder-mead",
@@ -50,8 +51,6 @@ def resolve_method(name: str) -> str:
 class OptimizerConfig:
     method: str = "nelder-mead"
     max_iter: int = 2000
-    f_tol: float = 1e-10
-    x_tol: float = 1e-8
     restarts: int = 3
     seed: int | None = None
 
@@ -126,8 +125,7 @@ def _nelder_mead(x0, config):
     sim, fsim = _order(*_order(sim, fsim))
     iterations = 1
     while iterations < config.max_iter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= config.x_tol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= config.f_tol):
+        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _X_TOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _F_TOL:
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]

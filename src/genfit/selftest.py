@@ -76,9 +76,7 @@ def selftest(family, base, n_grid=None, reps=100, seed=None):
                     break
                 redraws += 1
             else:
-                raise RuntimeError(
-                    f"could not draw a feasible parameter vector for {family} x {base}"
-                )
+                raise ValueError(f"could not draw a feasible parameter vector for {family} x {base}")
             u = family_cdf(family, base, np.sort(x), theta, location=True)
             _, p = ks_test(u)
             p_values[r] = p

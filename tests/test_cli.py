@@ -185,16 +185,28 @@ class TestFit:
         assert err.startswith("genfit: ") and err.count("\n") == 1
 
     def test_constant_sample_with_location(self, capsys, tmp_path):
-        # no spread for the location to sit below: a data error, not a fit
-        # failure; with the location off the same data still fit
+        # no spread for the location to sit below, and with the location off
+        # no maximum of S: a data error either way, not a fit failure
         p = tmp_path / "d.txt"
         p.write_text("2\n2\n2\n")
-        code, out, err = run_cli(capsys, "fit", "--family", "mog", "--base", "exp", "--data", str(p))
-        assert code == EXIT_DATA
-        assert out == ""
-        assert err == "genfit: data must not all be equal when location is on (every one is 2.0)\n"
-        code, _, err = run_cli(capsys, "fit", "--family", "mog", "--base", "exp", "--no-location", "--data", str(p))
+        for flags in ([], ["--no-location"]):
+            code, out, err = run_cli(capsys, "fit", "--family", "mog", "--base", "exp", *flags, "--data", str(p))
+            assert code == EXIT_DATA
+            assert out == ""
+            assert err == "genfit: data must not all be equal (every one is 2.0)\n"
+
+    def test_moment_start_on_the_first_point_falls_back(self, capsys, tmp_path):
+        # sd/n = 4.9 is below half the spacing 16 of the doubles at 1e17, so
+        # the moment start's mu0 rounds onto x_(1); the fallback x_(1) - sd fits
+        p = tmp_path / "d.txt"
+        p.write_text("1e17\n1.00000000000000016e17\n1.00000000000000032e17\n1.00000000000000048e17\n")
+        code, out, err = run_cli(
+            capsys, "fit", "--family", "mog", "--base", "exp", "--data", str(p), "--seed", "0", "--output", "json"
+        )
         assert code == 0, err
+        doc = json.loads(out)
+        assert doc["mps"][-1] < 1e17
+        assert doc["convergence"]["status"] == "Algorithm Converged"
 
     def test_infeasible_at_every_start_is_a_fit_failure(self, capsys):
         code, out, err = run_cli(capsys, "fit", "--family", "gammag2", "--base", "f", "--data", "pollution")
@@ -270,6 +282,15 @@ class TestListAndSelftest:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("genfit: selftest")
+
+    def test_selftest_that_cannot_draw_exits_2(self, capsys, monkeypatch):
+        # every draw non-finite: one message line, no traceback
+        module = sys.modules["genfit.selftest"]  # genfit.selftest is the function
+        monkeypatch.setattr(module, "family_sample", lambda family, base, n, *a, **kw: np.full(n, np.nan))
+        code, out, err = run_cli(capsys, "selftest", *KUMG, "--n-grid", "10", "--reps", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "genfit: could not draw a feasible parameter vector for kumg x weibull\n"
 
 
 KUMG = ["--family", "kumg", "--base", "weibull"]

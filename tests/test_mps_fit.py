@@ -54,11 +54,12 @@ class TestSpacingContext:
 
     def test_rejects_constant_sample_with_location(self):
         # no spread for mu to sit below x_(1): the cause is named up front
-        with pytest.raises(ValueError, match="must not all be equal when location is on"):
+        with pytest.raises(ValueError, match=r"must not all be equal \(every one is 2.0\)"):
             SpacingContext(np.array([2.0, 2.0, 2.0]), "mog", "exp")
-        # with the location off the same data still fit
-        res = fit(SpacingContext(np.array([2.0, 2.0, 2.0]), "mog", "exp", location=False), OptimizerConfig(seed=0))
-        assert np.isfinite(res.s_opt)
+        # with the location off S has no maximum, as the ties' log-density
+        # grows without bound, so the same data are refused too
+        with pytest.raises(ValueError, match=r"must not all be equal \(every one is 2.0\)"):
+            SpacingContext(np.array([2.0, 2.0, 2.0]), "mog", "exp", location=False)
 
     def test_tie_mask(self):
         ctx = SpacingContext(np.array([1.0, 2.0, 2.0, 3.0]), "expg", "weibull")
@@ -293,6 +294,40 @@ class TestFit:
         res = fit(ctx, OptimizerConfig(seed=0, max_iter=50, restarts=0))
         assert np.isfinite(res.s_opt) and res.s_opt >= s[4]
         assert res.convergence.n_evals > 4
+
+    def test_start_that_rounds_onto_the_first_point_is_skipped(self, monkeypatch):
+        # sd/n = 4.9 is below half the spacing 16 of the doubles at 1e17, so
+        # the moment start's mu0 is x_(1): it is skipped, not probed, and the
+        # fit runs from the first fallback, x_(1) - sd
+        data = np.array([1e17, 1.00000000000000016e17, 1.00000000000000032e17, 1.00000000000000048e17])
+        ctx = SpacingContext(data, "mog", "exp")
+        assert data[0] - np.std(data) / 4 == data[0]
+        starts = list(_starts(ctx))
+        assert len(starts) == 3 and all(theta[-1] < data[0] for theta in starts)
+        assert starts[0][-1] == data[0] - np.std(data)
+        calls = []
+        rows = mps_fit._spacing_rows
+
+        def counted_rows(psi_rows, ctx):
+            calls.extend([1] * len(psi_rows))
+            return rows(psi_rows, ctx)
+
+        monkeypatch.setattr(mps_fit, "_spacing_rows", counted_rows)
+        res = fit(ctx, OptimizerConfig(seed=0))
+        assert res.convergence.converged
+        assert res.s_opt == pytest.approx(-1.616802, abs=1e-6)
+        assert res.theta_hat[-1] < data[0]
+        assert len(calls) == res.convergence.n_evals
+
+    def test_no_start_below_the_first_point_names_the_cause(self):
+        # 16 sd is below half the spacing of the doubles at 1e17: every start
+        # rounds onto x_(1), and none is probed
+        ctx = SpacingContext(np.r_[np.full(1999, 1e17), 1e17 + 16.0], "mog", "exp")
+        assert list(_starts(ctx)) == []
+        with pytest.raises(ValueError, match=r"no start for mog x exp: .* below x_\(1\) = 1e\+17"):
+            fit(ctx, OptimizerConfig(seed=0))
+        with pytest.raises(ValueError, match="is not below x_"):
+            _start_theta(ctx)
 
     @pytest.mark.parametrize("family,base", [("mog", "chisq"), ("gammag2", "gompertz")])
     def test_fallback_start_rescues_the_fit(self, monkeypatch, family, base):

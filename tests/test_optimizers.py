@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from genfit.optimizers import _BIG, OptimizerConfig, _nelder_mead, _value_and_grad, maximize, resolve_method
+from genfit.optimizers import (
+    _BIG, _F_TOL, _X_TOL, OptimizerConfig, _nelder_mead, _value_and_grad, maximize, resolve_method
+)
 
 
 def stack(f):
@@ -156,7 +158,7 @@ class TestGradient:
 
 def _scipy_options(cfg):
     # the options scipy's Nelder-Mead ran with before the port
-    return {"maxiter": cfg.max_iter, "maxfev": 50 * cfg.max_iter, "xatol": cfg.x_tol, "fatol": cfg.f_tol}
+    return {"maxiter": cfg.max_iter, "maxfev": 50 * cfg.max_iter, "xatol": _X_TOL, "fatol": _F_TOL}
 
 
 def _run_port(fun, x0, cfg):

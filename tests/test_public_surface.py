@@ -48,13 +48,22 @@ def test_internal_types_are_not_exported():
 
 
 def test_deleted_arguments_and_attributes_are_gone():
+    from genfit import chains, family_transforms
     from genfit.chains import Spec
     from genfit.mps_fit import SpacingContext
+    from genfit.optimizers import OptimizerConfig
 
     for fn in (genfit.h_forward, genfit.log_h_prime):
         assert list(inspect.signature(fn).parameters) == ["name", "u", "induced"]
     assert not hasattr(Spec, "n_induced")
     assert not hasattr(SpacingContext([1.0, 2.0, 2.0], "expg", "exp"), "tie_mask")
+    # a probability's triple is built and read in chains alone (_from_p, _to_p)
+    assert not hasattr(chains, "_unit")
+    assert not {"_unit", "_lnv", "_from_l"} & set(vars(family_transforms))
+    # Nelder-Mead's tolerances are constants of its own, not options
+    for option in ("f_tol", "x_tol"):
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{option: 1e-6})
 
 
 def test_the_cli_replaces_the_case_study_scripts():

@@ -1,8 +1,27 @@
 """Checks for the sampling self-test harness."""
 
-import numpy as np
+import sys
 
-from genfit.selftest import SelfTestRow, default_n_grid, selftest
+import numpy as np
+import pytest
+
+from genfit.family_transforms import family_sample
+from genfit.selftest import _MAX_REDRAWS, SelfTestRow, default_n_grid, selftest
+
+# the module; the package's attribute genfit.selftest is the function
+SELFTEST = sys.modules["genfit.selftest"]
+
+
+def _failing_first(k):
+    """family_sample with its first k draws non-finite."""
+    calls = []
+
+    def sample(family, base, n, *args, **kw):
+        calls.append(n)
+        x = family_sample(family, base, n, *args, **kw)
+        return np.full(n, np.inf) if len(calls) <= k else x
+
+    return sample
 
 
 def test_default_grid():
@@ -34,3 +53,21 @@ def test_summary_fields():
     assert s["median"] == 0.5
     assert s["frac_above_0.05"] == 1.0
     assert s["redraws"] == 2
+
+
+def test_redraws_count_the_non_finite_draws(monkeypatch):
+    monkeypatch.setattr(SELFTEST, "family_sample", _failing_first(3))
+    (row,) = selftest("kumg", "weibull", n_grid=[10], reps=2, seed=1)
+    assert row.redraws == 3
+    assert np.all((row.p_values >= 0.0) & (row.p_values <= 1.0))
+
+
+def test_a_replication_with_no_finite_draw_raises(monkeypatch):
+    # _MAX_REDRAWS draws, all non-finite: the composition is unsampleable
+    monkeypatch.setattr(SELFTEST, "family_sample", _failing_first(_MAX_REDRAWS))
+    with pytest.raises(ValueError, match="could not draw a feasible parameter vector for kumg x weibull"):
+        selftest("kumg", "weibull", n_grid=[10], reps=1, seed=1)
+    # one fewer leaves the last draw, which is finite
+    monkeypatch.setattr(SELFTEST, "family_sample", _failing_first(_MAX_REDRAWS - 1))
+    (row,) = selftest("kumg", "weibull", n_grid=[10], reps=1, seed=1)
+    assert row.redraws == _MAX_REDRAWS - 1
