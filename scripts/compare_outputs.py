@@ -51,6 +51,7 @@ The grids:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import fnmatch
 import math
 import os
@@ -422,6 +423,19 @@ def compare(old, new, expect):
     return not unexpected
 
 
+@contextlib.contextmanager
+def ref_tree(repo, ref):
+    """A detached ``git worktree`` of ``ref`` in a temporary directory, removed
+    again on exit; the directory holding it is scratch space for the caller."""
+    with tempfile.TemporaryDirectory(prefix="genfit-compare-") as tmp:
+        tree = Path(tmp) / "ref"
+        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", "--quiet", str(tree), ref], check=True)
+        try:
+            yield tree
+        finally:
+            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(tree)], check=False)
+
+
 def _run_side(src, grid, out):
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, __file__, "--worker", str(out), "--grid", grid],
@@ -445,15 +459,9 @@ def main(argv=None):
     if not args.ref:
         parser.error("--ref is required")
     repo = args.repo.resolve()
-    with tempfile.TemporaryDirectory(prefix="genfit-compare-") as tmp:
-        tree = Path(tmp) / "ref"
-        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", "--quiet", str(tree), args.ref],
-                       check=True)
-        try:
-            old = _run_side(tree / "src", args.grid, Path(tmp) / "ref.pkl")
-            new = _run_side(repo / "src", args.grid, Path(tmp) / "new.pkl")
-        finally:
-            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(tree)], check=False)
+    with ref_tree(repo, args.ref) as tree:
+        old = _run_side(tree / "src", args.grid, tree.parent / "ref.pkl")
+        new = _run_side(repo / "src", args.grid, tree.parent / "new.pkl")
     return 0 if compare(old, new, args.expect) else 1
 
 

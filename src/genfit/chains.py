@@ -28,13 +28,19 @@ map that does not carry -ln(1 - v) exactly applies its behaviour at 1,
 ``1 - phi(v) ~ e^lam (1 - v)^q`` (``top``); ``_log_slope`` follows ln v past
 the underflow of v by each map's behaviour at 0, ``phi(v) ~ e^mu v^r``
 (``bot``; None where there is no such law).  A -ln(1 - v) that only repeats
-v and 1 - v is formed when a map reads it (``_full``).
+v and 1 - v is formed when a map reads it (``_full``), and ``_log_slope``
+forms a state's ln v and -ln(1 - v) only where the slope of the map it
+enters reads them (``slope_reads``), ln v also where a map further out
+continues it past its underflow.
 
 One chain from y.  ``_join`` puts a family's chain outside a base's and drops
 an adjacent L1 o E, the identity, so a family that starts with -ln(1 - u)
 reads a hazard-form base's cumulative hazard H itself and the two terms +-H
 of ln h' and ln g never form.  Where L1 sits right outside a map with its own
 log-hazard (``lhz``: GP, LL and N), ``_log_slope`` takes the pair as that.
+``_cdf_log_density`` takes the cdf and the log-density from one walk
+(``_log_slope`` with ``with_v``), bit for bit as ``_cdf`` and
+``_log_density`` give them.
 
 The model boundary.  A ``Spec`` is one family or base: its name, its
 parameter names, its chain, their open intervals (``domains``) and, for a
@@ -50,14 +56,15 @@ probability and builds its triple in any of R's four tails (``lower.tail``,
 ``log.p``), which ``_to_p`` reads back: v, 1 - v, ln v and -ln(1 - v).
 
 The support and the non-finite rule.  The runners from y (``_cdf``,
-``_state``, ``_log_density``) and back (``_quantile``) run the maps inside
-numpy's silenced floating-point warnings.  y <= 0 and a NaN y are outside
-the support: the triple (0, 1, 0) and log-density -inf; y = +inf gives
-(1, 0, +inf) and log-density -inf.  A NaN a map makes inside the support
-stays NaN: the spacing objective reads it as an infeasible point, and the
-log-density reads it (like a +inf, which only the underflow of an
-intermediate state makes) as a zero density.  A parameter is a float or a
-(B, 1) column, one entry per row of a (B, n) state
+``_state``, ``_log_density``, ``_cdf_log_density``) and back (``_quantile``)
+run the maps inside numpy's silenced floating-point warnings.  y <= 0 and a
+NaN y are outside the support: the triple (0, 1, 0) and log-density -inf;
+y = +inf gives (1, 0, +inf) and log-density -inf.  A NaN a map makes inside
+the support stays NaN: the spacing objective reads it as an infeasible
+point, and the log-density reads it (like a +inf, which only the underflow
+of an intermediate state makes) as a zero density.  A NaN probability gives
+a NaN quantile, as R's ``q*`` functions and scipy's ``ppf`` do.  A parameter
+is a float or a (B, 1) column, one entry per row of a (B, n) state
 (``mps_fit._spacing_rows``); the maps apply numpy's functions to either, so
 neither has a route of its own.
 
@@ -144,9 +151,10 @@ def _from_p(p, requires="quantile probabilities must lie", log_p=False, lower_ta
     its flags name: p, or ln p with ``log_p``, and an upper-tail q, as
     ``(1 - q, q, -ln q)``, with ``lower_tail`` off.  The caller silences ln 0."""
     p = np.asarray(p, dtype=float)
-    prob = np.exp(p) if log_p else p  # from a 0-d p a numpy scalar: as a 0-d array P's v**a rounds otherwise
-    if np.any((prob < 0) | (prob > 1)):
+    # ln p is checked before e^p, which overflows above ln p = 709; a NaN passes
+    if np.any(p > 0.0 if log_p else (p < 0.0) | (p > 1.0)):
         raise ValueError(f"{requires} in [0, 1]")
+    prob = np.exp(p) if log_p else p  # from a 0-d p a numpy scalar: as a 0-d array P's v**a rounds otherwise
     if log_p and not lower_tail:
         return _from_l(-p)
     if log_p:  # 1 - e^p as -expm1(p), and -ln(1 - e^p) by Maechler's (2012) log1mexp rule
@@ -179,13 +187,16 @@ class _Map:
     """A primitive map: ``fwd(*state, *p)``, ``lpd(ln v, *state, *p)`` (ln|phi'|
     given ln of the state's first element), ``inv(*state, *p)``, ``bot`` and
     ``top`` (None: the map carries -ln(1 - v) exactly); ``reads_l`` marks the
-    forward maps that read -ln(1 - v); ``v`` and ``w`` give v or 1 - v alone,
-    for a cdf's outermost map; ``lhz(ln v, l, *state, *p)``, given the map's
-    own -ln(1 - phi), is ln phi'/(1 - phi)."""
+    forward maps that read -ln(1 - v), and ``slope_reads`` what ``lpd`` and
+    ``lhz`` read of their input state: "v" its ln v, "l" its -ln(1 - v) (an
+    undeclared one may come stale or None); ``v`` and ``w`` give v or 1 - v
+    alone, for a cdf's outermost map; ``lhz(ln v, l, *state, *p)``, given the
+    map's own -ln(1 - phi), is ln phi'/(1 - phi)."""
 
-    def __init__(self, fwd, lpd, inv, bot=lambda *p: (1.0, 0.0), top=None, reads_l=False, v=None, w=None,
-                 lhz=None):
+    def __init__(self, fwd, lpd, inv, bot=lambda *p: (1.0, 0.0), top=None, reads_l=False, slope_reads="",
+                 v=None, w=None, lhz=None):
         self.fwd, self.lpd, self.inv, self.bot, self.top, self.reads_l = fwd, lpd, inv, bot, top, reads_l
+        self.slope_reads = slope_reads
         self.v, self.w, self.lhz = v or (lambda *a: fwd(*a)[0]), w or (lambda *a: fwd(*a)[1]), lhz
 
     def __call__(self, *p):
@@ -355,21 +366,22 @@ def _rev(v, w, l):
 
 
 P = _Map(_pow_fwd, lambda lv, v, w, l, a: np.log(a) + _xl(a - 1.0, lv), _pow_inv,
-         bot=lambda a: (a, 0.0), top=lambda a: (1.0, np.log(a)), v=lambda v, w, l, a: v**a)
+         bot=lambda a: (a, 0.0), top=lambda a: (1.0, np.log(a)), slope_reads="v", v=lambda v, w, l, a: v**a)
 RP = _Map(lambda v, w, l, b: _from_l(b * l), lambda lv, v, w, l, b: np.log(b) - (b - 1.0) * l,
-          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, np.log(b)), reads_l=True)
+          lambda v, w, l, b: _from_l(l / b), bot=lambda b: (1.0, np.log(b)), reads_l=True, slope_reads="l")
 MO = _Map(_mo_fwd, lambda lv, v, w, l, c: np.log(c) - 2.0 * np.log(v + c * w),
           lambda v, w, l, c: _mo_fwd(v, w, l, 1.0 / c),
           bot=lambda c: (1.0, -np.log(c)), top=lambda c: (1.0, np.log(c)))
 OP = _Map(lambda v, w, l, d: _logistic(d * (np.log(v) + l)),
           lambda lv, v, w, l, d: (np.log(d) - np.logaddexp(0.0, -d * (lv + l))
                                   - np.logaddexp(0.0, d * (lv + l)) - lv + l),
-          lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True)
+          lambda v, w, l, d: _logistic((np.log(v) + l) / d), bot=lambda d: (d, 0.0), reads_l=True,
+          slope_reads="vl")
 B = _Map(_beta_fwd,
          lambda lv, v, w, l, p, q: _xl(p - 1.0, lv) - (q - 1.0) * l - sc.betaln(p, q),
          _beta_inv,
          bot=lambda p, q: (p, -np.log(p) - sc.betaln(p, q)),
-         top=lambda p, q: (q, -np.log(q) - sc.betaln(p, q)))
+         top=lambda p, q: (q, -np.log(q) - sc.betaln(p, q)), slope_reads="vl")
 TE = _Map(_te_fwd, lambda lv, v, w, l, c: np.log(c) - c * v - np.log(-np.expm1(-c)), _te_inv,
           bot=lambda c: (1.0, np.log(c) - np.log(-np.expm1(-c))),
           top=lambda c: (1.0, np.log(c) - c - np.log(-np.expm1(-c))),
@@ -377,38 +389,39 @@ TE = _Map(_te_fwd, lambda lv, v, w, l, c: np.log(c) - c * v - np.log(-np.expm1(-
 QT = _Map(_qt_fwd, lambda lv, v, w, l, b: np.log1p(b * (w - v)), _qt_inv,
           bot=lambda b: (1.0, np.log1p(b)), top=lambda b: (1.0, np.log1p(-b)))
 R = _Map(_rev, lambda lv, v, w, l: 0.0, _rev, bot=None)
-L1 = _Map(lambda v, w, l: (l,), lambda lv, v, w, l: l, _from_l, reads_l=True)
-OD = _Map(lambda v, w, l: (v / w,), lambda lv, v, w, l: 2.0 * l, _odds_inv)
+L1 = _Map(lambda v, w, l: (l,), lambda lv, v, w, l: l, _from_l, reads_l=True, slope_reads="l")
+OD = _Map(lambda v, w, l: (v / w,), lambda lv, v, w, l: 2.0 * l, _odds_inv, slope_reads="l")
 E = _Map(lambda t: _from_l(t), lambda lt, t: -t, lambda v, w, l: (l,), v=lambda t: -np.expm1(-t))
 ODI = _Map(_odds_inv, lambda lt, t: -2.0 * np.log1p(t), OD.fwd)
 Sc = _Map(lambda t, c: (c * t,), lambda lt, t, c: np.log(c), lambda t, c: (t / c,),
           bot=lambda c: (1.0, np.log(c)))
 Pw = _Map(lambda t, a: (t**a,), lambda lt, t, a: np.log(a) + _xl(a - 1.0, lt), lambda t, a: (t ** (1.0 / a),),
-          bot=lambda a: (a, 0.0))
+          bot=lambda a: (a, 0.0), slope_reads="v")
 X = _Map(lambda t: (np.expm1(t),), lambda lt, t: t, lambda t: (np.log1p(t),))
 Lp = _Map(_lp_fwd, lambda lt, t, a: np.log(a) + _xl(a - 1.0, lt) - np.logaddexp(0.0, a * lt),
-          lambda t, a: (np.exp((t + np.log(-np.expm1(-t))) / a),), bot=lambda a: (a, 0.0))
+          lambda t, a: (np.exp((t + np.log(-np.expm1(-t))) / a),), bot=lambda a: (a, 0.0), slope_reads="v")
 Q = _Map(lambda t, a, b: (t * (a + b * t / 2.0),), lambda lt, t, a, b: np.log(a + b * t),
          lambda t, a, b: (2.0 * t / (a + np.sqrt(a * a + 2.0 * b * t)),), bot=lambda a, b: (1.0, np.log(a)))
 GP = _Map(_gamma_fwd, _gamma_log_pdf,
           lambda v, w, l, a: _two_sided(v, l, lambda x: sc.gammaincinv(a, x),
                                         lambda x: inv_reg_inc_gamma_upper_from_log(x, a)),
           bot=lambda a: (a, -sc.gammaln(a + 1.0)), v=lambda t, a: sc.gammainc(a, t),
-          w=lambda t, a: sc.gammaincc(a, t), lhz=_gamma_lhz)
+          w=lambda t, a: sc.gammaincc(a, t), lhz=_gamma_lhz, slope_reads="v")
 LL = _Map(lambda t, a: _logistic(a * np.log(t)),
           lambda lt, t, a: np.log(a) + _xl(a - 1.0, lt) - 2.0 * np.logaddexp(0.0, a * lt),
           lambda v, w, l, a: (np.exp((np.log(v) + l) / a),), bot=lambda a: (a, 0.0),
           v=lambda t, a: sc.expit(a * np.log(t)),
-          lhz=lambda lt, l, t, a: np.log(a) - lt - np.logaddexp(0.0, -a * lt))
+          lhz=lambda lt, l, t, a: np.log(a) - lt - np.logaddexp(0.0, -a * lt), slope_reads="v")
 # Fr's inverse (-ln v)^(-1/k) is e^(l/k) once -ln v = -ln(1 - e^-l) is e^-l
 Fr = _Map(_frechet_fwd, lambda lt, t, k: np.log(k) - _xl(k + 1.0, lt) - t**-k,
-          lambda v, w, l, k: (np.where(l > 36.0, np.exp(l / k), (-_lnv(v, w)) ** (-1.0 / k)),), bot=None)
+          lambda v, w, l, k: (np.where(l > 36.0, np.exp(l / k), (-_lnv(v, w)) ** (-1.0 / k)),), bot=None,
+          slope_reads="v")
 N = _Map(_normal_fwd, _normal_lpd, lambda v, w, l: _two_sided(v, l, sc.ndtri, lambda x: -sc.ndtri_exp(-x)),
          bot=None, v=sc.ndtr, lhz=_normal_lhz)
-LN = _Map(lambda t: (np.log(t),), lambda lt, t: -lt, lambda z: (np.exp(z),), bot=None)
+LN = _Map(lambda t: (np.log(t),), lambda lt, t: -lt, lambda z: (np.exp(z),), bot=None, slope_reads="v")
 Af = _Map(lambda z, a, b: ((z - a) / b,), lambda lz, z, a, b: -np.log(b), lambda z, a, b: (a + b * z,), bot=None)
 BSL = _Map(lambda t: (np.sqrt(t) - 1.0 / np.sqrt(t),),
-           lambda lt, t: np.log1p(t) - math.log(2.0) - 1.5 * lt, _bsl_inv, bot=None)
+           lambda lt, t: np.log1p(t) - math.log(2.0) - 1.5 * lt, _bsl_inv, bot=None, slope_reads="v")
 
 
 # --- chains ------------------------------------------------------------------------
@@ -515,34 +528,48 @@ def _forward_v(steps, s):
     return (m.w if k else m.v)(*(_full(s) if m.reads_l else s), *p)
 
 
-def _log_slope(steps, s):
+def _log_slope(steps, s, with_v=False):
     """ln of the chain's slope at the state s: the sum of ln|phi'| over the
-    chain, with L1 and the map right inside it taken as that map's ``lhz``."""
-    if steps[0][0] is R:
-        steps = steps[1:]  # an outermost reflection adds ln 1
-    lv, out, todo, paired = _ln_first(s), 0.0, steps[::-1], False
+    chain, with L1 and the map right inside it taken as that map's ``lhz``;
+    with ``with_v``, the pair of it and the v ``_forward_v`` reads, from the
+    same walk.  A state's ln v and -ln(1 - v) are formed only where the map
+    it enters reads them (``slope_reads``), and ln v also where a map further
+    out continues it past its underflow."""
+    reflected = steps[0][0] is R  # an outermost reflection adds ln 1
+    todo = steps[:0:-1] if reflected else steps[::-1]
+    # whether the input state of each map (innermost first) needs its ln v, and its -ln(1 - v)
+    need_v, need_l, later = [], [], False
+    for m, _ in reversed(todo):
+        need_l.insert(0, "l" in m.slope_reads or later and m is R)
+        later = "v" in m.slope_reads or later and m.bot is not None
+        need_v.insert(0, later)
+    lv, out, paired = _ln_first(s) if later else None, 0.0, False
     for i, (m, p) in enumerate(todo):
-        s = _full(s)
+        if need_l[i]:
+            s = _full(s)
         last = i + 1 == len(todo)
         nxt = None if last else _apply(m, p, s)
         if paired:
             paired = False  # L1's term came with the map inside it
         elif m.lhz is not None and not last and todo[i + 1][0] is L1:
-            out, paired = out + m.lhz(lv, _full(nxt)[2], *s, *p), True
+            nxt = _full(nxt)
+            out, paired = out + m.lhz(lv, nxt[2], *s, *p), True
         else:
             out = out + m.lpd(lv, *s, *p)
         if last:
-            return out
-        lv_next, under = _ln_first(nxt), nxt[0] < _TINY
-        if np.count_nonzero(under):
-            # ln of the new first element past its underflow, from m's
-            # behaviour at 0 (R sends it to -ln(1 - v))
-            if m is R:
-                lv_next = np.where(under, -s[2], lv_next)
-            elif m.bot is not None:
-                r, mu = m.bot(*p)
-                lv_next = np.where(under, r * lv + mu, lv_next)
-        s, lv = nxt, lv_next
+            return (out, (m.w if reflected else m.v)(*(_full(s) if m.reads_l else s), *p)) if with_v else out
+        if need_v[i + 1]:
+            lv_next, under = _ln_first(nxt), nxt[0] < _TINY
+            if np.count_nonzero(under):
+                # ln of the new first element past its underflow, from m's
+                # behaviour at 0 (R sends it to -ln(1 - v))
+                if m is R:
+                    lv_next = np.where(under, -s[2], lv_next)
+                elif m.bot is not None:
+                    r, mu = m.bot(*p)
+                    lv_next = np.where(under, r * lv + mu, lv_next)
+            lv = lv_next
+        s = nxt
 
 
 # --- runners from y = x - mu ------------------------------------------------------------
@@ -647,10 +674,20 @@ def _log_density(steps, y, part=False):
     return np.where(np.isnan(out) | (out == np.inf), -np.inf, out)
 
 
+def _cdf_log_density(steps, y, part=False):
+    """``(_cdf(steps, y), _log_density(steps, y))`` from one walk of the chain."""
+    if y.size >= _SPLIT and not part:
+        return _in_parts(_cdf_log_density, steps, y)
+    with np.errstate(**_QUIET):
+        out, v = _log_slope(steps, (y,), with_v=True)
+    v, out = _support(y, (v, out), (0.0, -np.inf), (1.0, -np.inf))
+    return np.minimum(1.0, np.maximum(0.0, v)), np.where(np.isnan(out) | (out == np.inf), -np.inf, out)
+
+
 def _quantile(steps, p, part=False):
     """The y >= 0 at which the chain reaches the triple p, from the chain run
-    backwards: 0 where v = 0, +inf where -ln(1 - v) = +inf, and where the
-    inverse made NaN the end on v's side of 1/2."""
+    backwards: 0 where v = 0, +inf where -ln(1 - v) = +inf, NaN where p is
+    NaN, and where the inverse made NaN the end on v's side of 1/2."""
     if p[0].size >= _SPLIT and not part:
         return _in_parts(_quantile, steps, p)
     s = p
@@ -658,4 +695,4 @@ def _quantile(steps, p, part=False):
         for m, prm in steps:
             s = _apply(m, prm, s, inverse=True)
         y = np.maximum(np.where(np.isnan(s[0]), np.where(p[0] > 0.5, np.inf, 0.0), s[0]), 0.0)
-    return np.where(p[0] == 0.0, 0.0, np.where(p[2] == np.inf, np.inf, y))
+    return np.where(p[0] == 0.0, 0.0, np.where(p[2] < np.inf, y, p[2]))

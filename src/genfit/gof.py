@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sc
 
-from .chains import _cdf, _log_density
+from .chains import _cdf_log_density
 from .mps_fit import SpacingContext, _log_spacings, _mean_log_spacing, moran_chi_square_test
 
 __all__ = [
@@ -92,14 +92,14 @@ def full_report(data, family, base, params, location=True, sig_level=0.05) -> Go
 
     The log-likelihood is evaluated at the same (MPS) estimate rather than a
     separate ML fit, matching the single-fit output structure.  Theta is
-    resolved once, and one cdf and one log-density pass over the sorted data
-    give every measure; Moran's tie terms are that log-density at the ties.
+    resolved once, and one walk of the chain over the sorted data gives the
+    cdf and the log-density, and so every measure; Moran's tie terms are that
+    log-density at the ties.
     """
     ctx = SpacingContext(np.asarray(data, dtype=float), family, base, location)
     n, k = ctx.n, ctx.k
     steps, mu = ctx.model.resolve(params)
-    y = ctx.data - mu
-    log_pdf, u = _log_density(steps, y), _cdf(steps, y)
+    u, log_pdf = _cdf_log_density(steps, ctx.data - mu)
 
     loglik = float(np.sum(log_pdf))
     aic, caic, bic, hqic = information_criteria(loglik, k, n)
@@ -107,7 +107,7 @@ def full_report(data, family, base, params, location=True, sig_level=0.05) -> Go
     cm, ad, clamped = edf_statistics(u)
     ks_d, ks_p = ks_test(u)
 
-    moran = -ctx.m * float(_mean_log_spacing(_log_spacings(u, ctx, log_pdf[ctx.tied]), ctx))
+    moran = -ctx.m * float(_mean_log_spacing(_log_spacings(ctx, u, log_pdf), ctx))
     chi = moran_chi_square_test(moran, n, k, sig_level)
 
     return GofReport(

@@ -18,10 +18,11 @@ lockstep (a simplex, a shrink or one point per run); under BFGS and CG, a
 point and its gradient's 2k points, the runs called in turn on the calling
 thread; under simulated annealing, one point.  The stack
 maps to natural parameters in one pass, is masked on ``Model.domains``, and
-its chain, built by ``Model.steps``, runs from y = x - mu for the cdf and, at
-tied points, the log-density.  The public ``spacing_value`` takes a natural
-theta through ``Model.resolve``, whose count error raises and whose domain
-error reads as -inf.
+its chain, built by ``Model.steps``, runs from y = x - mu for the cdf, or,
+where the data has ties, for the cdf and the log-density from one walk
+(``chains._cdf_log_density``); one row is masked and summed on floats.  The
+public ``spacing_value`` takes a natural theta through ``Model.resolve``,
+whose count error raises and whose domain error reads as -inf.
 
 Moran's statistic is reported in its sum form M = -m S(theta_hat), and the
 small-sample chi-square approximation maps M through the affine transform
@@ -38,7 +39,7 @@ import numpy as np
 import scipy.special as sc
 
 from .base_distributions import get_base
-from .chains import _POS, _QUIET, _REAL, Model, _cdf, _DomainError, _log_density
+from .chains import _POS, _QUIET, _REAL, Model, _cdf, _cdf_log_density, _DomainError
 from .family_transforms import get_family
 from .optimizers import _InfeasibleStart, OptimizerConfig, OptResult, maximize
 
@@ -151,24 +152,27 @@ def _natural(psi, ctx: SpacingContext):
 
 # --- the objective ---------------------------------------------------------
 
-def _log_spacings(h, ctx: SpacingContext, tie_terms):
+def _log_spacings(ctx: SpacingContext, h, log_density=None):
     """Tie-corrected log-spacings (length m) on the last axis from the cdf h at
-    the sorted data, with ``tie_terms``, the log-density at the tied points,
-    in the tied places; -inf where infeasible."""
-    ext = np.concatenate([np.zeros(h.shape[:-1] + (1,)), h, np.ones(h.shape[:-1] + (1,))], axis=-1)
+    the sorted data, with ``log_density``, the log-density at the data, in
+    the tied places; -inf where infeasible."""
+    # .T indexes the last axis of one row or of a stack at plain indexing's cost
+    d = np.empty(h.shape[:-1] + (ctx.m,))
+    dt, ht = d.T, h.T
+    dt[0], dt[-1] = ht[0], 1.0 - ht[-1]
+    np.subtract(ht[1:], ht[:-1], out=dt[1:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.log(np.maximum(ext[..., 1:] - ext[..., :-1], 0.0))
+        np.log(np.maximum(d, 0.0, out=d), out=d)
     if ctx.tied.size:
-        # .T indexes the last axis of one row or of a stack at plain indexing's cost
-        terms.T[ctx.tied] = tie_terms
-    return terms
+        dt[ctx.tied] = log_density.T[ctx.tied]
+    return d
 
 
 def _terms(steps, mu, ctx: SpacingContext):
-    """``_log_spacings`` of the chain at theta's ``(steps, mu)``."""
+    """``_log_spacings`` of the chain at theta's ``(steps, mu)``: the cdf
+    alone, or with ties the cdf and the log-density from one walk."""
     y = ctx.data - mu
-    tie_terms = _log_density(steps, y.T[ctx.tied].T).T if ctx.tied.size else None
-    return _log_spacings(_cdf(steps, y), ctx, tie_terms)
+    return _log_spacings(ctx, *_cdf_log_density(steps, y)) if ctx.tied.size else _log_spacings(ctx, _cdf(steps, y))
 
 
 def _mean_log_spacing(terms, ctx: SpacingContext, feasible=True):
@@ -193,20 +197,20 @@ def _spacing_rows(psi_rows, ctx: SpacingContext):
     """S at each row of a (B, k) stack of free parameters, in one pass, and
     -inf where a coordinate is out of its domain.  The chain takes the
     parameters as (B, 1) columns and runs on (B, n), or, for one row, as
-    floats on (n,), which cost less; a row out of its domain runs too (no map
-    raises) and is masked at the end."""
+    floats on (n,), which cost less, and S is finished on floats; a row out
+    of its domain runs too (no map raises) and is masked at the end."""
     theta = _natural(np.asarray(psi_rows, dtype=float), ctx)
-    ok = np.logical_and.reduce((ctx._lo < theta) & (theta < ctx._hi), axis=1)
     if len(theta) == 1:
-        cols, zero = theta[0].tolist(), 0.0
+        cols = theta[0].tolist()
+        s = float(_terms(ctx.model.steps(cols), cols[-1] if ctx.location else 0.0, ctx).sum()) / ctx.m
+        ok = s < math.inf and all(lo < t < hi for t, (lo, hi) in zip(cols, ctx.model.domains))
+        return np.array([s if ok else -math.inf])
+    ok = np.logical_and.reduce((ctx._lo < theta) & (theta < ctx._hi), axis=1)
+    cols = list(np.ascontiguousarray(theta.T)[:, :, None])
+    with np.errstate(**_QUIET):  # a parameter column, such as a/b, may overflow
         steps = ctx.model.steps(cols)
-    else:
-        cols = list(np.ascontiguousarray(theta.T)[:, :, None])
-        # mu = 0 as a column, so y has a row per theta also where no map broadcasts
-        zero = np.zeros_like(cols[0])
-        with np.errstate(**_QUIET):  # a parameter column, such as a/b, may overflow
-            steps = ctx.model.steps(cols)
-    return _mean_log_spacing(_terms(steps, cols[-1] if ctx.location else zero, ctx), ctx, ok)
+    # mu = 0 as a column, so y has a row per theta also where no map broadcasts
+    return _mean_log_spacing(_terms(steps, cols[-1] if ctx.location else np.zeros_like(cols[0]), ctx), ctx, ok)
 
 
 # --- starting values -------------------------------------------------------

@@ -97,9 +97,10 @@ def _sann(neg, x0, config, rng):
 
 
 def _order(sim, fsim):
-    """The simplex sorted so that sim[0] has the lowest value, by scipy's calls."""
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    """The simplex sorted so that sim[0] has the lowest value, by the C
+    routines of scipy's ``np.argsort`` and ``np.take`` calls."""
+    ind = fsim.argsort()
+    return sim.take(ind, 0), fsim.take(ind, 0)
 
 
 def _nelder_mead(x0, config):
@@ -125,7 +126,7 @@ def _nelder_mead(x0, config):
     sim, fsim = _order(*_order(sim, fsim))
     iterations = 1
     while iterations < config.max_iter:
-        if np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _X_TOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _F_TOL:
+        if np.abs(sim[1:] - sim[0]).max() <= _X_TOL and np.abs(fsim[0] - fsim[1:]).max() <= _F_TOL:
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = (1 + rho) * xbar - rho * sim[-1]
@@ -153,8 +154,8 @@ def _nelder_mead(x0, config):
         iterations += 1
         sim, fsim = _order(sim, fsim)
     if iterations >= config.max_iter:
-        return sim[0], np.min(fsim), False, "Maximum number of iterations has been exceeded."
-    return sim[0], np.min(fsim), True, "Optimization terminated successfully."
+        return sim[0], fsim.min(), False, "Maximum number of iterations has been exceeded."
+    return sim[0], fsim.min(), True, "Optimization terminated successfully."
 
 
 def _scipy_run(neg, x0, config):

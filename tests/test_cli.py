@@ -409,12 +409,26 @@ def test_log_p_quantile_near_zero(capsys, tail, want):
     ["cdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--x", "1:2"],
     ["cdf", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--x", "1:2:0"],
     ["quantile", *KUMG, "--params", "1.5,0.8,1.3,2.0,0", "--p", "1.5"],
-], ids=["sig-level", "grid-two-fields", "grid-zero-step", "quantile-p"])
+    # e^1000 overflows: no RuntimeWarning may come before the one error line
+    ["quantile", *KUMG, "--params", "2,3,1.5,2,0.5", "--log-p", "--p", "1000"],
+], ids=["sig-level", "grid-two-fields", "grid-zero-step", "quantile-p", "quantile-log-p-overflow"])
 def test_bad_argument_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("genfit: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tail", [["--p", "nan,0.5"], ["--p", "nan,0.5", "--no-lower-tail"],
+                                  ["--p=nan,-0.7", "--log-p"]])
+def test_nan_probability_gives_nan(capsys, tail):
+    argv = ["quantile", *KUMG, "--params", "2,3,1.5,2,0.5", *tail]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out.splitlines()[0] == "NA\tNA"
+    code, out, err = run_cli(capsys, *argv, "--output", "json")
+    first, second = json.loads(out)["points"]
+    assert math.isnan(first["value"]) and math.isfinite(second["value"])
 
 
 def test_points_on_stdin(capsys, monkeypatch):

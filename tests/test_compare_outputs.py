@@ -1,4 +1,5 @@
-"""The output comparator, run on a small grid against an unchanged tree.
+"""The output comparator, run on a small grid against an unchanged tree, and
+the A/B fit timer, run on one short fit.
 
 The tree is a throwaway git repository holding a copy of ``src``, so the
 check neither needs this checkout to be a clean git work tree nor touches it.
@@ -13,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "scripts" / "compare_outputs.py"
+AB_FITS = ROOT / "scripts" / "ab_fits.py"
 
 
 def _git(repo, *args):
@@ -86,3 +88,34 @@ def test_a_deleted_name_is_listed_as_moved(unchanged_repo):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     flagged = [line.split()[0] for line in proc.stdout.splitlines() if line.endswith("UNEXPECTED")]
     assert flagged == ["base_log_hazard:-:gamma", "base_log_hazard:-:weibull"]
+
+
+def _ab_fits(repo):
+    # the reference layout's first fit, bearing weibullg x weibull by Nelder-Mead, once per side
+    return subprocess.run([sys.executable, str(AB_FITS), "--repo", str(repo), "--ref", "HEAD", "--layout", "reference",
+                           "--rounds", "1", "--fits", "1"], capture_output=True, text=True, timeout=300)
+
+
+def test_ab_fits_on_an_unchanged_tree(unchanged_repo):
+    proc = _ab_fits(unchanged_repo)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "bearing:weibullgxweibull:nelder-mead" in proc.stdout
+    assert "1 of 1 fits identical between the sides" in proc.stdout
+    listing = subprocess.run(["git", "-C", str(unchanged_repo), "worktree", "list"],
+                             capture_output=True, text=True, check=True).stdout
+    assert len(listing.splitlines()) == 1
+
+
+def test_ab_fits_fails_on_a_moved_fit(unchanged_repo):
+    # in the working tree only, every fit's S moves by one part in 1e12
+    mf = unchanged_repo / "src" / "genfit" / "mps_fit.py"
+    mf.write_text(mf.read_text() + (
+        "\n_unmoved_fit = fit\n\n\n"
+        "def fit(ctx, config=None):\n"
+        "    res = _unmoved_fit(ctx, config)\n"
+        "    res.s_opt *= 1.0 - 1e-12\n"
+        "    return res\n"
+    ))
+    proc = _ab_fits(unchanged_repo)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "bearing:weibullgxweibull:nelder-mead: the outputs differ between the sides" in proc.stdout

@@ -14,6 +14,7 @@ import scipy.stats
 from scipy.stats import kstest
 
 from genfit.base_distributions import BASE_DISTRIBUTIONS, base_quantile, get_base
+from genfit import chains
 from genfit.chains import Model
 from genfit.family_transforms import (
     FAMILIES,
@@ -202,6 +203,13 @@ class TestInverses:
         assert _h_inverse(name, 0.0, induced) == (0.0, 0.0)
         assert _h_inverse(name, 1.0, induced) == (1.0, math.inf)
 
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_nan_probability_gives_nan(self, name):
+        induced = default_induced(name)
+        assert math.isnan(h_inverse(name, math.nan, induced))
+        got = h_inverse(name, np.array([np.nan, 0.3]), induced)
+        assert np.isnan(got[0]) and got[1] == h_inverse(name, 0.3, induced)
+
     def test_out_of_range_p(self):
         with pytest.raises(ValueError):
             h_inverse("kumg", 1.5, (1.0, 1.0))
@@ -251,6 +259,29 @@ class TestComposedDistribution:
             if np.isfinite(x_hi):
                 assert 1.0 - 1e-6 <= family_cdf(family, base, x_hi, params) <= 1.0
             assert family_cdf(family, base, math.inf, params) == 1.0
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("base", ALL_BASES)
+    def test_one_walk_gives_the_cdf_and_the_log_density(self, family, base):
+        # chains._cdf_log_density walks the chain once for both; each equals
+        # its own runner's byte for byte, on one row of floats and on a
+        # (B, n) stack of (B, 1) parameter columns, at y = x - mu from the
+        # deep left tail (where ln v follows the underflow) to the far right
+        # one, and outside the support
+        rng = np.random.default_rng([ALL_FAMILIES.index(family), ALL_BASES.index(base), 1])
+        rows = [default_induced(family) + (1.3,) * get_base(base).n_params + (0.5,)]
+        for _ in range(2):
+            rows.append(tuple(
+                rng.uniform(0.5, 3.0) if math.isinf(hi) else rng.uniform(0.8 * lo + 0.2 * hi, 0.2 * lo + 0.8 * hi)
+                for lo, hi in get_family(family).domains
+            ) + tuple(rng.uniform(0.5, 3.0, size=get_base(base).n_params)) + (0.5,))
+        grid = np.concatenate([[0.0, 1e-300, 1e-12], np.logspace(-8, 10, 60), [np.nan, -1.0, np.inf]])
+        model = Model((get_family(family), get_base(base)))
+        cols = [np.array(c)[:, None] for c in zip(*rows)]
+        for steps, y in ((model.resolve(rows[0])[0], grid), (model.steps(cols), np.tile(grid, (len(rows), 1)))):
+            v, log_density = chains._cdf_log_density(steps, y)
+            assert v.tobytes() == chains._cdf(steps, y).tobytes()
+            assert log_density.tobytes() == chains._log_density(steps, y).tobytes()
 
     def test_cdf_at_an_overflowing_quantile(self):
         # the F base's kernel forms inf/inf at x = +inf
@@ -327,10 +358,27 @@ class TestComposedDistribution:
         lambda: base_quantile("weibull", 1.5, (1.0, 1.0, 0.0)),
         lambda: family_quantile("kumg", "weibull", 1.5, (1.0, 1.0, 1.0, 1.0, 0.0)),
         lambda: family_quantile("kumg", "weibull", 0.1, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True),
-    ], ids=["base", "family", "family-log-p"])
+        # e^1000 overflows: ln p is checked first, so no RuntimeWarning comes before the error
+        lambda: family_quantile("kumg", "weibull", 1000.0, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True),
+    ], ids=["base", "family", "family-log-p", "family-log-p-overflow"])
     def test_quantile_probability_out_of_range(self, call):
         with pytest.raises(ValueError, match=r"^quantile probabilities must lie in \[0, 1\]$"):
             call()
+
+    @pytest.mark.parametrize("base", sorted(BASE_DISTRIBUTIONS))
+    def test_nan_probability_gives_nan(self, base):
+        # as R's q* functions and scipy's ppf: NaN in, NaN out, in every tail, and the rest unchanged
+        params = (1.3,) * get_base(base).n_params + (0.5,)
+        p = np.array([np.nan, 0.3])
+        got = base_quantile(base, p, params)
+        assert np.isnan(got[0]) and got[1] == base_quantile(base, 0.3, params)
+        assert math.isnan(base_quantile(base, math.nan, params))
+        theta = (1.5, 0.8, *params)
+        for kw, q in (({}, 0.3), ({"lower_tail": False}, 0.3), ({"log_p": True}, -1.2),
+                      ({"log_p": True, "lower_tail": False}, -1.2)):
+            got = family_quantile("kumg", base, np.array([np.nan, q]), theta, **kw)
+            assert np.isnan(got[0]) and got[1] == family_quantile("kumg", base, q, theta, **kw), kw
+            assert math.isnan(family_quantile("kumg", base, math.nan, theta, **kw)), kw
 
 
 class TestDeepTailDensity:

@@ -173,18 +173,19 @@ class TestFullReport:
         u = family_cdf(family, base, ctx.data, theta)
         want = (float(np.sum(family_log_pdf(family, base, ctx.data, theta))), *edf_statistics(u), *ks_test(u),
                 -ctx.m * spacing_value(theta, ctx))
-        calls = {"resolve": 0, "cdf": 0, "log_density": 0}
+        calls = {"resolve": 0, "walk": 0, "cdf_walk": 0}
 
         def counted(key, fn):
-            def run(*args):
+            def run(*args, **kw):
                 calls[key] += 1
-                return fn(*args)
+                return fn(*args, **kw)
             return run
 
+        # one walk of the chain gives the cdf and the log-density; the cdf's own walk is not taken
         monkeypatch.setattr(chains.Model, "resolve", counted("resolve", chains.Model.resolve))
-        monkeypatch.setattr(gof, "_cdf", counted("cdf", chains._cdf))
-        monkeypatch.setattr(gof, "_log_density", counted("log_density", chains._log_density))
+        monkeypatch.setattr(chains, "_log_slope", counted("walk", chains._log_slope))
+        monkeypatch.setattr(chains, "_forward_v", counted("cdf_walk", chains._forward_v))
         rep = full_report(data, family, base, theta)
-        assert calls == {"resolve": 1, "cdf": 1, "log_density": 1}
+        assert calls == {"resolve": 1, "walk": 1, "cdf_walk": 0}
         got = (rep.loglik, rep.cm, rep.ad, rep.edf_clamped, rep.ks_stat, rep.ks_p, rep.moran)
         assert got == want and math.isfinite(rep.moran)

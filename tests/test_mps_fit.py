@@ -195,7 +195,10 @@ class TestSpacingRows:
         # gradient there, a jittered row and a row at the +-700 clip: the
         # batch gives each row the single call's bits, -inf included, and
         # lets no floating-point warning escape; all three datasets are
-        # positive, so each also runs with the location off
+        # positive, so each also runs with the location off.  The rows the
+        # one-row path masks come last: a NaN row, and with the location on
+        # mu = x_(1) - e^-700, which rounds onto x_(1), so S = -inf; for
+        # gtransg, b = tanh(+-40), which rounds to +-1, out of its domain
         data = load_dataset(name)
         for i, family in enumerate(sorted(FAMILIES)):
             for j, base in enumerate(sorted(BASE_DISTRIBUTIONS)):
@@ -203,13 +206,19 @@ class TestSpacingRows:
                 x = to_free(ctx, _start_theta(ctx))
                 h = np.diag(np.maximum(1e-7, 1e-7 * np.abs(x)))
                 rng = np.random.default_rng([i, j])
+                masked = [np.full(x.size, np.nan)]
+                if location:
+                    masked.append(np.append(x[:-1], -700.0))
+                if family == "gtransg":
+                    masked += [np.where(np.arange(x.size) == 1, b, x) for b in (40.0, -40.0)]
                 psi_rows = np.vstack([x, x + h, x - h, x + rng.normal(scale=0.3, size=x.size),
-                                      np.where(rng.uniform(size=x.size) < 0.5, -700.0, 700.0)])
+                                      np.where(rng.uniform(size=x.size) < 0.5, -700.0, 700.0), *masked])
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     got = mps_fit._spacing_rows(psi_rows, ctx)
                 want = [mps_fit._spacing_rows(psi[None], ctx)[0] for psi in psi_rows]
                 np.testing.assert_array_equal(got, want, err_msg=f"{family} x {base}")
+                assert want[-len(masked):] == [-math.inf] * len(masked)
 
     def test_weibullextg_row_at_a_tiny_a(self):
         # weibullextg at a = 1e-3, b = 200, where a^-b = 1e600 overflows: its

@@ -80,6 +80,21 @@ def test_stack_with_parameter_columns(monkeypatch):
     _split_equals_uncut(monkeypatch, lambda: chains._log_density(steps, y))
 
 
+def test_one_walk_split_equals_uncut(monkeypatch):
+    # the cdf and the log-density from one walk, on a (B, n) stack with
+    # (B, 1) parameter columns and on one row with float parameters, each
+    # cut along n; the first elements are outside the support
+    ctx = mps_fit.SpacingContext(load_dataset("bearing"), "betag", "gamma")
+    theta = np.array([[1.5], [2.5], [0.7]]) * np.array([1.0, 1.2, 2.0, 0.8])
+    y = np.random.default_rng(16).gamma(2.0, size=(3, N // 2))
+    y[:, :4] = [0.0, np.nan, -1.0, np.inf]
+    split = chains._SPLIT
+    for steps, x in ((ctx.model.steps(list(theta.T[:, :, None])), y), (ctx.model.steps(theta[0].tolist()), y[0])):
+        monkeypatch.setattr(chains, "_SPLIT", split)
+        v, log_density = _split_equals_uncut(monkeypatch, lambda: chains._cdf_log_density(steps, x))
+        assert v.shape == log_density.shape == x.shape
+
+
 def test_small_input_is_not_cut(monkeypatch):
     def refuse(*args):
         raise AssertionError("a small input reached the cut")
