@@ -117,13 +117,12 @@ def main(argv=None):
     parser.add_argument("--ref", required=True, help="the git ref to time the working tree against")
     parser.add_argument("--layout", choices=("survey", "reference"), default="survey")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--fits", type=int, help="only the layout's first FITS fits")
     parser.add_argument("--repo", type=Path, default=REPO, help="the repository (default: this script's)")
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     with ref_tree(repo, args.ref) as tree:
         sides = (_import("genfit_ref", tree / "src"), _import("genfit", repo / "src"))
-        fits = layout(sides[1], args.layout)[: args.fits]
+        fits = layout(sides[1], args.layout)
         times, differ = measure(sides, fits, args.rounds)
     report(fits, times)
     for label in sorted(differ):

@@ -662,26 +662,24 @@ def _state(steps, y, part=False):
     return np.minimum(1.0, np.maximum(0.0, v)), np.minimum(1.0, np.maximum(0.0, w)), np.maximum(l, 0.0)
 
 
-def _log_density(steps, y, part=False):
+def _log_density(steps, y, part=False, with_v=False):
     """ln of the chain's slope at y, the log-density of the distribution it is
     the cdf of; -inf outside the support, where a map made NaN, and where an
-    intermediate state's underflow made +inf."""
+    intermediate state's underflow made +inf.  With ``with_v``, the pair
+    ``(_cdf(steps, y), that)`` from the same walk."""
     if y.size >= _SPLIT and not part:
-        return _in_parts(_log_density, steps, y)
+        return _in_parts(_cdf_log_density if with_v else _log_density, steps, y)
     with np.errstate(**_QUIET):
-        out = _log_slope(steps, (y,))
-    (out,) = _support(y, (out,), (-np.inf,), (-np.inf,))
-    return np.where(np.isnan(out) | (out == np.inf), -np.inf, out)
+        walk = _log_slope(steps, (y,), with_v)
+    # the ln slope first, then the v with_v adds: _support zips to the shorter
+    out, *v = _support(y, walk if with_v else (walk,), (-np.inf, 0.0), (-np.inf, 1.0))
+    out = np.where(np.isnan(out) | (out == np.inf), -np.inf, out)
+    return (np.minimum(1.0, np.maximum(0.0, v[0])), out) if with_v else out
 
 
 def _cdf_log_density(steps, y, part=False):
     """``(_cdf(steps, y), _log_density(steps, y))`` from one walk of the chain."""
-    if y.size >= _SPLIT and not part:
-        return _in_parts(_cdf_log_density, steps, y)
-    with np.errstate(**_QUIET):
-        out, v = _log_slope(steps, (y,), with_v=True)
-    v, out = _support(y, (v, out), (0.0, -np.inf), (1.0, -np.inf))
-    return np.minimum(1.0, np.maximum(0.0, v)), np.where(np.isnan(out) | (out == np.inf), -np.inf, out)
+    return _log_density(steps, y, part, with_v=True)
 
 
 def _quantile(steps, p, part=False):

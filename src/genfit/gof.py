@@ -107,7 +107,7 @@ def full_report(data, family, base, params, location=True, sig_level=0.05) -> Go
     cm, ad, clamped = edf_statistics(u)
     ks_d, ks_p = ks_test(u)
 
-    moran = -ctx.m * float(_mean_log_spacing(_log_spacings(ctx, u, log_pdf), ctx))
+    moran = -ctx.m * float(_mean_log_spacing(_log_spacings(ctx, u, log_pdf[ctx.tied]), ctx))
     chi = moran_chi_square_test(moran, n, k, sig_level)
 
     return GofReport(

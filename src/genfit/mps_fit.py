@@ -20,7 +20,9 @@ thread; under simulated annealing, one point.  The stack
 maps to natural parameters in one pass, is masked on ``Model.domains``, and
 its chain, built by ``Model.steps``, runs from y = x - mu for the cdf, or,
 where the data has ties, for the cdf and the log-density from one walk
-(``chains._cdf_log_density``); one row is masked and summed on floats.  The
+(``chains._cdf_log_density``), unless the untied points are many: there a
+second walk over the tied points costs less.  One row is masked and summed
+on floats.  The
 public ``spacing_value`` takes a natural theta through ``Model.resolve``,
 whose count error raises and whose domain error reads as -inf.
 
@@ -39,7 +41,7 @@ import numpy as np
 import scipy.special as sc
 
 from .base_distributions import get_base
-from .chains import _POS, _QUIET, _REAL, Model, _cdf, _cdf_log_density, _DomainError
+from .chains import _POS, _QUIET, _REAL, Model, _cdf, _cdf_log_density, _DomainError, _log_density
 from .family_transforms import get_family
 from .optimizers import _InfeasibleStart, OptimizerConfig, OptResult, maximize
 
@@ -152,10 +154,10 @@ def _natural(psi, ctx: SpacingContext):
 
 # --- the objective ---------------------------------------------------------
 
-def _log_spacings(ctx: SpacingContext, h, log_density=None):
+def _log_spacings(ctx: SpacingContext, h, tie_terms=None):
     """Tie-corrected log-spacings (length m) on the last axis from the cdf h at
-    the sorted data, with ``log_density``, the log-density at the data, in
-    the tied places; -inf where infeasible."""
+    the sorted data, with ``tie_terms``, the log-density at the tied points on
+    the first axis, in the tied places; -inf where infeasible."""
     # .T indexes the last axis of one row or of a stack at plain indexing's cost
     d = np.empty(h.shape[:-1] + (ctx.m,))
     dt, ht = d.T, h.T
@@ -164,15 +166,28 @@ def _log_spacings(ctx: SpacingContext, h, log_density=None):
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(np.maximum(d, 0.0, out=d), out=d)
     if ctx.tied.size:
-        dt[ctx.tied] = log_density.T[ctx.tied]
+        dt[ctx.tied] = tie_terms
     return d
+
+
+# one walk adds the log-density at the untied points, a second walk its own
+# call overhead and a full walk at the tied ones: on a 2-core Xeon, B rows of n
+# points with t ties take one walk the faster while B (n - 4t) < _ONE_WALK
+_ONE_WALK = 768
 
 
 def _terms(steps, mu, ctx: SpacingContext):
     """``_log_spacings`` of the chain at theta's ``(steps, mu)``: the cdf
-    alone, or with ties the cdf and the log-density from one walk."""
+    alone, or with ties the cdf and the log-density, from one walk where the
+    untied points are few, else the log-density from a second walk over the
+    tied points."""
     y = ctx.data - mu
-    return _log_spacings(ctx, *_cdf_log_density(steps, y)) if ctx.tied.size else _log_spacings(ctx, _cdf(steps, y))
+    if not ctx.tied.size:
+        return _log_spacings(ctx, _cdf(steps, y))
+    if (ctx.n - 4 * ctx.tied.size) * (y.size // ctx.n) < _ONE_WALK:
+        h, log_density = _cdf_log_density(steps, y)
+        return _log_spacings(ctx, h, log_density.T[ctx.tied])
+    return _log_spacings(ctx, _cdf(steps, y), _log_density(steps, y.T[ctx.tied].T).T)
 
 
 def _mean_log_spacing(terms, ctx: SpacingContext, feasible=True):

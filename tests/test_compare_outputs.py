@@ -91,16 +91,16 @@ def test_a_deleted_name_is_listed_as_moved(unchanged_repo):
 
 
 def _ab_fits(repo):
-    # the reference layout's first fit, bearing weibullg x weibull by Nelder-Mead, once per side
+    # the reference layout's six fits, once per side
     return subprocess.run([sys.executable, str(AB_FITS), "--repo", str(repo), "--ref", "HEAD", "--layout", "reference",
-                           "--rounds", "1", "--fits", "1"], capture_output=True, text=True, timeout=300)
+                           "--rounds", "1"], capture_output=True, text=True, timeout=300)
 
 
 def test_ab_fits_on_an_unchanged_tree(unchanged_repo):
     proc = _ab_fits(unchanged_repo)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "bearing:weibullgxweibull:nelder-mead" in proc.stdout
-    assert "1 of 1 fits identical between the sides" in proc.stdout
+    assert "6 of 6 fits identical between the sides" in proc.stdout
     listing = subprocess.run(["git", "-C", str(unchanged_repo), "worktree", "list"],
                              capture_output=True, text=True, check=True).stdout
     assert len(listing.splitlines()) == 1

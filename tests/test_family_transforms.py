@@ -360,7 +360,10 @@ class TestComposedDistribution:
         lambda: family_quantile("kumg", "weibull", 0.1, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True),
         # e^1000 overflows: ln p is checked first, so no RuntimeWarning comes before the error
         lambda: family_quantile("kumg", "weibull", 1000.0, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True),
-    ], ids=["base", "family", "family-log-p", "family-log-p-overflow"])
+        # e^1e-300 rounds to 1, yet ln p > 0 lies outside [0, 1] in either tail
+        lambda: family_quantile("kumg", "weibull", 1e-300, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True),
+        lambda: family_quantile("kumg", "weibull", 1e-300, (1.0, 1.0, 1.0, 1.0, 0.0), log_p=True, lower_tail=False),
+    ], ids=["base", "family", "family-log-p", "family-log-p-overflow", "family-log-p-tiny", "family-log-p-tiny-upper"])
     def test_quantile_probability_out_of_range(self, call):
         with pytest.raises(ValueError, match=r"^quantile probabilities must lie in \[0, 1\]$"):
             call()
